@@ -97,7 +97,7 @@ double governed_seconds(const scf::ScfResult& ground,
   ropt.checkpoint_every = 4;
   RecoveryDriver driver(store, ropt);
   // This molecule's per-collective work windows are a few ms; drop the
-  // ledger's noise floor (production default 5 ms) so they carry signal.
+  // ledger's noise floor (production default 10 ms) so they carry signal.
   // min_relative comes down from the production 4x as well: with all rank
   // threads time-slicing one oversubscribed host core, a healthy rank's
   // wall window contains the whole pack's interleaved compute, which

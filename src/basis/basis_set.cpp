@@ -276,4 +276,60 @@ void contract_density(const linalg::Matrix& p, const BatchEval& ev, double* out)
   }
 }
 
+void fold_density(const linalg::Matrix& p, linalg::Matrix& f) {
+  const std::size_t nb = p.rows();
+  AEQP_CHECK(p.cols() == nb && f.rows() == nb && f.cols() == nb,
+             "fold_density: matrix shape mismatch");
+  for (std::size_t a = 0; a < nb; ++a) {
+    f(a, a) = p(a, a);
+    for (std::size_t b = a + 1; b < nb; ++b) f(a, b) = f(b, a) = p(a, b) + p(b, a);
+  }
+}
+
+void contract_density_folded(const linalg::Matrix& f, const std::uint32_t* offsets,
+                             std::size_t n_points, const std::uint32_t* indices,
+                             const double* values, double* out) {
+  const std::size_t nb = f.cols();
+  const auto row = [&](std::uint32_t mu) {
+    return f.data() + static_cast<std::size_t>(mu) * nb;
+  };
+  for (std::size_t k = 0; k < n_points; ++k) {
+    const std::uint32_t* idx = indices + offsets[k];
+    const double* val = values + offsets[k];
+    const std::size_t ne = offsets[k + 1] - offsets[k];
+    // Rows a and a+1 of the upper triangle run together: they share every
+    // idx/val load, and their four partial sums (two per row) split the
+    // point's pair updates into independent add chains.
+    double n0 = 0.0, n1 = 0.0;
+    std::size_t a = 0;
+    for (; a + 1 < ne; a += 2) {
+      const double* f0 = row(idx[a]);
+      const double* f1 = row(idx[a + 1]);
+      double s0 = f0[idx[a]] * val[a] + f0[idx[a + 1]] * val[a + 1], s1 = 0.0;
+      double t0 = f1[idx[a + 1]] * val[a + 1], t1 = 0.0;
+      std::size_t b = a + 2;
+      for (; b + 1 < ne; b += 2) {
+        s0 += f0[idx[b]] * val[b];
+        s1 += f0[idx[b + 1]] * val[b + 1];
+        t0 += f1[idx[b]] * val[b];
+        t1 += f1[idx[b + 1]] * val[b + 1];
+      }
+      if (b < ne) {
+        s0 += f0[idx[b]] * val[b];
+        t0 += f1[idx[b]] * val[b];
+      }
+      n0 += val[a] * (s0 + s1);
+      n1 += val[a + 1] * (t0 + t1);
+    }
+    if (a < ne) n0 += val[a] * (row(idx[a])[idx[a]] * val[a]);
+    out[k] = n0 + n1;
+  }
+}
+
+void contract_density_folded(const linalg::Matrix& f, const BatchEval& ev,
+                             double* out) {
+  contract_density_folded(f, ev.offsets.data(), ev.points(), ev.indices.data(),
+                          ev.values.data(), out);
+}
+
 }  // namespace aeqp::basis

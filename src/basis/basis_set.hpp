@@ -154,7 +154,33 @@ private:
 /// every point of a batched evaluation (Eq. 8 -- serves both n and the
 /// response n^(1)). The per-point accumulation runs over the point's entry
 /// pairs in ascending order with the exact multiply order of the per-point
-/// path, so results are bit-identical to it.
+/// path, so results are bit-identical to it. The bitwise reference the
+/// solvers' folded kernel (contract_density_folded) is tested against.
 void contract_density(const linalg::Matrix& p, const BatchEval& ev, double* out);
+
+/// Fold a density matrix for the half-pair contraction: F_ab = P_ab + P_ba
+/// for a != b and F_aa = P_aa, so sum_{a,b} P_ab chi_a chi_b equals
+/// sum_{a<=b} F_ab chi_a chi_b exactly for any P -- including the
+/// non-symmetric response P^(1) of alpha(omega). `f` must already have P's
+/// shape: callers allocate it once and refold every iteration.
+void fold_density(const linalg::Matrix& p, linalg::Matrix& f);
+
+/// Folded density contraction over a CSR basis evaluation:
+/// out[k] = sum_{a<=b} F(idx_a, idx_b) chi_a chi_b, with F = fold_density(P),
+/// over the half of the entry pairs with a <= b (entry order within a point
+/// is free: F is symmetric off the diagonal). Rows run in pairs on split
+/// partial sums, so a point's pair updates no longer form one dependent
+/// chain of adds. The result depends only on F and the point's
+/// own entries -- identical for every thread and rank count -- but rounds
+/// differently from contract_density's single chain. `offsets[0..n_points]`
+/// index `indices`/`values` absolutely, so a caller contracts a sub-range
+/// of a larger CSR by advancing `offsets`.
+void contract_density_folded(const linalg::Matrix& f, const std::uint32_t* offsets,
+                             std::size_t n_points, const std::uint32_t* indices,
+                             const double* values, double* out);
+
+/// contract_density_folded over every point of a batched evaluation.
+void contract_density_folded(const linalg::Matrix& f, const BatchEval& ev,
+                             double* out);
 
 }  // namespace aeqp::basis

@@ -31,6 +31,57 @@ std::string phase_name(Phase p) {
   return "?";
 }
 
+ResponseOrbitals sternheimer_update(const Matrix& h1, const Matrix& c_occ,
+                                    const Matrix& c_virt,
+                                    const Vector& eigenvalues, double omega,
+                                    bool abft) {
+  const std::size_t n_occ = c_occ.cols();
+  const std::size_t n_virt = c_virt.cols();
+  // The Sternheimer contraction H^(1)_ai = C_virt^T (H^(1) C_occ): with
+  // ABFT on, both products carry Huang-Abraham checksums, so a single
+  // corrupted element is corrected in place before it can steer the
+  // whole CPSCF trajectory.
+  const Matrix h1_vo =
+      abft ? linalg::abft_matmul_tn(
+                 c_virt, linalg::abft_matmul(h1, c_occ, "cpscf/sternheimer_matmul"),
+                 "cpscf/sternheimer_matmul")
+           : linalg::matmul_tn(c_virt, linalg::matmul(h1, c_occ));
+  Matrix x(n_virt, n_occ), y(n_virt, n_occ);
+  for (std::size_t a = 0; a < n_virt; ++a)
+    for (std::size_t i = 0; i < n_occ; ++i) {
+      const double gap = eigenvalues[i] - eigenvalues[n_occ + a];
+      AEQP_CHECK(std::fabs(gap + omega) > 1e-10 && std::fabs(gap - omega) > 1e-10,
+                 "CPSCF: frequency hits an excitation resonance");
+      x(a, i) = h1_vo(a, i) / (gap + omega);
+      y(a, i) = h1_vo(a, i) / (gap - omega);
+    }
+  // These products feed the DM build directly -- the paper's DM phase --
+  // so they are the DM-build matmuls the ABFT layer protects.
+  return {abft ? linalg::abft_matmul(c_virt, x, "cpscf/dm_matmul")
+               : linalg::matmul(c_virt, x),
+          abft ? linalg::abft_matmul(c_virt, y, "cpscf/dm_matmul")
+               : linalg::matmul(c_virt, y)};
+}
+
+Matrix response_density_matrix(const ResponseOrbitals& c1, const Matrix& c_occ,
+                               const Vector& occupations) {
+  const std::size_t nb = c_occ.rows();
+  const std::size_t n_occ = c_occ.cols();
+  Matrix p1(nb, nb);
+  exec::parallel_for_ranges(0, nb, 8, [&](std::size_t mb, std::size_t me) {
+    for (std::size_t mu = mb; mu < me; ++mu) {
+      double* prow = p1.data() + mu * nb;
+      for (std::size_t i = 0; i < n_occ; ++i) {
+        const double f = occupations[i];
+        const double c1xmi = c1.plus(mu, i), cmi = c_occ(mu, i);
+        for (std::size_t nu = 0; nu < nb; ++nu)
+          prow[nu] += f * (c1xmi * c_occ(nu, i) + cmi * c1.minus(nu, i));
+      }
+    }
+  });
+  return p1;
+}
+
 PhaseTimes DfptResult::total_phase_seconds() const {
   PhaseTimes total;
   for (const auto& dir : directions)
@@ -84,8 +135,6 @@ DfptDirectionResult DfptSolver::solve_direction(int j) const {
   const auto& hartree = *ground_.hartree;
 
   const std::size_t nb = ground_.coefficients.rows();
-  const std::size_t n_occ = c_occ_.cols();
-  const std::size_t n_virt = c_virt_.cols();
   const std::size_t np = grid.size();
 
   DfptDirectionResult res;
@@ -98,6 +147,7 @@ DfptDirectionResult DfptSolver::solve_direction(int j) const {
   h1_ext.scale(-1.0);
 
   Matrix p1(nb, nb);                   // response density matrix
+  Matrix p1_fold(nb, nb);              // basis::fold_density(P^(1)) for Rho
   std::vector<double> n1(np, 0.0);     // response density on the grid
   std::vector<double> v1(np, 0.0);     // v^(1)_es,tot + v^(1)_xc on the grid
   bool have_response = false;
@@ -116,16 +166,12 @@ DfptDirectionResult DfptSolver::solve_direction(int j) const {
     resilience::sdc_probe("cpscf/rho_batch", {n1.data(), n1.size()});
   };
   const auto compute_rho = [&](const Matrix& p) {
-    // Batched producer: the projection hands whole angular rings to this
-    // callback; the basis layer screens atoms per ring and evaluates into
-    // reusable thread-local scratch (no per-point allocation).
-    const poisson::BatchDensityFn n1_fn = [&](const Vec3* pts, std::size_t m,
-                                              double* outp) {
-      thread_local basis::BatchEval ev;
-      basis.evaluate_batch(pts, m, screen_radii_, ev);
-      basis::contract_density(p, ev, outp);
-    };
-    const auto v1_part = hartree.solve_density(n1_fn);
+    // Batched producer: the projection hands whole angular rings to the
+    // shared basis-density callback (screened ring evaluation, folded
+    // contraction).
+    basis::fold_density(p, p1_fold);
+    const auto v1_part =
+        hartree.solve_density(poisson::basis_density(basis, screen_radii_, p1_fold));
     // Batched consumer: interpolate the partitioned potential block by
     // block. Each point's value is independent, so the block size is pure
     // cache tuning and never changes v1.
@@ -187,41 +233,13 @@ DfptDirectionResult DfptSolver::solve_direction(int j) const {
     //     Dynamic (omega != 0): the +omega and -omega amplitudes
     //     X_ai, Y_ai of the coupled-perturbed equations. ---
     timer.reset();
-    // Manual span object: the phase's outputs (c1x/c1y) outlive the phase
+    // Manual span object: the phase's output (c1) outlives the phase
     // region, so a braced scope cannot delimit it.
     obs::PhaseSpan phase_span;
     phase_span.begin("cpscf/sternheimer");
-    const double omega = options_.frequency;
-    // The Sternheimer contraction H^(1)_ai = C_virt^T (H^(1) C_occ): with
-    // ABFT on, both products carry Huang-Abraham checksums, so a single
-    // corrupted element is corrected in place before it can steer the
-    // whole CPSCF trajectory.
-    const Matrix h1_vo =
-        options_.abft
-            ? linalg::abft_matmul_tn(
-                  c_virt_,
-                  linalg::abft_matmul(h1, c_occ_, "cpscf/sternheimer_matmul"),
-                  "cpscf/sternheimer_matmul")
-            : linalg::matmul_tn(c_virt_, linalg::matmul(h1, c_occ_));
-    Matrix x(n_virt, n_occ), y(n_virt, n_occ);
-    for (std::size_t a = 0; a < n_virt; ++a)
-      for (std::size_t i = 0; i < n_occ; ++i) {
-        const double gap =
-            ground_.eigenvalues[i] - ground_.eigenvalues[n_occ + a];
-        AEQP_CHECK(std::fabs(gap + omega) > 1e-10 && std::fabs(gap - omega) > 1e-10,
-                   "DfptSolver: frequency hits an excitation resonance");
-        x(a, i) = h1_vo(a, i) / (gap + omega);
-        y(a, i) = h1_vo(a, i) / (gap - omega);
-      }
-    // C^(1)+ = C_virt X, C^(1)- = C_virt Y (equal in the static limit).
-    // These products feed the DM build directly -- the paper's DM phase --
-    // so they are the DM-build matmuls the ABFT layer protects.
-    const Matrix c1x = options_.abft
-                           ? linalg::abft_matmul(c_virt_, x, "cpscf/dm_matmul")
-                           : linalg::matmul(c_virt_, x);
-    const Matrix c1y = options_.abft
-                           ? linalg::abft_matmul(c_virt_, y, "cpscf/dm_matmul")
-                           : linalg::matmul(c_virt_, y);
+    const ResponseOrbitals c1 =
+        sternheimer_update(h1, c_occ_, c_virt_, ground_.eigenvalues,
+                           options_.frequency, options_.abft);
     phase_span.end();
     t[Phase::Sternheimer] += timer.seconds();
 
@@ -229,21 +247,7 @@ DfptDirectionResult DfptSolver::solve_direction(int j) const {
     //     omega-generalization of Eq. (7). ---
     timer.reset();
     phase_span.begin("cpscf/dm");
-    Matrix p1_new(nb, nb);
-    // Row-parallel over mu; the per-element accumulation over occupied
-    // orbitals keeps its serial (ascending i) order, so P^(1) is
-    // bit-identical for every thread count.
-    exec::parallel_for_ranges(0, nb, 8, [&](std::size_t mb, std::size_t me) {
-      for (std::size_t mu = mb; mu < me; ++mu) {
-        double* prow = p1_new.data() + mu * nb;
-        for (std::size_t i = 0; i < n_occ; ++i) {
-          const double f = ground_.occupations[i];
-          const double c1xmi = c1x(mu, i), cmi = c_occ_(mu, i);
-          for (std::size_t nu = 0; nu < nb; ++nu)
-            prow[nu] += f * (c1xmi * c_occ_(nu, i) + cmi * c1y(nu, i));
-        }
-      }
-    });
+    Matrix p1_new = response_density_matrix(c1, c_occ_, ground_.occupations);
     // Linear mixing stabilizes the CPSCF cycle.
     if (have_response) {
       p1_new.scale(options_.mixing);

@@ -145,6 +145,33 @@ struct DfptResult {
   [[nodiscard]] PhaseTimes total_phase_seconds() const;
 };
 
+/// Response orbitals of one Sternheimer update: C^(1)+ = C_virt X and
+/// C^(1)- = C_virt Y, with X_ai = H1_ai / (eps_i - eps_a + omega) and
+/// Y_ai = H1_ai / (eps_i - eps_a - omega). Bitwise equal when omega = 0.
+struct ResponseOrbitals {
+  linalg::Matrix plus;
+  linalg::Matrix minus;
+};
+
+/// Sternheimer update shared by DfptSolver and solve_direction_parallel:
+/// H^(1)_ai = C_virt^T H^(1) C_occ, then the +-omega amplitudes and the two
+/// DM-build products. With `abft` every product is checksum-verified
+/// (sites cpscf/sternheimer_matmul and cpscf/dm_matmul). Throws
+/// aeqp::Error when omega hits an excitation |eps_i - eps_a|.
+[[nodiscard]] ResponseOrbitals sternheimer_update(const linalg::Matrix& h1,
+                                                  const linalg::Matrix& c_occ,
+                                                  const linalg::Matrix& c_virt,
+                                                  const linalg::Vector& eigenvalues,
+                                                  double omega, bool abft);
+
+/// DM phase: P^(1) = sum_i f_i (C^(1)+ C^T + C C^(1)-^T), the omega-
+/// generalization of Eq. (7); non-symmetric for omega != 0. Row-parallel
+/// with each element summed over occupied orbitals in ascending order, so
+/// bit-identical for every thread count.
+[[nodiscard]] linalg::Matrix response_density_matrix(const ResponseOrbitals& c1,
+                                                     const linalg::Matrix& c_occ,
+                                                     const linalg::Vector& occupations);
+
 /// DFPT driver bound to a converged ground state.
 class DfptSolver {
 public:

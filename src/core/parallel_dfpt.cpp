@@ -9,7 +9,6 @@
 #include "common/error.hpp"
 #include "common/thread_ident.hpp"
 #include "common/timer.hpp"
-#include "linalg/abft.hpp"
 #include "linalg/sparse.hpp"
 #include "obs/memaudit.hpp"
 #include "obs/metrics.hpp"
@@ -35,6 +34,9 @@ ParallelDfptResult solve_direction_parallel(const scf::ScfResult& ground,
   AEQP_CHECK(ground.converged, "solve_direction_parallel: unconverged ground state");
   AEQP_CHECK(ground.basis && ground.grid && ground.integrator && ground.hartree,
              "solve_direction_parallel: ground state lacks shared machinery");
+  AEQP_CHECK(!options.dfpt.device,
+             "solve_direction_parallel: DfptOptions::device is not supported "
+             "by the distributed solver (use DfptSolver)");
 
   const auto& basis = *ground.basis;
   const auto& grid = *ground.grid;
@@ -214,14 +216,22 @@ ParallelDfptResult solve_direction_parallel(const scf::ScfResult& ground,
     }
     resilience::oom_probe("dfpt/p1_replicated", nb * nb * sizeof(double));
     Matrix p1(nb, nb);
-    // Memory audit (ROADMAP item 3): P^(1) is fully replicated per rank
-    // (O(N^2) in global basis size) and the point-eval cache scales with
-    // the rank's point share -- the two dominant per-rank structures this
-    // solver holds. Scopes release when the rank lambda returns.
+    // The folded P^(1) the Rho producer contracts (basis::fold_density):
+    // one more replicated nb x nb matrix, allocated once per direction and
+    // refolded every iteration.
+    resilience::oom_probe("dfpt/p1_fold", nb * nb * sizeof(double));
+    Matrix p1_fold(nb, nb);
+    // Memory audit (ROADMAP item 3): P^(1) and its fold are fully
+    // replicated per rank (O(N^2) in global basis size) and the point-eval
+    // cache scales with the rank's point share -- the dominant per-rank
+    // structures this solver holds. Scopes release when the rank lambda
+    // returns.
     obs::MemScope p1_mem("dfpt/p1_replicated");
+    obs::MemScope fold_mem("dfpt/p1_fold");
     obs::MemScope eval_mem("dfpt/point_cache");
     if (obs::memaudit_enabled()) {
       p1_mem.add(static_cast<std::int64_t>(nb * nb * sizeof(double)));
+      fold_mem.add(static_cast<std::int64_t>(nb * nb * sizeof(double)));
       std::int64_t eval_bytes = static_cast<std::int64_t>(
           my_eval.capacity() * sizeof(basis::PointEval) +
           my_points.capacity() * sizeof(std::uint32_t));
@@ -290,14 +300,11 @@ ParallelDfptResult solve_direction_parallel(const scf::ScfResult& ground,
       resilience::sdc_probe("cpscf/rho_batch", {n1_own.data(), n1_own.size()});
     };
     const auto compute_rho_own = [&]() {
-      // Batched producer: angular rings are evaluated through the screened
-      // batch path (ring blocks are geometry-defined, hence rank-identical).
-      const poisson::BatchDensityFn n1_fn = [&](const Vec3* pts, std::size_t m,
-                                                double* outp) {
-        thread_local basis::BatchEval ev;
-        basis.evaluate_batch(pts, m, screen_radii, ev);
-        basis::contract_density(p1, ev, outp);
-      };
+      // Batched producer: angular rings go through the shared basis-density
+      // callback (ring blocks are geometry-defined, hence rank-identical).
+      basis::fold_density(p1, p1_fold);
+      const poisson::BatchDensityFn n1_fn =
+          poisson::basis_density(basis, screen_radii, p1_fold);
       poisson::PartitionedPotential v1_part;
       if (!rho_row_begin.empty()) {
         // Distributed producer: this rank projects only its weighted share
@@ -392,42 +399,22 @@ ParallelDfptResult solve_direction_parallel(const scf::ScfResult& ground,
       phase_span.end();
       if (comm.rank() == 0) result.phase_seconds[Phase::H] += timer.seconds();
 
-      // --- Sternheimer + DM (replicated; identical on every rank). ---
+      // --- Sternheimer + DM (replicated; identical on every rank): the
+      //     same +-omega update as DfptSolver. With ABFT on, the products
+      //     carry checksums on every rank: a compute-site fault on one rank
+      //     is corrected locally before it can de-synchronize the replicas.
       timer.reset();
       phase_span.begin("cpscf/sternheimer");
-      // With ABFT on, the replicated Sternheimer/DM products carry
-      // checksums on every rank: a compute-site fault on one rank is
-      // corrected locally before it can de-synchronize the replicas.
-      const Matrix h1_vo =
-          options.dfpt.abft
-              ? linalg::abft_matmul_tn(
-                    c_virt,
-                    linalg::abft_matmul(h1, c_occ, "cpscf/sternheimer_matmul"),
-                    "cpscf/sternheimer_matmul")
-              : linalg::matmul_tn(c_virt, linalg::matmul(h1, c_occ));
-      Matrix u(n_virt, n_occ);
-      for (std::size_t a = 0; a < n_virt; ++a)
-        for (std::size_t i = 0; i < n_occ; ++i)
-          u(a, i) = h1_vo(a, i) / (ground.eigenvalues[i] -
-                                   ground.eigenvalues[n_occ + a]);
-      const Matrix c1 = options.dfpt.abft
-                            ? linalg::abft_matmul(c_virt, u, "cpscf/dm_matmul")
-                            : linalg::matmul(c_virt, u);
+      const ResponseOrbitals c1 =
+          sternheimer_update(h1, c_occ, c_virt, ground.eigenvalues,
+                             options.dfpt.frequency, options.dfpt.abft);
       phase_span.end();
       if (comm.rank() == 0)
         result.phase_seconds[Phase::Sternheimer] += timer.seconds();
 
       timer.reset();
       phase_span.begin("cpscf/dm");
-      Matrix p1_new(nb, nb);
-      for (std::size_t i = 0; i < n_occ; ++i) {
-        const double f = ground.occupations[i];
-        for (std::size_t mu = 0; mu < nb; ++mu) {
-          const double c1mi = c1(mu, i), cmi = c_occ(mu, i);
-          for (std::size_t nu = 0; nu < nb; ++nu)
-            p1_new(mu, nu) += f * (c1mi * c_occ(nu, i) + cmi * c1(nu, i));
-        }
-      }
+      Matrix p1_new = response_density_matrix(c1, c_occ, ground.occupations);
       if (have_response) {
         p1_new.scale(options.dfpt.mixing);
         p1_new.axpy(1.0 - options.dfpt.mixing, p1);

@@ -41,7 +41,9 @@ enum class HamiltonianStorage {
 
 /// Parallel-run configuration.
 struct ParallelDfptOptions {
-  DfptOptions dfpt;                 ///< convergence/mixing settings
+  /// Convergence, mixing and frequency settings, as in DfptSolver; a
+  /// non-null `dfpt.device` is rejected with an error.
+  DfptOptions dfpt;
   std::size_t ranks = 4;            ///< simulated MPI ranks
   std::size_t ranks_per_node = 2;   ///< SHM node width
   /// Cut-plane batch size; 0 = the tuned value (default 128).

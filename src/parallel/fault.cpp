@@ -214,15 +214,17 @@ void FaultInjector::on_collective(std::size_t rank, std::size_t original_rank,
   if (delay_ms > 0.0) {
     // Sleep in <= 10 ms slices so a cluster-wide failure cuts the delay
     // short within one slice instead of dragging the whole world behind a
-    // victim that no longer matters.
+    // victim that no longer matters. The last slice is the exact remainder,
+    // so a Slowdown over sub-millisecond work stays slow_factor times
+    // slower, not slower by a whole millisecond per collective.
     using namespace std::chrono;
     const auto until =
         steady_clock::now() + duration_cast<steady_clock::duration>(
                                   duration<double, std::milli>(delay_ms));
-    while (steady_clock::now() < until && !(cancelled && cancelled()))
-      std::this_thread::sleep_for(milliseconds(
-          std::min<long long>(10, duration_cast<milliseconds>(
-                                      until - steady_clock::now()).count() + 1)));
+    for (auto now = steady_clock::now(); now < until && !(cancelled && cancelled());
+         now = steady_clock::now())
+      std::this_thread::sleep_for(
+          std::min<steady_clock::duration>(milliseconds(10), until - now));
   }
   if (kill) {
     std::string msg = "fault injection: rank " + std::to_string(rank);

@@ -190,31 +190,45 @@ void StragglerDetector::record_work(std::size_t original_rank,
 
 bool StragglerDetector::classify() {
   const std::lock_guard<std::mutex> lock(classify_mutex_);
-  // Snapshot and reset the accumulating window totals first: even when this
-  // window turns out to be noise, the next one starts clean.
+  // Snapshot and reset the accumulating window totals first.
+  std::vector<double> taken_ms(ranks_.size(), 0.0);
+  std::vector<std::size_t> taken_n(ranks_.size(), 0);
   std::vector<double> totals;
   std::vector<std::size_t> with_samples;
   totals.reserve(ranks_.size());
   for (std::size_t r = 0; r < ranks_.size(); ++r) {
     RankState& s = *ranks_[r];
-    const double total = s.window_ms.exchange(0.0, std::memory_order_relaxed);
-    const std::size_t n =
-        s.window_samples.exchange(0, std::memory_order_relaxed);
-    stats_.samples += n;
-    s.samples_total += n;
-    if (!s.active || n == 0) continue;
-    s.last_window_ms = total;
-    totals.push_back(total);
+    taken_ms[r] = s.window_ms.exchange(0.0, std::memory_order_relaxed);
+    taken_n[r] = s.window_samples.exchange(0, std::memory_order_relaxed);
+    if (!s.active || taken_n[r] == 0) continue;
+    totals.push_back(taken_ms[r]);
     with_samples.push_back(r);
   }
   ++stats_.windows;
-  // A one-rank world (or a window where only one rank moved) has no peers
-  // to be slower than; and a window whose median is under the noise floor
-  // carries no signal either way -- skip, streaks keep their state.
-  if (with_samples.size() < 2) return false;
   std::vector<double> scratch = totals;
   const auto [median, mad] = median_mad(scratch);
-  if (median < options_.min_window_ms) return false;
+  // A window whose median is under the noise floor carries no signal yet:
+  // hand it back to the accumulators instead of discarding it, so the next
+  // call classifies the longer window. Short iterations then classify
+  // every few calls rather than never; streaks keep their state.
+  if (with_samples.size() >= 2 && median < options_.min_window_ms) {
+    for (std::size_t r = 0; r < ranks_.size(); ++r) {
+      if (!ranks_[r]->active) continue;
+      ranks_[r]->window_ms.fetch_add(taken_ms[r], std::memory_order_relaxed);
+      ranks_[r]->window_samples.fetch_add(taken_n[r],
+                                          std::memory_order_relaxed);
+    }
+    return false;
+  }
+  for (std::size_t r = 0; r < ranks_.size(); ++r) {
+    stats_.samples += taken_n[r];
+    ranks_[r]->samples_total += taken_n[r];
+    if (ranks_[r]->active && taken_n[r] != 0)
+      ranks_[r]->last_window_ms = taken_ms[r];
+  }
+  // A one-rank world (or a window where only one rank moved) has no peers
+  // to be slower than -- skip, streaks keep their state.
+  if (with_samples.size() < 2) return false;
 
   const double threshold = std::max(median + options_.mad_k * mad,
                                     options_.min_relative * median);

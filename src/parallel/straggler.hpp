@@ -174,7 +174,7 @@ public:
     double min_relative = 2.0;    ///< ... and beyond min_relative * median
     int degrade_after = 2;        ///< consecutive over-windows to degrade
     int recover_after = 2;        ///< consecutive clean windows to recover
-    double min_window_ms = 5.0;   ///< windows with a smaller median are noise
+    double min_window_ms = 10.0;  ///< a window with a smaller median stays open
     double weight_floor = 1.0 / 16.0;  ///< slowest speed weight handed out
   };
 
@@ -194,9 +194,11 @@ public:
 
   /// Close the current window and reclassify every active rank: snapshot +
   /// reset the per-rank work accumulators, compute the cross-rank median
-  /// and MAD, advance the hysteresis counters. Returns true when any
-  /// rank's classification changed. Call once per CPSCF iteration (rank-0
-  /// observer) or after a collective timeout; NOT from the hot path.
+  /// and MAD, advance the hysteresis counters. A window whose median is
+  /// under min_window_ms stays open (its work carries into the next call).
+  /// Returns true when any rank's classification changed. Call once per
+  /// CPSCF iteration (rank-0 observer) or after a collective timeout; NOT
+  /// from the hot path.
   bool classify();
 
   /// Original ids of currently degraded ranks, ascending.

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "basis/basis_set.hpp"
 #include "basis/spherical_harmonics.hpp"
 #include "common/constants.hpp"
 #include "common/error.hpp"
@@ -18,6 +19,16 @@ namespace aeqp::poisson {
 
 using basis::lm_count;
 using basis::lm_index;
+
+BatchDensityFn basis_density(const basis::BasisSet& basis,
+                             std::span<const double> screen,
+                             const linalg::Matrix& folded) {
+  return [&basis, screen, &folded](const Vec3* pts, std::size_t n, double* out) {
+    thread_local basis::BatchEval ev;
+    basis.evaluate_batch(pts, n, screen, ev);
+    basis::contract_density_folded(folded, ev, out);
+  };
+}
 
 std::size_t MultipoleDensity::spline_bytes() const {
   std::size_t b = 0;
@@ -96,6 +107,10 @@ MultipoleDensity HartreeSolver::project_rows(const BatchDensityFn& density,
   // so batch-level screening decisions inside the callback are identical on
   // every thread and rank. The callback must be thread-safe (pure
   // evaluation; every caller in the codebase captures only const state).
+  // The Becke weights are read from the geometry-once table; the product
+  // keeps its dens * w_becke * w_ang order, so samples are bit-identical to
+  // evaluating the partition per projection.
+  std::call_once(ring_weights_once_, [this] { build_ring_weights(); });
   exec::parallel_for(row_begin, row_end, [&](std::size_t task) {
     const std::size_t a = task / nr;
     const std::size_t i = task % nr;
@@ -105,18 +120,37 @@ MultipoleDensity HartreeSolver::project_rows(const BatchDensityFn& density,
     thread_local std::vector<Vec3> ring;
     thread_local std::vector<double> dens;
     const std::size_t nk = ang_dirs_.size();
+    const double* becke = ring_weights_.data() + task * nk;
     ring.resize(nk);
     dens.resize(nk);
     for (std::size_t k = 0; k < nk; ++k) ring[k] = center + r * ang_dirs_[k];
     density(ring.data(), nk, dens.data());
     for (std::size_t k = 0; k < nk; ++k) {
-      const double val = dens[k] * partition_.weight(a, ring[k]) * ang_weights_[k];
+      const double val = dens[k] * becke[k] * ang_weights_[k];
       if (val == 0.0) continue;
       const std::vector<double>& ylm = ang_ylm_[k];
       for (std::size_t lm = 0; lm < nlm; ++lm) per_lm[lm][i] += val * ylm[lm];
     }
   });
   return rho;
+}
+
+void HartreeSolver::build_ring_weights() const {
+  AEQP_TRACE_SCOPE("poisson/ring_weights");
+  const std::size_t nr = mesh_.size();
+  const std::size_t nk = ang_dirs_.size();
+  ring_weights_.resize(projection_row_count() * nk);
+  exec::parallel_for(0, projection_row_count(), [&](std::size_t task) {
+    const std::size_t a = task / nr;
+    const Vec3 center = structure_.atom(a).pos;
+    const double r = mesh_.r(task % nr);
+    double* w = ring_weights_.data() + task * nk;
+    // The same ring-point expression as project_rows.
+    for (std::size_t k = 0; k < nk; ++k)
+      w[k] = partition_.weight(a, center + r * ang_dirs_[k]);
+  });
+  ring_weights_mem_.add(
+      static_cast<std::int64_t>(ring_weights_.capacity() * sizeof(double)));
 }
 
 void HartreeSolver::finalize_splines(MultipoleDensity& rho) const {

@@ -16,6 +16,8 @@
 ///      points (the consumer kernel).
 
 #include <functional>
+#include <mutex>
+#include <span>
 #include <vector>
 
 #include "basis/spline.hpp"
@@ -23,6 +25,14 @@
 #include "grid/partition.hpp"
 #include "grid/radial_grid.hpp"
 #include "grid/structure.hpp"
+#include "obs/memaudit.hpp"
+
+namespace aeqp::basis {
+class BasisSet;
+}
+namespace aeqp::linalg {
+class Matrix;
+}
 
 namespace aeqp::poisson {
 
@@ -34,6 +44,16 @@ using DensityFn = std::function<double(const Vec3&)>;
 /// the basis layer can amortize screening and scratch across the ring.
 using BatchDensityFn =
     std::function<void(const Vec3* pts, std::size_t n, double* out)>;
+
+/// The Rho producer's density callback for a density matrix, shared by the
+/// SCF and both CPSCF solvers: each ring goes through the screened batched
+/// basis evaluation into thread-local scratch, then the folded contraction
+/// (basis::contract_density_folded). `folded` is basis::fold_density(P).
+/// `basis`, `screen` and `folded` are captured by reference and must
+/// outlive the callback; refolding `folded` in place retargets it.
+[[nodiscard]] BatchDensityFn basis_density(const basis::BasisSet& basis,
+                                           std::span<const double> screen,
+                                           const linalg::Matrix& folded);
 
 /// Configuration of the multipole Poisson solver.
 struct PoissonSpec {
@@ -140,6 +160,15 @@ private:
   std::vector<Vec3> ang_dirs_;
   std::vector<double> ang_weights_;
   std::vector<std::vector<double>> ang_ylm_;  // [k][lm]
+
+  /// Becke weight of every projection point, [row * n_ang + k] with row =
+  /// atom * n_shells + shell. Geometry only, so it is built once, on the
+  /// first projection (never in the constructor: solvers that never
+  /// project pay nothing), and read by every projection after it.
+  void build_ring_weights() const;
+  mutable std::once_flag ring_weights_once_;
+  mutable std::vector<double> ring_weights_;
+  mutable obs::MemScope ring_weights_mem_{"poisson/ring_weights"};
 };
 
 }  // namespace aeqp::poisson

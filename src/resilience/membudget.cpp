@@ -153,13 +153,14 @@ std::size_t registered_reclaimer_count() {
 MemModel MemModel::default_model() {
   // Coefficients seeded from the measured gauges the fig09a bench fits
   // into BENCH_memory.json on the Light-tier test structures: the
-  // replicated response matrix is O(N^2) and does NOT shrink with ranks;
-  // the per-rank point-eval cache shards with the grid; spline tables are
-  // replicated O(N) in distinct elements but bounded, modeled linear with
-  // a small coefficient; the packed allreduce staging window is a
-  // rank-count-independent constant.
+  // replicated response matrix and its fold for the Rho producer are
+  // O(N^2) and do NOT shrink with ranks; the per-rank point-eval cache
+  // shards with the grid; spline tables are replicated O(N) in distinct
+  // elements but bounded, modeled linear with a small coefficient; the
+  // packed allreduce staging window is a rank-count-independent constant.
   MemModel m;
   m.terms.push_back({"dfpt/p1_replicated", 2048.0, 2.0, /*per_rank=*/false});
+  m.terms.push_back({"dfpt/p1_fold", 2048.0, 2.0, /*per_rank=*/false});
   m.terms.push_back({"dfpt/point_cache", 96.0 * 1024.0, 1.0, /*per_rank=*/true});
   m.terms.push_back({"basis/spline_tables", 64.0 * 1024.0, 1.0,
                      /*per_rank=*/false});

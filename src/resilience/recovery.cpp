@@ -414,7 +414,7 @@ core::ParallelDfptResult run_elastic(CheckpointStore& store,
         obs::trace_instant("membudget/soft_watermark");
         if (relieve_pressure() > 0) ++stats.relief_actions;
       }
-      if (s.iteration % ropt.checkpoint_every == 0) {
+      const auto save_checkpoint = [&] {
         CpscfCheckpoint ckpt;
         ckpt.direction = s.direction;
         ckpt.iteration = s.iteration;
@@ -423,18 +423,22 @@ core::ParallelDfptResult run_elastic(CheckpointStore& store,
         ckpt.p1 = *s.p1;
         store.save(key, ckpt);
         ctx.checkpoint_iteration = s.iteration;
-      }
+      };
+      if (s.iteration % ropt.checkpoint_every == 0) save_checkpoint();
       // Straggler rung trigger: close the work window and reclassify.
-      // Placed AFTER the checkpoint save so the rebalance re-entry
-      // warm-starts at this very iteration -- a rebalance wastes zero
-      // iterations. Only a NEW degraded rank aborts; a set the rung has
-      // already rebalanced around (or a subset -- someone recovered) keeps
+      // Only a NEW degraded rank aborts; a set the rung has already
+      // rebalanced around (or a subset -- someone recovered) keeps
       // converging under the current weights.
       if (straggler != nullptr) {
         straggler->classify();
         if (straggler->any_degraded()) {
           const auto degraded = straggler->degraded_ranks();
           if (!degraded_subset_of(degraded, last_degraded)) {
+            // The verdict iteration is health-validated: checkpoint it
+            // even off the periodic cadence, so the rebalance re-entry
+            // warm-starts at this very iteration -- a rebalance wastes
+            // zero iterations whatever checkpoint_every is.
+            if (ctx.checkpoint_iteration != s.iteration) save_checkpoint();
             ctx.straggler = true;
             std::string who;
             for (const auto r : degraded)

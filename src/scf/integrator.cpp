@@ -157,24 +157,16 @@ std::vector<double> BatchIntegrator::density(const Matrix& p_mat) const {
   const std::size_t nb = basis_->size();
   AEQP_CHECK(p_mat.rows() == nb && p_mat.cols() == nb,
              "density: density matrix shape mismatch");
+  Matrix folded(nb, nb);
+  basis::fold_density(p_mat, folded);
   std::vector<double> n(grid_->size(), 0.0);
   // Every point owns its own output slot: embarrassingly parallel and
   // bit-identical for any thread count.
   exec::parallel_for_ranges(
       0, grid_->size(), 64, [&](std::size_t pb, std::size_t pe) {
-        for (std::size_t p = pb; p < pe; ++p) {
-          const std::uint32_t begin = offsets_[p], end = offsets_[p + 1];
-          double acc = 0.0;
-          for (std::uint32_t i = begin; i < end; ++i) {
-            const std::uint32_t mu = indices_[i];
-            const double* prow = p_mat.data() + mu * nb;
-            double row = 0.0;
-            for (std::uint32_t j = begin; j < end; ++j)
-              row += prow[indices_[j]] * values_[j];
-            acc += values_[i] * row;
-          }
-          n[p] = acc;
-        }
+        basis::contract_density_folded(folded, offsets_.data() + pb, pe - pb,
+                                       indices_.data(), values_.data(),
+                                       n.data() + pb);
       });
   return n;
 }

@@ -61,7 +61,9 @@ public:
   [[nodiscard]] linalg::Matrix dipole_matrix(int axis) const;
 
   /// Density samples on the grid from a density matrix (Eq. 3 / Eq. 8 --
-  /// the same contraction serves n and the response n^(1)).
+  /// the same contraction serves n and the response n^(1)). P is folded
+  /// once per call and contracted over half the pairs of each point's
+  /// cached entries (basis::contract_density_folded).
   [[nodiscard]] std::vector<double> density(const linalg::Matrix& p) const;
 
   /// \int r_axis * f(r) dV for grid-sampled f (dipole moments, Eq. 13).

@@ -107,6 +107,7 @@ ScfResult ScfSolver::run() const {
   };
 
   Matrix p_mat;  // density matrix of the current iteration (empty initially)
+  Matrix p_fold(nb, nb);  // basis::fold_density(p_mat), the projection's operand
   std::vector<double> n_samples(np, 0.0);
   exec::parallel_for_ranges(0, np, 64, [&](std::size_t b, std::size_t e) {
     thread_local std::vector<Vec3> ppos;
@@ -119,12 +120,8 @@ ScfResult ScfSolver::run() const {
   // mixing step and on warm start (identical construction keeps a resumed
   // trajectory bit-for-bit equal to an uninterrupted one).
   const auto rebuild_density_fn = [&]() {
-    density_fn = [basis, screen, p = p_mat](const Vec3* pts, std::size_t m,
-                                            double* outp) {
-      thread_local basis::BatchEval ev;
-      basis->evaluate_batch(pts, m, screen, ev);
-      basis::contract_density(p, ev, outp);
-    };
+    basis::fold_density(p_mat, p_fold);
+    density_fn = poisson::basis_density(*basis, screen, p_fold);
   };
 
   Vector occ;

@@ -1,5 +1,5 @@
 // Tests for the frequency-dependent DFPT extension: alpha(omega) from the
-// dynamic Sternheimer amplitudes.
+// dynamic Sternheimer amplitudes, on the serial and the distributed solver.
 
 #include <gtest/gtest.h>
 
@@ -7,8 +7,10 @@
 
 #include "common/error.hpp"
 #include "core/dfpt.hpp"
+#include "core/parallel_dfpt.hpp"
 #include "core/structures.hpp"
 #include "scf/scf_solver.hpp"
+#include "simt/runtime.hpp"
 
 namespace {
 
@@ -91,6 +93,54 @@ TEST(DynamicResponse, TraceAndMomentStillAgree) {
   const auto r = dfpt.solve_direction(2);
   for (int axis = 0; axis < 3; ++axis)
     EXPECT_NEAR(r.dipole_response[axis], r.dipole_response_trace[axis], 1e-8);
+}
+
+ParallelDfptOptions two_ranks(const DfptOptions& dfpt) {
+  ParallelDfptOptions popt;
+  popt.dfpt = dfpt;
+  popt.ranks = 2;
+  popt.ranks_per_node = 2;
+  popt.batch_points = 96;
+  return popt;
+}
+
+TEST(DynamicResponse, DistributedMatchesSerialBelowFirstPole) {
+  const auto& g = ground_h2();
+  DfptOptions opt;
+  opt.frequency = 0.3 * (g.lumo - g.homo);
+  opt.tolerance = 1e-8;
+  const auto serial = DfptSolver(g, opt).solve_direction(2);
+  const auto par = solve_direction_parallel(g, two_ranks(opt), 2);
+  ASSERT_TRUE(serial.converged);
+  ASSERT_TRUE(par.direction.converged);
+  EXPECT_EQ(par.direction.iterations, serial.iterations);
+  EXPECT_NEAR(par.direction.dipole_response.z, serial.dipole_response.z, 1e-7);
+
+  // The ranked path really solved at omega (not the static problem), on a
+  // non-symmetric P^(1) -- the case the folded Rho contraction must get
+  // exactly right.
+  DfptOptions stat = opt;
+  stat.frequency = 0.0;
+  const auto par_static = solve_direction_parallel(g, two_ranks(stat), 2);
+  EXPECT_GT(par.direction.dipole_response.z,
+            par_static.direction.dipole_response.z + 1e-3);
+  const auto& p1 = par.direction.p1;
+  double asym = 0.0;
+  for (std::size_t i = 0; i < p1.rows(); ++i)
+    for (std::size_t j = 0; j < i; ++j)
+      asym = std::max(asym, std::fabs(p1(i, j) - p1(j, i)));
+  EXPECT_GT(asym, 1e-6);
+}
+
+TEST(DynamicResponse, DistributedRejectsResonanceAndDevice) {
+  const auto& g = ground_h2();
+  DfptOptions opt;
+  opt.frequency = g.lumo - g.homo;
+  EXPECT_THROW(solve_direction_parallel(g, two_ranks(opt), 2), Error);
+
+  DfptOptions dev;
+  dev.device = std::make_shared<simt::SimtRuntime>(simt::DeviceModel::gcn_gpu());
+  EXPECT_THROW(solve_direction_parallel(g, two_ranks(dev), 2), Error);
 }
 
 }  // namespace

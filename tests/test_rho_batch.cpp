@@ -1,16 +1,21 @@
-// Tests for the ISSUE 7 Rho-phase batching stack: the raw real_ylm_all
-// overload, SplineBundle::eval_all, ipow, BasisSet::evaluate_batch +
-// contract_density, cutoff screening, HartreeSolver::potential_batch, and
-// the tune/ persistence layer. The headline claims are all bit-for-bit:
-// the batched kernels must reproduce the per-point call chain exactly, and
-// screening at tau = 0 must change nothing.
+// Tests for the Rho-phase batching stack: the raw real_ylm_all overload,
+// SplineBundle::eval_all, ipow, BasisSet::evaluate_batch + contract_density,
+// the folded contraction, cutoff screening, the projection's geometry-once
+// Becke table, HartreeSolver::potential_batch, and the tune/ persistence
+// layer. Most claims are bit-for-bit: the batched kernels must reproduce
+// the per-point call chain exactly, screening at tau = 0 must change
+// nothing, and the Becke table must not move a projection sample. The
+// folded contraction is the exception: it regroups the pair sum, so it is
+// held to the reference contraction within rounding.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <span>
+#include <thread>
 #include <vector>
 
 #include "basis/basis_set.hpp"
@@ -21,8 +26,11 @@
 #include "core/dfpt.hpp"
 #include "core/structures.hpp"
 #include "exec/thread_pool.hpp"
+#include "grid/angular_grid.hpp"
 #include "grid/molecular_grid.hpp"
+#include "grid/partition.hpp"
 #include "poisson/multipole.hpp"
+#include "scf/integrator.hpp"
 #include "scf/scf_solver.hpp"
 #include "tune/tune.hpp"
 
@@ -90,6 +98,7 @@ TEST(RhoBatch, IpowIsAFixedMultiplyChain) {
 
 struct BasisFixture {
   std::shared_ptr<const basis::BasisSet> basis;
+  std::shared_ptr<const grid::MolecularGrid> grid;
   std::vector<Vec3> pts;
 };
 
@@ -100,8 +109,10 @@ BasisFixture water_points() {
   grid::GridSpec spec;
   spec.radial_points = 20;
   spec.angular_degree = 7;
-  const auto grid = grid::MolecularGrid::build(s, spec);
-  for (std::size_t i = 0; i < grid.size(); ++i) f.pts.push_back(grid.point(i).pos);
+  f.grid = std::make_shared<const grid::MolecularGrid>(
+      grid::MolecularGrid::build(s, spec));
+  for (std::size_t i = 0; i < f.grid->size(); ++i)
+    f.pts.push_back(f.grid->point(i).pos);
   // A few points far outside every cutoff: must yield empty rows.
   f.pts.push_back({50.0, 0.0, 0.0});
   f.pts.push_back({0.0, -80.0, 3.0});
@@ -178,6 +189,120 @@ TEST(RhoBatch, ContractDensityMatchesDoubleLoop) {
     }
     EXPECT_EQ(n[k], ref) << "point " << k;
   }
+}
+
+// Largest |a - b| relative to the largest |b|.
+double max_rel_diff(const std::vector<double>& a, const std::vector<double>& b) {
+  double diff = 0.0, scale = 0.0;
+  for (std::size_t k = 0; k < b.size(); ++k) {
+    diff = std::max(diff, std::fabs(a[k] - b[k]));
+    scale = std::max(scale, std::fabs(b[k]));
+  }
+  return diff / scale;
+}
+
+TEST(RhoBatch, FoldedContractionMatchesReferenceForNonSymmetricP) {
+  const BasisFixture f = water_points();
+  const std::size_t nb = f.basis->size();
+  Rng rng(11);
+  linalg::Matrix p(nb, nb);  // non-symmetric, like P^(1) of alpha(omega)
+  for (std::size_t i = 0; i < nb; ++i)
+    for (std::size_t j = 0; j < nb; ++j) p(i, j) = rng.uniform(-1, 1);
+  linalg::Matrix folded(nb, nb);
+  basis::fold_density(p, folded);
+
+  basis::BatchEval ev;
+  f.basis->evaluate_batch(f.pts.data(), f.pts.size(), {}, ev);
+  std::vector<double> ref(f.pts.size()), out(f.pts.size());
+  basis::contract_density(p, ev, ref.data());
+
+  // BatchEval form (the projection rings).
+  basis::contract_density_folded(folded, ev, out.data());
+  EXPECT_LT(max_rel_diff(out, ref), 1e-13);
+
+  // Raw CSR form on sub-ranges, the way the integrator hands its cache.
+  std::fill(out.begin(), out.end(), 0.0);
+  for (std::size_t b = 0; b < f.pts.size(); b += 37) {
+    const std::size_t e = std::min(f.pts.size(), b + 37);
+    basis::contract_density_folded(folded, ev.offsets.data() + b, e - b,
+                                   ev.indices.data(), ev.values.data(),
+                                   out.data() + b);
+  }
+  EXPECT_LT(max_rel_diff(out, ref), 1e-13);
+
+  // The integrator's own cached CSR (BatchIntegrator::density).
+  const scf::BatchIntegrator integ(f.basis, f.grid);
+  const std::vector<double> grid_n = integ.density(p);
+  ASSERT_EQ(grid_n.size(), f.grid->size());
+  ref.resize(grid_n.size());  // the grid points lead f.pts
+  EXPECT_LT(max_rel_diff(grid_n, ref), 1e-13);
+}
+
+// Smooth model density shared by the projection tests.
+double model_density(const grid::Structure& s, const Vec3& p) {
+  double n = 0.0;
+  for (std::size_t a = 0; a < s.size(); ++a)
+    n += std::exp(-1.3 * (p - s.atom(a).pos).norm2());
+  return n;
+}
+
+TEST(RhoBatch, ProjectionMatchesIndependentBeckeLoop) {
+  const grid::Structure s = core::water();
+  poisson::PoissonSpec spec;
+  spec.l_max = 4;
+  spec.radial_points = 40;
+  const poisson::HartreeSolver hartree(s, spec);
+  const poisson::MultipoleDensity rho = hartree.project(
+      poisson::DensityFn([&s](const Vec3& p) { return model_density(s, p); }));
+
+  // The same projection from public pieces, with the partition evaluated
+  // point by point: the solver's Becke table must not move a sample.
+  const grid::BeckePartition partition(s);
+  const grid::AngularGrid ang = grid::AngularGrid::for_degree(
+      static_cast<std::size_t>(2 * spec.l_max + 2));
+  const std::size_t nlm = basis::lm_count(spec.l_max);
+  std::vector<double> ylm, ref(nlm);
+  for (std::size_t a = 0; a < s.size(); ++a)
+    for (std::size_t i = 0; i < hartree.mesh().size(); ++i) {
+      std::fill(ref.begin(), ref.end(), 0.0);
+      const double r = hartree.mesh().r(i);
+      for (std::size_t k = 0; k < ang.directions().size(); ++k) {
+        const Vec3 pt = s.atom(a).pos + r * ang.directions()[k];
+        const double val = model_density(s, pt) * partition.weight(a, pt) *
+                           ang.weights()[k];
+        if (val == 0.0) continue;
+        basis::real_ylm_all(spec.l_max, ang.directions()[k], ylm);
+        for (std::size_t lm = 0; lm < nlm; ++lm) ref[lm] += val * ylm[lm];
+      }
+      for (std::size_t lm = 0; lm < nlm; ++lm)
+        ASSERT_EQ(rho.samples[a][lm][i], ref[lm])
+            << "atom " << a << " shell " << i << " lm " << lm;
+    }
+}
+
+TEST(RhoBatch, ConcurrentFirstProjectionsAgree) {
+  const grid::Structure s = core::water();
+  poisson::PoissonSpec spec;
+  spec.l_max = 4;
+  spec.radial_points = 40;
+  const poisson::BatchDensityFn density = [&s](const Vec3* pts, std::size_t n,
+                                               double* out) {
+    for (std::size_t k = 0; k < n; ++k) out[k] = model_density(s, pts[k]);
+  };
+  const poisson::MultipoleDensity ref =
+      poisson::HartreeSolver(s, spec).project(density);
+
+  // Four threads race into the first projection of a fresh solver: one
+  // builds the Becke table, the others wait for it.
+  exec::ThreadPool::set_global_threads(4);
+  const poisson::HartreeSolver fresh(s, spec);
+  std::vector<poisson::MultipoleDensity> got(4);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < got.size(); ++t)
+    threads.emplace_back([&, t] { got[t] = fresh.project(density); });
+  for (auto& th : threads) th.join();
+  exec::ThreadPool::set_global_threads(0);
+  for (const auto& rho : got) EXPECT_EQ(rho.samples, ref.samples);
 }
 
 TEST(RhoBatch, PotentialBatchBitIdenticalToScalar) {

@@ -185,7 +185,7 @@ TEST(StragglerDetector, WeightFloorBoundsTheSlowestRank) {
 }
 
 TEST(StragglerDetector, NoiseFloorAndLonelyWindowsCarryNoSignal) {
-  parallel::StragglerDetector det(4);  // default min_window_ms = 5
+  parallel::StragglerDetector det(4);  // default min_window_ms = 10
   // Median window under the noise floor: a 100x outlier means nothing when
   // the pack's work is microscopic.
   for (int k = 0; k < 3; ++k) {
@@ -202,6 +202,34 @@ TEST(StragglerDetector, NoiseFloorAndLonelyWindowsCarryNoSignal) {
     EXPECT_FALSE(lonely.classify());
   }
   EXPECT_FALSE(lonely.any_degraded());
+}
+
+TEST(StragglerDetector, SubFloorWindowsCarryUntilTheyClassify) {
+  // Short iterations (4 ms of pack work per call, under the default 10 ms
+  // floor) must not blind the ledger: each sub-floor window stays open, so
+  // every third call classifies a 12 ms window -- and an 8x rank degrades
+  // after two such windows.
+  parallel::StragglerDetector det(4);
+  const auto call = [&det] {
+    for (std::size_t r = 0; r < 4; ++r)
+      det.record_work(r, r == 2 ? 32.0 : 4.0);
+    return det.classify();
+  };
+  for (int k = 0; k < 5; ++k) {
+    EXPECT_FALSE(call()) << "call " << k;
+    EXPECT_FALSE(det.any_degraded()) << "call " << k;
+  }
+  EXPECT_EQ(det.snapshot()[2].last_window_ms, 96.0);  // the first 3-call window
+  EXPECT_TRUE(call());
+  EXPECT_EQ(det.degraded_ranks(), (std::vector<std::size_t>{2}));
+  // Measured over the carried window: 12 ms median / 96 ms.
+  EXPECT_DOUBLE_EQ(det.speed_weights()[2], 0.125);
+
+  // Every call counts as a window; samples count once, when classified.
+  const auto stats = det.stats();
+  EXPECT_EQ(stats.windows, 6u);
+  EXPECT_EQ(stats.samples, 24u);
+  EXPECT_EQ(det.snapshot()[0].samples, 6u);
 }
 
 TEST(StragglerDetector, MinRelativeGuardsZeroMadWindows) {
@@ -593,6 +621,42 @@ TEST(StragglerE2E, PersistentSlowdownRebalancesAtFullWorld) {
 
   EXPECT_EQ(driver.last_stats().shrinks, 0u);
   EXPECT_GE(driver.last_stats().rebalances, 1u);
+}
+
+// Off the checkpoint cadence the verdict iteration is checkpointed on the
+// spot, so the rebalance re-entry resumes there instead of rolling back to
+// the last periodic checkpoint.
+TEST(StragglerE2E, RebalanceOffCheckpointCadenceWastesNoIteration) {
+  const auto& ground = straggler_ground();
+  core::DfptOptions ref_opt;
+  ref_opt.tolerance = 1e-9;
+  const auto ref = core::DfptSolver(ground, ref_opt).solve_direction(2);
+
+  parallel::FaultPlan plan;
+  parallel::FaultEvent ev;
+  ev.kind = parallel::FaultKind::Slowdown;
+  ev.rank = 1;
+  ev.collective = 10;
+  ev.slow_factor = 8.0;
+  ev.transient = false;
+  plan.add(ev);
+  parallel::FaultInjector injector(std::move(plan));
+
+  resilience::CheckpointStore store(fresh_dir("straggler_cadence"));
+  resilience::RecoveryOptions ropt;
+  ropt.elastic = true;
+  ropt.max_retries = 6;
+  ropt.mixing_damping = 1.0;
+  ropt.checkpoint_every = 1000;  // no periodic checkpoint before the verdict
+  resilience::RecoveryDriver driver(store, ropt);
+
+  const auto rec =
+      driver.solve_direction_parallel(ground, straggler_popt(&injector), 2);
+  EXPECT_TRUE(rec.direction.converged);
+  EXPECT_GE(rec.stats.rebalances, 1u);
+  EXPECT_EQ(rec.stats.restores, rec.stats.retries);  // every re-entry resumed
+  EXPECT_EQ(rec.stats.wasted_iterations, 0u);
+  EXPECT_LT(rec.direction.p1.max_abs_diff(ref.p1), 1e-8);
 }
 
 // Observe-only contract: attaching a detector takes no part in the
