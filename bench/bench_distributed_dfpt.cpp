@@ -1,10 +1,10 @@
 // Integration benchmark: the paper's full parallel decomposition executing
 // for real on the threaded simmpi runtime -- distributed Sumup/H phases,
 // replicated Poisson producers, packed (hierarchical) synthesis of the
-// response Hamiltonian -- across rank counts, reduce schemes, and the two
-// Hamiltonian storage modes of Fig. 3. Everything here is measured, not
-// modeled; the table shows how the communication-count savings and the
-// dense-storage advantage materialize in the real DFPT cycle.
+// response Hamiltonian -- across rank counts and reduce schemes. Everything
+// here is measured, not modeled; the table shows how the communication-
+// count savings materialize in the real DFPT cycle. (The dense-vs-CSR
+// storage axis of Fig. 3 is bench_fig09b_dense_access's.)
 
 #include <benchmark/benchmark.h>
 
@@ -59,32 +59,25 @@ void print_table() {
     return;
   }
 
-  Table t({"ranks", "reduce", "storage", "alpha_zz", "iters",
-           "collectives/rank", "wall (s)"});
+  Table t({"ranks", "reduce", "alpha_zz", "iters", "collectives/rank",
+           "wall (s)"});
   struct Case {
     std::size_t ranks;
     comm::ReduceMode mode;
-    HamiltonianStorage storage;
     const char* mode_name;
-    const char* storage_name;
   };
   const Case cases[] = {
-      {1, comm::ReduceMode::Flat, HamiltonianStorage::LocalDense, "flat", "dense"},
-      {2, comm::ReduceMode::Flat, HamiltonianStorage::LocalDense, "flat", "dense"},
-      {4, comm::ReduceMode::Flat, HamiltonianStorage::LocalDense, "flat", "dense"},
-      {4, comm::ReduceMode::Hierarchical, HamiltonianStorage::LocalDense,
-       "hierarchical", "dense"},
-      {8, comm::ReduceMode::Hierarchical, HamiltonianStorage::LocalDense,
-       "hierarchical", "dense"},
-      {4, comm::ReduceMode::Flat, HamiltonianStorage::GlobalSparseCsr, "flat",
-       "global CSR"},
+      {1, comm::ReduceMode::Flat, "flat"},
+      {2, comm::ReduceMode::Flat, "flat"},
+      {4, comm::ReduceMode::Flat, "flat"},
+      {4, comm::ReduceMode::Hierarchical, "hierarchical"},
+      {8, comm::ReduceMode::Hierarchical, "hierarchical"},
   };
   for (const auto& c : cases) {
     ParallelDfptOptions opt;
     opt.ranks = c.ranks;
     opt.ranks_per_node = 4;
     opt.reduce_mode = c.mode;
-    opt.storage = c.storage;
     opt.batch_points = 96;
     // Wall time from the per-rank "cpscf/parallel_direction" span the
     // solver records (the max over ranks is the run's critical path).
@@ -94,7 +87,7 @@ void print_table() {
     for (const auto& a : obs::aggregate_spans())
       if (a.name == std::string("cpscf/parallel_direction"))
         wall = a.ranks > 0 ? a.max_rank_s : a.total_s;
-    t.add_row({std::to_string(c.ranks), c.mode_name, c.storage_name,
+    t.add_row({std::to_string(c.ranks), c.mode_name,
                Table::num(r.direction.dipole_response.z, 6),
                std::to_string(r.direction.iterations),
                std::to_string(r.stats.collectives), Table::num(wall, 2)});
@@ -103,10 +96,6 @@ void print_table() {
           "settings) -- identical physics across all configurations");
   obs::write_phase_report(std::cout,
                           "bench_distributed_dfpt (last configuration)");
-  std::printf("Note: this host has one core, so the *replicated* Poisson "
-              "producers make wall time\ngrow with rank count -- the honest "
-              "single-core cost of the paper's communication-\navoidance "
-              "trade; on real nodes the replicas run concurrently.\n");
 }
 
 // Degraded-mode run: the same molecule, but one rank dies permanently a

@@ -15,10 +15,10 @@ python3 scripts/bench_history.py self-test
 
 echo "== tier 1: TSan build (AEQP_SANITIZE=thread) =="
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DAEQP_SANITIZE=thread
-cmake --build build-tsan -j --target test_exec test_parallel_comm test_obs test_memobs test_elastic test_sdc test_service test_membudget test_rho_batch test_straggler
+cmake --build build-tsan -j --target test_exec test_parallel_comm test_obs test_memobs test_elastic test_sdc test_service test_membudget test_rho_batch test_straggler test_parallel_dfpt test_device_dfpt
 
-echo "== tier 1: exec + simmpi + obs + memobs + elastic + sdc + service + membudget + rho-batch + straggler tests under TSan =="
+echo "== tier 1: exec + simmpi + obs + memobs + elastic + sdc + service + membudget + rho-batch + straggler + CPSCF body tests under TSan =="
 TSAN_OPTIONS=halt_on_error=1 \
-  ctest --test-dir build-tsan --output-on-failure -R 'test_exec|test_parallel_comm|test_obs|test_memobs|test_elastic|test_sdc|test_service|test_membudget|test_rho_batch|test_straggler'
+  ctest --test-dir build-tsan --output-on-failure -R 'test_exec|test_parallel_comm|test_obs|test_memobs|test_elastic|test_sdc|test_service|test_membudget|test_rho_batch|test_straggler|test_parallel_dfpt|test_device_dfpt'
 
 echo "tier1: OK"

@@ -286,15 +286,17 @@ void fold_density(const linalg::Matrix& p, linalg::Matrix& f) {
   }
 }
 
-void contract_density_folded(const linalg::Matrix& f, const std::uint32_t* offsets,
-                             std::size_t n_points, const std::uint32_t* indices,
-                             const double* values, double* out) {
-  const std::size_t nb = f.cols();
-  const auto row = [&](std::uint32_t mu) {
-    return f.data() + static_cast<std::size_t>(mu) * nb;
-  };
+namespace {
+
+/// The folded half-pair kernel over rows of a row-major `f` with leading
+/// dimension `ld`, for global (uint32) or tile-local (uint16) indices.
+template <typename Index>
+void folded_kernel(const double* f, std::size_t ld, const std::uint32_t* offsets,
+                   std::size_t n_points, const Index* indices,
+                   const double* values, double* out) {
+  const auto row = [&](Index mu) { return f + static_cast<std::size_t>(mu) * ld; };
   for (std::size_t k = 0; k < n_points; ++k) {
-    const std::uint32_t* idx = indices + offsets[k];
+    const Index* idx = indices + offsets[k];
     const double* val = values + offsets[k];
     const std::size_t ne = offsets[k + 1] - offsets[k];
     // Rows a and a+1 of the upper triangle run together: they share every
@@ -324,6 +326,21 @@ void contract_density_folded(const linalg::Matrix& f, const std::uint32_t* offse
     if (a < ne) n0 += val[a] * (row(idx[a])[idx[a]] * val[a]);
     out[k] = n0 + n1;
   }
+}
+
+}  // namespace
+
+void contract_density_folded(const linalg::Matrix& f, const std::uint32_t* offsets,
+                             std::size_t n_points, const std::uint32_t* indices,
+                             const double* values, double* out) {
+  folded_kernel(f.data(), f.cols(), offsets, n_points, indices, values, out);
+}
+
+void contract_density_folded(const double* f, std::size_t ld,
+                             const std::uint32_t* offsets, std::size_t n_points,
+                             const std::uint16_t* indices, const double* values,
+                             double* out) {
+  folded_kernel(f, ld, offsets, n_points, indices, values, out);
 }
 
 void contract_density_folded(const linalg::Matrix& f, const BatchEval& ev,

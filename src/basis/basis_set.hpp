@@ -179,6 +179,15 @@ void contract_density_folded(const linalg::Matrix& f, const std::uint32_t* offse
                              std::size_t n_points, const std::uint32_t* indices,
                              const double* values, double* out);
 
+/// The same folded kernel against a dense row-major block `f` of leading
+/// dimension `ld`, addressed by 16-bit local indices: the grid-tile form
+/// (scf/tiles.hpp). Rounds exactly like the global-index form over the
+/// same entries and the same F values.
+void contract_density_folded(const double* f, std::size_t ld,
+                             const std::uint32_t* offsets, std::size_t n_points,
+                             const std::uint16_t* indices, const double* values,
+                             double* out);
+
 /// contract_density_folded over every point of a batched evaluation.
 void contract_density_folded(const linalg::Matrix& f, const BatchEval& ev,
                              double* out);

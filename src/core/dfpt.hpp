@@ -21,8 +21,6 @@
 #include <memory>
 #include <string>
 
-#include "grid/batch.hpp"
-#include "kernels/batch_kernels.hpp"
 #include "linalg/matrix.hpp"
 #include "scf/scf_solver.hpp"
 #include "simt/runtime.hpp"
@@ -80,13 +78,12 @@ struct DfptOptions {
   /// excitation (|eps_i - eps_a| > omega) for a real response.
   double frequency = 0.0;
   /// Execute the grid-heavy Sumup and H phases through the OpenCL-style
-  /// SIMT runtime (work-group per batch, __local dense blocks) instead of
-  /// the host integrator. Results are identical; the runtime's counters
-  /// feed the device models. Null = host execution.
+  /// SIMT runtime (one work-group per grid tile, __local dense blocks)
+  /// instead of the host tile loops. The group bodies are the same tile
+  /// operations, so results are bit-identical; the runtime's counters feed
+  /// the device models. Needs a one-rank world (one runtime cannot take
+  /// concurrent launches). Null = host execution.
   std::shared_ptr<simt::SimtRuntime> device;
-  /// Batch size used when `device` is set; 0 = the tuned value
-  /// (tune::config().grid_batch_points, default 128).
-  std::size_t device_batch_points = 0;
   /// Cutoff-screening threshold tau for the batched Rho-phase evaluation
   /// (BasisSet::screening_radii). 0 disables screening entirely, which is
   /// bit-identical to the unscreened path; the default drops contributions
@@ -172,7 +169,14 @@ struct ResponseOrbitals {
                                                      const linalg::Matrix& c_occ,
                                                      const linalg::Vector& occupations);
 
-/// DFPT driver bound to a converged ground state.
+namespace detail {
+struct CpscfGround;
+}  // namespace detail
+
+/// DFPT driver bound to a converged ground state. Each direction runs the
+/// shared CPSCF body (core/cpscf.hpp) as a one-rank simmpi world over the
+/// integrator's grid tiles: the serial solver is the one-rank case of
+/// solve_direction_parallel by construction.
 class DfptSolver {
 public:
   /// `ground` must come from a converged ScfSolver::run() on the same
@@ -188,15 +192,8 @@ public:
 private:
   const scf::ScfResult& ground_;
   DfptOptions options_;
-  linalg::Matrix c_occ_;   ///< occupied orbital coefficients
-  linalg::Matrix c_virt_;  ///< virtual orbital coefficients
-  std::vector<double> fxc_;  ///< LDA kernel f_xc(n_0(r)) per grid point
-  /// Per-atom screening radii for the batched Rho evaluation, from
-  /// options.screening_threshold (empty span semantics handled downstream).
-  std::vector<double> screen_radii_;
-  // Device-engine state (populated when options.device is set).
-  std::vector<grid::Batch> device_batches_;
-  std::vector<kernels::BatchSupport> device_supports_;
+  /// Orbital splits, f_xc and screening radii, built once per solver.
+  std::shared_ptr<const detail::CpscfGround> inputs_;
 };
 
 }  // namespace aeqp::core

@@ -4,10 +4,12 @@
 /// Distributed DFPT on the simulated MPI runtime -- the paper's parallel
 /// decomposition executed for real at laptop scale.
 ///
-/// Division of labour per CPSCF iteration (paper Secs. 3-4):
+/// Division of labour per CPSCF iteration (paper Secs. 3-4), in the one
+/// CPSCF body every rank runs (core/cpscf.hpp):
 ///  - The grid-heavy phases (Sumup: n^(1) on grid points; H: response-
 ///    Hamiltonian integrals) are distributed over ranks by the
-///    locality-enhancing batch mapping; partial H^(1) contributions are
+///    locality-enhancing batch mapping; each rank contracts the grid tiles
+///    of its batches (scf/tiles.hpp) and partial H^(1) contributions are
 ///    synthesized with a packed (optionally hierarchical) AllReduce.
 ///  - The Poisson producer (multipole projection + radial solves) is
 ///    replicated on every rank by default, "trading redundant calculations
@@ -19,8 +21,12 @@
 ///  - The Sternheimer update and P^(1) assembly are replicated (identical
 ///    inputs -> identical outputs on every rank).
 ///
-/// The result is bit-wise deterministic and equals the serial DfptSolver
-/// reference, which the test suite asserts.
+/// Determinism contract (asserted by the test suite): a run is bit-for-bit
+/// reproducible from run to run (collective sums add rank contributions in
+/// rank order); one rank at the default batch size equals the serial
+/// DfptSolver bit for bit (both run the same body over the same tiles);
+/// other rank counts, batch sizes and mappings regroup the H^(1) sums and
+/// agree with the serial reference within the tested 1e-8.
 
 #include <string>
 
@@ -32,33 +38,27 @@
 
 namespace aeqp::core {
 
-/// How each rank stores the response density matrix it contracts against
-/// in the Sumup phase (the storage axis of paper Figs. 3 and 9(b)).
-enum class HamiltonianStorage {
-  LocalDense,       ///< direct dense indexing (locality-enhanced mapping)
-  GlobalSparseCsr,  ///< legacy path: CSR fetches with dependent accesses
-};
-
 /// Parallel-run configuration.
 struct ParallelDfptOptions {
-  /// Convergence, mixing and frequency settings, as in DfptSolver; a
-  /// non-null `dfpt.device` is rejected with an error.
+  /// Convergence, mixing, frequency and device settings, as in DfptSolver;
+  /// a non-null `dfpt.device` needs a one-rank world and the tile cache.
   DfptOptions dfpt;
   std::size_t ranks = 4;            ///< simulated MPI ranks
   std::size_t ranks_per_node = 2;   ///< SHM node width
-  /// Cut-plane batch size; 0 = the tuned value (default 128).
+  /// Cut-plane batch size; 0 = the tuned value (default 128), the tiling
+  /// the integrator (and so the serial solver) uses.
   std::size_t batch_points = 0;
   /// Packed-AllReduce staging window in bytes; 0 = the tuned value
   /// (default comm::kDefaultPackBytes). Packing regroups rows without
   /// reordering the reduction, so the window never changes results.
   std::size_t pack_bytes = 0;
   comm::ReduceMode reduce_mode = comm::ReduceMode::Hierarchical;
-  HamiltonianStorage storage = HamiltonianStorage::LocalDense;
-  /// Keep the per-rank basis point-eval cache resident (default). The
-  /// memory-budget relief ladder clears this to re-evaluate basis functions
-  /// on the fly: slower, bit-identical (same evaluator, same accumulation
-  /// order), and it sheds the O(points/rank) "dfpt/point_cache" structure
-  /// when the AEQP_MEM_BUDGET ceiling is under pressure.
+  /// Keep the per-rank grid-tile cache resident (default). The
+  /// memory-budget relief ladder clears this to rebuild each tile's basis
+  /// values on the fly: slower, bit-identical (same tile builder, same
+  /// accumulation order), and it sheds the O(points/rank)
+  /// "dfpt/point_cache" structure when the AEQP_MEM_BUDGET ceiling is
+  /// under pressure.
   bool cache_point_evals = true;
   /// Optional fault injection replayed by the simmpi runtime (must outlive
   /// the call); null = fault-free run.

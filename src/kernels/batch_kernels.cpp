@@ -1,153 +1,80 @@
 #include "kernels/batch_kernels.hpp"
 
-#include <algorithm>
-#include <map>
-
 #include "common/error.hpp"
 
 namespace aeqp::kernels {
 
-std::vector<BatchSupport> build_batch_supports(
-    const basis::BasisSet& basis, const grid::MolecularGrid& grid,
-    const std::vector<grid::Batch>& batches) {
-  std::vector<BatchSupport> supports(batches.size());
-  basis::PointEval ev;
-  for (std::size_t b = 0; b < batches.size(); ++b) {
-    BatchSupport& sup = supports[b];
-    sup.point_ids = batches[b].points;
-    sup.offsets.assign(1, 0);
-
-    // First pass: gather raw (global basis id, value) per point.
-    std::vector<std::vector<std::pair<std::uint32_t, double>>> raw(
-        sup.point_ids.size());
-    std::map<std::uint32_t, std::uint16_t> local_of;
-    for (std::size_t k = 0; k < sup.point_ids.size(); ++k) {
-      basis.evaluate(grid.point(sup.point_ids[k]).pos, false, ev);
-      raw[k].reserve(ev.indices.size());
-      for (std::size_t i = 0; i < ev.indices.size(); ++i) {
-        raw[k].emplace_back(ev.indices[i], ev.values[i]);
-        local_of.emplace(ev.indices[i], 0);
-      }
-    }
-    // Dense local index space of the batch (sorted global ids).
-    AEQP_CHECK(local_of.size() < 65536, "build_batch_supports: block too large");
-    sup.basis_ids.reserve(local_of.size());
-    std::uint16_t next = 0;
-    for (auto& [global, local] : local_of) {
-      local = next++;
-      sup.basis_ids.push_back(global);
-    }
-    // Second pass: per-point sparse rows in local indexing.
-    for (auto& row : raw) {
-      for (auto& [global, value] : row) {
-        sup.local_index.push_back(local_of.at(global));
-        sup.values.push_back(value);
-      }
-      sup.offsets.push_back(static_cast<std::uint32_t>(sup.local_index.size()));
-    }
-  }
-  return supports;
-}
-
 void sumup_kernel(simt::SimtRuntime& rt, const grid::MolecularGrid& grid,
-                  const std::vector<BatchSupport>& supports,
-                  const linalg::Matrix& p1, std::vector<double>& n1_out) {
-  AEQP_CHECK(n1_out.size() == grid.size(), "sumup_kernel: output size mismatch");
-  const std::size_t nb = p1.rows();
-  AEQP_CHECK(p1.cols() == nb, "sumup_kernel: density matrix must be square");
+                  const std::vector<scf::GridTile>& tiles, const linalg::Matrix& p,
+                  std::vector<double>& n_out) {
+  AEQP_CHECK(n_out.size() == grid.size(), "sumup_kernel: output size mismatch");
+  const std::size_t nb = p.rows();
+  AEQP_CHECK(p.cols() == nb, "sumup_kernel: density matrix must be square");
+  linalg::Matrix folded(nb, nb);
+  basis::fold_density(p, folded);
 
-  auto out = rt.bind(n1_out);
-  rt.launch(supports.size(), /*group_size=*/256, [&](simt::WorkGroup& wg) {
-    const BatchSupport& sup = supports[wg.group_id()];
-    const std::size_t nloc = sup.basis_ids.size();
+  auto out = rt.bind(n_out);
+  rt.launch(tiles.size(), /*group_size=*/256, [&](simt::WorkGroup& wg) {
+    const scf::GridTile& tile = tiles[wg.group_id()];
+    const std::size_t nloc = tile.basis_ids.size();
 
-    // Stage the batch-local dense block of P^(1) in __local memory (the
-    // small dense matrix of Fig. 3(b)); falls back to a gather per element
-    // if it exceeds on-chip capacity.
+    // Stage the tile's dense block of fold(P) in __local memory (the small
+    // dense matrix of Fig. 3(b)); a block beyond on-chip capacity spills.
     const bool fits = nloc * nloc * sizeof(double) <= rt.model().onchip_bytes;
-    std::span<double> block;
-    std::vector<double> spill;
-    if (fits) {
-      block = wg.local_mem(nloc * nloc);
-    } else {
-      spill.assign(nloc * nloc, 0.0);
-      block = spill;
-    }
-    for (std::size_t i = 0; i < nloc; ++i)
-      for (std::size_t j = 0; j < nloc; ++j)
-        block[i * nloc + j] = p1(sup.basis_ids[i], sup.basis_ids[j]);
+    std::vector<double> spill(fits ? 0 : nloc * nloc);
+    const std::span<double> block = fits ? wg.local_mem(nloc * nloc) : std::span<double>(spill);
+    scf::gather_block(folded, tile, block.data());
     rt.stats().offchip_read_bytes += nloc * nloc * sizeof(double);
     wg.barrier();
 
-    // One work-item per grid point: n = phi^T P phi over the local block.
-    for (std::size_t k = 0; k < sup.point_ids.size(); ++k) {
-      const std::uint32_t begin = sup.offsets[k], end = sup.offsets[k + 1];
-      double acc = 0.0;
-      for (std::uint32_t a = begin; a < end; ++a) {
-        const double* row = block.data() + sup.local_index[a] * nloc;
-        double partial = 0.0;
-        for (std::uint32_t bb = begin; bb < end; ++bb)
-          partial += row[sup.local_index[bb]] * sup.values[bb];
-        acc += sup.values[a] * partial;
-      }
-      out.store(sup.point_ids[k], acc);
-      wg.flops(2 * (end - begin) * (end - begin));
+    // One work-item per grid point: the folded contraction over half the
+    // point's entry pairs.
+    std::vector<double> n(tile.size());
+    scf::contract_tile(block.data(), tile, n.data());
+    for (std::size_t k = 0; k < tile.size(); ++k) {
+      out.store(tile.point_ids[k], n[k]);
+      const std::size_t ne = tile.offsets[k + 1] - tile.offsets[k];
+      wg.flops(ne * (ne + 1));
     }
-    wg.issue_simt(sup.point_ids.size(), 8);
+    wg.issue_simt(tile.size(), 8);
   });
 }
 
 void h_kernel(simt::SimtRuntime& rt, const grid::MolecularGrid& grid,
-              const std::vector<BatchSupport>& supports,
+              const std::vector<scf::GridTile>& tiles,
               std::span<const double> v_samples, linalg::Matrix& h_out) {
   AEQP_CHECK(v_samples.size() == grid.size(), "h_kernel: sample count mismatch");
-  const std::size_t nb = h_out.rows();
-  AEQP_CHECK(h_out.cols() == nb, "h_kernel: output matrix must be square");
+  AEQP_CHECK(h_out.cols() == h_out.rows(), "h_kernel: output matrix must be square");
 
-  // Batches overlap in (mu, nu), so groups stage their dense blocks here
-  // and the host flushes them in batch order after the launch: the same
-  // once-per-batch flush as before, but race-free under parallel groups and
-  // deterministic for every thread count.
-  std::vector<std::vector<double>> blocks(supports.size());
+  // Tiles overlap in (mu, nu), so groups stage their dense blocks here and
+  // the host flushes them in tile order after the launch: race-free under
+  // parallel groups and deterministic for every thread count.
+  std::vector<scf::TileBlock> blocks(tiles.size());
 
-  rt.launch(supports.size(), /*group_size=*/256, [&](simt::WorkGroup& wg) {
-    const BatchSupport& sup = supports[wg.group_id()];
-    const std::size_t nloc = sup.basis_ids.size();
+  rt.launch(tiles.size(), /*group_size=*/256, [&](simt::WorkGroup& wg) {
+    const scf::GridTile& tile = tiles[wg.group_id()];
+    const std::size_t nloc = tile.basis_ids.size();
 
     const bool fits = nloc * nloc * sizeof(double) <= rt.model().onchip_bytes;
     if (fits) (void)wg.local_mem(nloc * nloc);  // models on-chip residency
-    std::vector<double>& block = blocks[wg.group_id()];
-    block.assign(nloc * nloc, 0.0);
-
-    // Accumulate the batch's contribution in the local dense block.
-    for (std::size_t k = 0; k < sup.point_ids.size(); ++k) {
-      const double wv =
-          grid.point(sup.point_ids[k]).weight * v_samples[sup.point_ids[k]];
-      if (wv == 0.0) continue;
-      const std::uint32_t begin = sup.offsets[k], end = sup.offsets[k + 1];
-      for (std::uint32_t a = begin; a < end; ++a) {
-        const double wa = wv * sup.values[a];
-        double* row = block.data() + sup.local_index[a] * nloc;
-        for (std::uint32_t bb = begin; bb < end; ++bb)
-          row[sup.local_index[bb]] += wa * sup.values[bb];
-      }
-      wg.flops(2 * (end - begin) * (end - begin));
+    std::vector<double> w;
+    scf::tile_weights(grid, tile,
+                      [&](std::size_t k) { return v_samples[tile.point_ids[k]]; }, w);
+    for (std::size_t k = 0; k < tile.size(); ++k) {
+      const std::size_t ne = tile.offsets[k + 1] - tile.offsets[k];
+      if (w[k] != 0.0) wg.flops(2 * ne * ne);
     }
+    blocks[wg.group_id()].basis_ids = tile.basis_ids;
+    scf::accumulate_tile(tile, w.data(), /*laplacian=*/false,
+                         blocks[wg.group_id()].values);
     wg.barrier();
     rt.stats().offchip_write_bytes += nloc * nloc * sizeof(double);
-    wg.issue_simt(sup.point_ids.size(), 8);
+    wg.issue_simt(tile.size(), 8);
   });
 
-  // Fixed-order reduction: flush every batch block to the global matrix in
-  // batch order -- the reduced off-chip traffic the locality mapping buys.
-  for (std::size_t b = 0; b < supports.size(); ++b) {
-    const BatchSupport& sup = supports[b];
-    const std::size_t nloc = sup.basis_ids.size();
-    const std::vector<double>& block = blocks[b];
-    for (std::size_t i = 0; i < nloc; ++i)
-      for (std::size_t j = 0; j < nloc; ++j)
-        h_out(sup.basis_ids[i], sup.basis_ids[j]) += block[i * nloc + j];
-  }
+  // Fixed-order reduction: flush every tile block to the global matrix in
+  // tile order -- the reduced off-chip traffic the locality mapping buys.
+  scf::flush_tile_blocks(blocks, h_out);
 }
 
 }  // namespace aeqp::kernels

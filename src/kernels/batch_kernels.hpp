@@ -3,56 +3,39 @@
 /// \file batch_kernels.hpp
 /// The Sumup and H phases expressed in the paper's OpenCL execution model
 /// (Sec. 4.1) over *real* molecular data: each work-group processes one
-/// batch of grid points, each work-item one grid point; per-batch basis
-/// values live in __local memory; producing the response density and the
-/// response-Hamiltonian contribution of the batch.
+/// grid tile, each work-item one grid point; the tile's dense block lives
+/// in __local memory; producing the response density and the
+/// response-Hamiltonian contribution of the tile.
 ///
-/// These kernels compute the same numbers as scf::BatchIntegrator (the test
-/// suite asserts equality) while exercising and counting the device-model
-/// events the portability analysis consumes.
+/// The group bodies are the tile engine's own operations (scf/tiles.hpp):
+/// the folded tile contraction and the tile accumulation with a tile-order
+/// flush. The kernels therefore compute bit-for-bit what the host
+/// integrator computes over the same tiles, while counting the
+/// device-model events the portability analysis consumes.
 
-#include <memory>
+#include <span>
 #include <vector>
 
-#include "basis/basis_set.hpp"
-#include "grid/batch.hpp"
 #include "grid/molecular_grid.hpp"
 #include "linalg/matrix.hpp"
+#include "scf/tiles.hpp"
 #include "simt/runtime.hpp"
 
 namespace aeqp::kernels {
 
-/// Precomputed per-batch basis support: the union of basis functions that
-/// touch any point of the batch (the "small dense block" of Fig. 3(b)),
-/// plus per-point sparse values against that local index space.
-struct BatchSupport {
-  std::vector<std::uint32_t> basis_ids;       ///< local -> global basis index
-  std::vector<std::uint32_t> point_ids;       ///< grid point ids
-  std::vector<std::uint32_t> offsets;         ///< per-point CSR into entries
-  std::vector<std::uint16_t> local_index;     ///< entry -> local basis index
-  std::vector<double> values;                 ///< entry -> chi value
-};
-
-/// Build the supports for every batch (done once per geometry; this is the
-/// "initialization" work Fig. 11 optimizes).
-std::vector<BatchSupport> build_batch_supports(
-    const basis::BasisSet& basis, const grid::MolecularGrid& grid,
-    const std::vector<grid::Batch>& batches);
-
-/// Sumup kernel: response density n^(1) at every grid point of the given
-/// batches, reading the density matrix through the batch-local dense block.
+/// Sumup kernel: density sum_{mu,nu} P_mu_nu chi_mu chi_nu at every point
+/// of the given tiles, through the tile's __local block of fold(P).
 /// Output is indexed by global grid-point id (only covered points written).
 void sumup_kernel(simt::SimtRuntime& rt, const grid::MolecularGrid& grid,
-                  const std::vector<BatchSupport>& supports,
-                  const linalg::Matrix& p1, std::vector<double>& n1_out);
+                  const std::vector<scf::GridTile>& tiles, const linalg::Matrix& p,
+                  std::vector<double>& n_out);
 
-/// H kernel: accumulate the response-Hamiltonian integrals
-/// sum_p w_p v(p) chi_mu(p) chi_nu(p) over the given batches into `h_out`
-/// (global basis indexing). Per-batch accumulation happens in __local
-/// memory over the small dense block, then flushes to __global -- the
-/// memory-traffic pattern the locality mapping enables.
+/// H kernel: accumulate sum_p w_p v(p) chi_mu(p) chi_nu(p) over the given
+/// tiles into `h_out` (global basis indexing). Per-tile accumulation
+/// happens in a dense local block, flushed to __global in tile order after
+/// the launch -- the memory-traffic pattern the locality mapping enables.
 void h_kernel(simt::SimtRuntime& rt, const grid::MolecularGrid& grid,
-              const std::vector<BatchSupport>& supports,
+              const std::vector<scf::GridTile>& tiles,
               std::span<const double> v_samples, linalg::Matrix& h_out);
 
 }  // namespace aeqp::kernels

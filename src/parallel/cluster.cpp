@@ -89,6 +89,7 @@ Cluster::Cluster(std::size_t n_ranks, std::size_t ranks_per_node,
   AEQP_CHECK(origin_.size() == n_ranks_,
              "Cluster: origin map must name every rank exactly once");
   global_barrier_ = std::make_unique<FtBarrier>(n_ranks_);
+  reduce_slots_.resize(n_ranks_);
   const std::size_t n_nodes = node_count();
   nodes_ = std::vector<NodeState>(n_nodes);
   for (std::size_t nd = 0; nd < n_nodes; ++nd) {
@@ -485,29 +486,40 @@ void Communicator::allreduce_sum(std::span<double> data) {
   obs::comm_record_all("allreduce_sum", static_cast<int>(rank_),
                        static_cast<int>(size()),
                        data.size() * sizeof(double));
-  {
-    std::lock_guard<std::mutex> lock(cluster_->reduce_mutex_);
-    if (cluster_->reduce_arrivals_ == 0) {
-      cluster_->reduce_buffer_.assign(data.size(), 0.0);
-      cluster_->reduce_first_rank_ = rank_;
-    } else if (cluster_->reduce_buffer_.size() != data.size()) {
-      AEQP_THROW("allreduce_sum: element count mismatch: rank " +
-                 std::to_string(cluster_->reduce_first_rank_) + " passed " +
-                 std::to_string(cluster_->reduce_buffer_.size()) +
-                 " elements, rank " + std::to_string(rank_) + " passed " +
-                 std::to_string(data.size()));
-    }
-    for (std::size_t i = 0; i < data.size(); ++i)
-      cluster_->reduce_buffer_[i] += data[i];
-    ++cluster_->reduce_arrivals_;
-  }
+  stage("allreduce_sum", data);
   cluster_->global_barrier_->arrive_and_wait(*cluster_, rank_, timeout);
-  for (std::size_t i = 0; i < data.size(); ++i)
-    data[i] = cluster_->reduce_buffer_[i];
+  combine_staged(data, 1, 0.0, std::plus<>());
   cluster_->global_barrier_->arrive_and_wait(*cluster_, rank_, timeout);
   if (rank_ == 0) cluster_->reduce_arrivals_ = 0;
   cluster_->global_barrier_->arrive_and_wait(*cluster_, rank_, timeout);
   leave_collective(CollectiveClass::AllreduceSum, t0);
+}
+
+void Communicator::stage(const char* what, std::span<const double> data) {
+  {
+    std::lock_guard<std::mutex> lock(cluster_->reduce_mutex_);
+    if (cluster_->reduce_arrivals_ == 0) {
+      cluster_->reduce_size_ = data.size();
+      cluster_->reduce_first_rank_ = rank_;
+    } else if (cluster_->reduce_size_ != data.size()) {
+      AEQP_THROW(std::string(what) + ": element count mismatch: rank " +
+                 std::to_string(cluster_->reduce_first_rank_) + " passed " +
+                 std::to_string(cluster_->reduce_size_) + " elements, rank " +
+                 std::to_string(rank_) + " passed " + std::to_string(data.size()));
+    }
+    ++cluster_->reduce_arrivals_;
+  }
+  cluster_->reduce_slots_[rank_].assign(data.begin(), data.end());
+}
+
+template <typename Op>
+void Communicator::combine_staged(std::span<double> data, std::size_t stride,
+                                  double init, Op op) const {
+  std::fill(data.begin(), data.end(), init);
+  for (std::size_t r = 0; r < size(); r += stride) {
+    const std::vector<double>& slot = cluster_->reduce_slots_[r];
+    for (std::size_t i = 0; i < data.size(); ++i) data[i] = op(data[i], slot[i]);
+  }
 }
 
 void Communicator::allreduce_max(std::span<double> data) {
@@ -518,26 +530,10 @@ void Communicator::allreduce_max(std::span<double> data) {
   obs::comm_record_all("allreduce_max", static_cast<int>(rank_),
                        static_cast<int>(size()),
                        data.size() * sizeof(double));
-  {
-    std::lock_guard<std::mutex> lock(cluster_->reduce_mutex_);
-    if (cluster_->reduce_arrivals_ == 0) {
-      cluster_->reduce_buffer_.assign(
-          data.size(), -std::numeric_limits<double>::infinity());
-      cluster_->reduce_first_rank_ = rank_;
-    } else if (cluster_->reduce_buffer_.size() != data.size()) {
-      AEQP_THROW("allreduce_max: element count mismatch: rank " +
-                 std::to_string(cluster_->reduce_first_rank_) + " passed " +
-                 std::to_string(cluster_->reduce_buffer_.size()) +
-                 " elements, rank " + std::to_string(rank_) + " passed " +
-                 std::to_string(data.size()));
-    }
-    for (std::size_t i = 0; i < data.size(); ++i)
-      cluster_->reduce_buffer_[i] = std::max(cluster_->reduce_buffer_[i], data[i]);
-    ++cluster_->reduce_arrivals_;
-  }
+  stage("allreduce_max", data);
   cluster_->global_barrier_->arrive_and_wait(*cluster_, rank_, timeout);
-  for (std::size_t i = 0; i < data.size(); ++i)
-    data[i] = cluster_->reduce_buffer_[i];
+  combine_staged(data, 1, -std::numeric_limits<double>::infinity(),
+                 [](double a, double b) { return std::max(a, b); });
   cluster_->global_barrier_->arrive_and_wait(*cluster_, rank_, timeout);
   if (rank_ == 0) cluster_->reduce_arrivals_ = 0;
   cluster_->global_barrier_->arrive_and_wait(*cluster_, rank_, timeout);
@@ -558,26 +554,9 @@ void Communicator::allreduce_sum_leaders(std::span<double> data) {
         obs::comm_record("allreduce_sum_leaders", static_cast<int>(rank_),
                          static_cast<int>(dst), data.size() * sizeof(double));
   }
-  if (leader) {
-    std::lock_guard<std::mutex> lock(cluster_->reduce_mutex_);
-    if (cluster_->reduce_arrivals_ == 0) {
-      cluster_->reduce_buffer_.assign(data.size(), 0.0);
-      cluster_->reduce_first_rank_ = rank_;
-    } else if (cluster_->reduce_buffer_.size() != data.size()) {
-      AEQP_THROW("allreduce_sum_leaders: element count mismatch: rank " +
-                 std::to_string(cluster_->reduce_first_rank_) + " passed " +
-                 std::to_string(cluster_->reduce_buffer_.size()) +
-                 " elements, rank " + std::to_string(rank_) + " passed " +
-                 std::to_string(data.size()));
-    }
-    for (std::size_t i = 0; i < data.size(); ++i)
-      cluster_->reduce_buffer_[i] += data[i];
-    ++cluster_->reduce_arrivals_;
-  }
+  if (leader) stage("allreduce_sum_leaders", data);
   cluster_->global_barrier_->arrive_and_wait(*cluster_, rank_, timeout);
-  if (leader)
-    for (std::size_t i = 0; i < data.size(); ++i)
-      data[i] = cluster_->reduce_buffer_[i];
+  if (leader) combine_staged(data, cluster_->ranks_per_node_, 0.0, std::plus<>());
   cluster_->global_barrier_->arrive_and_wait(*cluster_, rank_, timeout);
   if (rank_ == 0) cluster_->reduce_arrivals_ = 0;
   cluster_->global_barrier_->arrive_and_wait(*cluster_, rank_, timeout);

@@ -128,15 +128,19 @@ public:
   void node_barrier();
 
   /// In-place sum-AllReduce over all ranks; every rank must pass the same
-  /// element count (mismatches raise aeqp::Error naming both ranks).
+  /// element count (mismatches raise aeqp::Error naming both ranks). The
+  /// contributions are added in rank order (0 + d_0 + d_1 + ...), so the
+  /// result is bit-identical from run to run whatever order the rank
+  /// threads arrive in.
   void allreduce_sum(std::span<double> data);
 
   /// In-place elementwise max-AllReduce (used for global convergence
-  /// criteria like max |delta n| across ranks).
+  /// criteria like max |delta n| across ranks), combined in rank order.
   void allreduce_max(std::span<double> data);
 
-  /// In-place sum-AllReduce across node leaders (node_rank 0); other ranks
-  /// wait at the enclosing barrier. `data` is ignored for non-leaders.
+  /// In-place sum-AllReduce across node leaders (node_rank 0), added in
+  /// rank order like allreduce_sum; other ranks wait at the enclosing
+  /// barrier. `data` is ignored for non-leaders.
   void allreduce_sum_leaders(std::span<double> data);
 
   /// Broadcast from `root` to all ranks.
@@ -173,6 +177,15 @@ private:
   /// never chases a slowdown upward.
   void leave_collective(CollectiveClass c,
                         std::chrono::steady_clock::time_point t_enter);
+
+  /// Stage this rank's contribution to a reduction in its own slot
+  /// (checking the element count against the first arrival).
+  void stage(const char* what, std::span<const double> data);
+  /// data = op(...op(op(init, slot[0]), slot[stride])...) in rank order;
+  /// call after the barrier that follows every contributor's stage().
+  template <typename Op>
+  void combine_staged(std::span<double> data, std::size_t stride, double init,
+                      Op op) const;
 
   Cluster* cluster_;
   std::size_t rank_;
@@ -351,9 +364,11 @@ private:
 
   std::unique_ptr<FtBarrier> global_barrier_;
   std::mutex reduce_mutex_;
-  std::vector<double> reduce_buffer_;
+  /// Per-rank staged reduction contributions, combined in rank order.
+  std::vector<std::vector<double>> reduce_slots_;
+  std::size_t reduce_size_ = 0;        ///< element count of the pending reduction
   std::size_t reduce_arrivals_ = 0;
-  std::size_t reduce_first_rank_ = 0;  ///< rank that sized the reduce buffer
+  std::size_t reduce_first_rank_ = 0;  ///< rank that sized the reduction
   std::vector<double> bcast_buffer_;
   std::vector<NodeState> nodes_;
 

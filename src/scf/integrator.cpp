@@ -5,106 +5,35 @@
 
 #include "common/error.hpp"
 #include "exec/thread_pool.hpp"
+#include "grid/batch.hpp"
+#include "tune/tune.hpp"
 
 namespace aeqp::scf {
 
 using linalg::Matrix;
 
-namespace {
-/// Points per accumulation tile. Comparable to the paper's batch sizes
-/// (100-300 points); small enough to keep the dense local blocks in cache
-/// and to load-balance across the pool.
-constexpr std::size_t kTilePoints = 128;
-}  // namespace
-
 BatchIntegrator::BatchIntegrator(std::shared_ptr<const basis::BasisSet> basis,
                                  std::shared_ptr<const grid::MolecularGrid> grid)
     : basis_(std::move(basis)), grid_(std::move(grid)) {
   AEQP_CHECK(basis_ && grid_, "BatchIntegrator: null basis or grid");
-  const std::size_t np = grid_->size();
-  offsets_.assign(np + 1, 0);
-  basis::PointEval ev;
-  for (std::size_t p = 0; p < np; ++p) {
-    basis_->evaluate(grid_->point(p).pos, /*with_laplacian=*/true, ev);
-    offsets_[p + 1] = offsets_[p] + static_cast<std::uint32_t>(ev.indices.size());
-    indices_.insert(indices_.end(), ev.indices.begin(), ev.indices.end());
-    values_.insert(values_.end(), ev.values.begin(), ev.values.end());
-    laplacians_.insert(laplacians_.end(), ev.laplacians.begin(),
-                       ev.laplacians.end());
-  }
-
-  // Cut the point range into tiles and build each tile's dense local index
-  // space (sorted union of active basis ids). Grid points are laid out
-  // atom-by-atom, so contiguous ranges are spatially compact and their
-  // unions stay small.
-  const std::size_t n_tiles = (np + kTilePoints - 1) / kTilePoints;
-  tiles_.resize(n_tiles);
-  exec::parallel_for(0, n_tiles, [&](std::size_t t) {
-    Tile& tile = tiles_[t];
-    tile.p_begin = static_cast<std::uint32_t>(t * kTilePoints);
-    tile.p_end = static_cast<std::uint32_t>(
-        std::min(np, (t + 1) * kTilePoints));
-    const std::uint32_t e_begin = offsets_[tile.p_begin];
-    const std::uint32_t e_end = offsets_[tile.p_end];
-    tile.basis_ids.assign(indices_.begin() + e_begin, indices_.begin() + e_end);
-    std::sort(tile.basis_ids.begin(), tile.basis_ids.end());
-    tile.basis_ids.erase(
-        std::unique(tile.basis_ids.begin(), tile.basis_ids.end()),
-        tile.basis_ids.end());
-    AEQP_CHECK(tile.basis_ids.size() < 65536,
-               "BatchIntegrator: tile active-basis union too large");
-    tile.local_index.resize(e_end - e_begin);
-    for (std::uint32_t e = e_begin; e < e_end; ++e) {
-      const auto it = std::lower_bound(tile.basis_ids.begin(),
-                                       tile.basis_ids.end(), indices_[e]);
-      tile.local_index[e - e_begin] =
-          static_cast<std::uint16_t>(it - tile.basis_ids.begin());
-    }
-  });
+  // Cut-plane batches are spatially compact, so their active-basis unions
+  // (the dense local blocks) stay small.
+  tiles_ = build_tiles(*basis_, *grid_,
+                       grid::make_batches(*grid_, tune::grid_batch_points(0)),
+                       /*with_laplacian=*/true);
 }
 
-template <typename Getter>
-Matrix BatchIntegrator::accumulate_weighted(Getter&& point_factor,
+template <typename Factor>
+Matrix BatchIntegrator::accumulate_weighted(Factor&& point_factor,
                                             bool use_laplacian) const {
-  const std::size_t nb = basis_->size();
-  Matrix m(nb, nb);
-  // Phase 1 (parallel): every tile accumulates into its dense local block
-  // -- direct row[local_index] writes, no global scatter in the inner loop.
-  std::vector<std::vector<double>> blocks(tiles_.size());
-  exec::parallel_for(0, tiles_.size(), [&](std::size_t t) {
-    const Tile& tile = tiles_[t];
-    const std::size_t nloc = tile.basis_ids.size();
-    std::vector<double>& blk = blocks[t];
-    blk.assign(nloc * nloc, 0.0);
-    const std::uint32_t e_base = offsets_[tile.p_begin];
-    for (std::size_t p = tile.p_begin; p < tile.p_end; ++p) {
-      const double f = point_factor(p);
-      if (f == 0.0) continue;
-      const double w = grid_->point(p).weight * f;
-      const std::uint32_t begin = offsets_[p], end = offsets_[p + 1];
-      for (std::uint32_t i = begin; i < end; ++i) {
-        const double xi = values_[i] * w;
-        double* row =
-            blk.data() + std::size_t{tile.local_index[i - e_base]} * nloc;
-        for (std::uint32_t j = begin; j < end; ++j) {
-          const double yj = use_laplacian ? laplacians_[j] : values_[j];
-          row[tile.local_index[j - e_base]] += xi * yj;
-        }
-      }
-    }
-  });
-  // Phase 2 (ordered): flush blocks in tile order, so the floating-point
-  // accumulation sequence per element is fixed for every thread count.
-  for (std::size_t t = 0; t < tiles_.size(); ++t) {
-    const Tile& tile = tiles_[t];
-    const std::size_t nloc = tile.basis_ids.size();
-    const std::vector<double>& blk = blocks[t];
-    for (std::size_t i = 0; i < nloc; ++i) {
-      double* mrow = m.data() + std::size_t{tile.basis_ids[i]} * nb;
-      const double* brow = blk.data() + i * nloc;
-      for (std::size_t j = 0; j < nloc; ++j) mrow[tile.basis_ids[j]] += brow[j];
-    }
-  }
+  Matrix m(basis_->size(), basis_->size());
+  accumulate_tiles(
+      *grid_, tiles_.size(),
+      [&](std::size_t t, GridTile&) -> const GridTile& { return tiles_[t]; },
+      [&](std::size_t, const GridTile& tile, std::size_t k) {
+        return point_factor(tile.point_ids[k]);
+      },
+      use_laplacian, m);
   return m;
 }
 
@@ -162,12 +91,13 @@ std::vector<double> BatchIntegrator::density(const Matrix& p_mat) const {
   std::vector<double> n(grid_->size(), 0.0);
   // Every point owns its own output slot: embarrassingly parallel and
   // bit-identical for any thread count.
-  exec::parallel_for_ranges(
-      0, grid_->size(), 64, [&](std::size_t pb, std::size_t pe) {
-        basis::contract_density_folded(folded, offsets_.data() + pb, pe - pb,
-                                       indices_.data(), values_.data(),
-                                       n.data() + pb);
-      });
+  exec::parallel_for(0, tiles_.size(), [&](std::size_t t) {
+    thread_local std::vector<double> out;
+    const GridTile& tile = tiles_[t];
+    out.resize(tile.size());
+    tile_density(folded, tile, out.data());
+    for (std::size_t k = 0; k < tile.size(); ++k) n[tile.point_ids[k]] = out[k];
+  });
   return n;
 }
 
@@ -186,13 +116,6 @@ double BatchIntegrator::integrate(std::span<const double> samples) const {
   for (std::size_t p = 0; p < grid_->size(); ++p)
     s += grid_->point(p).weight * samples[p];
   return s;
-}
-
-std::size_t BatchIntegrator::active_points() const {
-  std::size_t n = 0;
-  for (std::size_t p = 0; p < grid_->size(); ++p)
-    n += (offsets_[p + 1] > offsets_[p]);
-  return n;
 }
 
 }  // namespace aeqp::scf

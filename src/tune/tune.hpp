@@ -10,10 +10,12 @@
 /// JSON, and every solver resolves its "0 = auto" knobs through config(),
 /// which loads the file named by AEQP_TUNE_FILE at first use.
 ///
-/// Scope guard: only knobs that cannot change numerical results are applied
-/// automatically. rho_block_size, grid_batch_points and pack_window_bytes
-/// all regroup work without reordering any floating-point accumulation, so
-/// the determinism contract of docs/parallelism.md is untouched.
+/// Scope guard: only knobs that cannot change the physics are applied
+/// automatically. rho_block_size and pack_window_bytes regroup work without
+/// reordering any floating-point accumulation. grid_batch_points sets the
+/// grid tiling (scf/tiles.hpp), and with it the tile order in which matrix
+/// blocks flush, so it moves results at the rounding level only -- the
+/// same for every thread and rank count, as docs/parallelism.md requires.
 /// poisson_l_max changes the physics (multipole truncation); the autotuner
 /// records a recommendation, but solvers never read it implicitly -- users
 /// opt in by copying it into PoissonSpec themselves.
@@ -32,7 +34,7 @@ inline constexpr int kTuneFileVersion = 1;
 struct TuneConfig {
   /// Rho consumer block: grid points handed to potential_batch at once.
   std::size_t rho_block_size = 64;
-  /// Target points per grid batch (device engine / task mapping).
+  /// Target points per grid tile (integrator, CPSCF ranks, device kernels).
   std::size_t grid_batch_points = 128;
   /// Packed-allreduce staging window in bytes.
   std::size_t pack_window_bytes = 30u * 1024u * 1024u;

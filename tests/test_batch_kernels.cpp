@@ -23,7 +23,7 @@ struct Workbench {
   std::shared_ptr<const basis::BasisSet> basis;
   std::shared_ptr<const grid::MolecularGrid> grid;
   std::vector<grid::Batch> batches;
-  std::vector<BatchSupport> supports;
+  std::vector<scf::GridTile> supports;
   std::unique_ptr<scf::BatchIntegrator> integ;
 };
 
@@ -37,7 +37,7 @@ Workbench make_workbench(const grid::Structure& s, std::size_t batch_points = 96
   setup.grid = std::make_shared<const grid::MolecularGrid>(
       grid::MolecularGrid::build(s, spec));
   setup.batches = grid::make_batches(*setup.grid, batch_points);
-  setup.supports = build_batch_supports(*setup.basis, *setup.grid, setup.batches);
+  setup.supports = scf::build_tiles(*setup.basis, *setup.grid, setup.batches);
   setup.integ = std::make_unique<scf::BatchIntegrator>(setup.basis, setup.grid);
   return setup;
 }

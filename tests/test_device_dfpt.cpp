@@ -9,6 +9,7 @@
 #include <memory>
 
 #include "core/dfpt.hpp"
+#include "core/parallel_dfpt.hpp"
 #include "core/structures.hpp"
 #include "scf/scf_solver.hpp"
 #include "simt/device.hpp"
@@ -49,7 +50,6 @@ TEST_P(DeviceEngine, MatchesHostIntegratorPath) {
   DfptOptions dev = host;
   dev.device = std::make_shared<simt::SimtRuntime>(
       sunway ? simt::DeviceModel::sw39010() : simt::DeviceModel::gcn_gpu());
-  dev.device_batch_points = 96;
   const DfptSolver on_device(ground, dev);
   const auto got = on_device.solve_direction(2);
 
@@ -71,6 +71,41 @@ TEST_P(DeviceEngine, MatchesHostIntegratorPath) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Devices, DeviceEngine, ::testing::Bool());
+
+// The kernels' group bodies are the host's tile operations over the same
+// tiles, so the device run is the host run bit for bit.
+TEST(DeviceEngineIdentity, EqualsHostRunBitForBit) {
+  const auto& ground = ground_h2();
+  DfptOptions host;
+  host.tolerance = 1e-8;
+  const auto ref = DfptSolver(ground, host).solve_direction(2);
+
+  DfptOptions dev = host;
+  dev.device = std::make_shared<simt::SimtRuntime>(simt::DeviceModel::gcn_gpu());
+  const auto got = DfptSolver(ground, dev).solve_direction(2);
+
+  EXPECT_EQ(got.iterations, ref.iterations);
+  EXPECT_EQ(got.p1.max_abs_diff(ref.p1), 0.0);
+  ASSERT_EQ(got.n1_samples.size(), ref.n1_samples.size());
+  for (std::size_t i = 0; i < ref.n1_samples.size(); ++i)
+    ASSERT_EQ(got.n1_samples[i], ref.n1_samples[i]) << i;
+}
+
+// A one-rank distributed run takes a device too: at the default batch size
+// its rank tile cache holds the integrator's tiles, so it reproduces the
+// serial device run.
+TEST(DeviceEngineIdentity, OneRankDistributedRunEqualsSerial) {
+  const auto& ground = ground_h2();
+  ParallelDfptOptions popt;
+  popt.dfpt.tolerance = 1e-8;
+  popt.dfpt.device = std::make_shared<simt::SimtRuntime>(simt::DeviceModel::gcn_gpu());
+  popt.ranks = 1;
+  const auto ref = DfptSolver(ground, popt.dfpt).solve_direction(2);
+  const auto got = solve_direction_parallel(ground, popt, 2).direction;
+  EXPECT_EQ(got.iterations, ref.iterations);
+  EXPECT_EQ(got.p1.max_abs_diff(ref.p1), 0.0);
+  EXPECT_EQ(got.dipole_response.z, ref.dipole_response.z);
+}
 
 TEST(DeviceEngineCounts, LaunchCountMatchesPhaseStructure) {
   const auto& ground = ground_h2();

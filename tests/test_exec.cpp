@@ -194,7 +194,7 @@ TEST(Determinism, SimtKernelStatsAndResultsMatchSerialLaunch) {
 
   const auto batches = grid::make_batches(*ground.grid, 64);
   const auto supports =
-      kernels::build_batch_supports(*ground.basis, *ground.grid, batches);
+      scf::build_tiles(*ground.basis, *ground.grid, batches);
   const std::size_t np = ground.grid->size();
   const std::size_t nb = ground.density_matrix.rows();
   const std::vector<double> v(np, 0.25);

@@ -1,12 +1,10 @@
-// Tests for the second-row elements (P, S) and the legacy global-sparse
-// storage mode of the distributed DFPT driver.
+// Tests for the second-row elements (P, S).
 
 #include <gtest/gtest.h>
 
 #include "basis/basis_set.hpp"
 #include "basis/element.hpp"
 #include "common/constants.hpp"
-#include "core/parallel_dfpt.hpp"
 #include "core/structures.hpp"
 #include "core/vibrations.hpp"
 #include "core/xyz.hpp"
@@ -61,35 +59,6 @@ TEST(SecondRow, H2SScfConverges) {
   // All-electron S: total energy in the -390s (LDA, compact basis).
   EXPECT_LT(res.total_energy, -350.0);
   EXPECT_GT(res.total_energy, -450.0);
-}
-
-TEST(SparseStorage, GlobalCsrModeMatchesDense) {
-  grid::Structure h2;
-  h2.add_atom(1, {0, 0, -0.7});
-  h2.add_atom(1, {0, 0, 0.7});
-  scf::ScfOptions opt;
-  opt.tier = basis::BasisTier::Light;
-  opt.grid.radial_points = 30;
-  opt.grid.angular_degree = 9;
-  opt.poisson.radial_points = 72;
-  opt.mixer = scf::Mixer::Diis;
-  opt.max_iterations = 150;
-  const auto ground = scf::ScfSolver(h2, opt).run();
-  ASSERT_TRUE(ground.converged);
-
-  core::ParallelDfptOptions dense;
-  dense.ranks = 2;
-  dense.batch_points = 96;
-  auto sparse = dense;
-  sparse.storage = core::HamiltonianStorage::GlobalSparseCsr;
-
-  const auto rd = core::solve_direction_parallel(ground, dense, 2);
-  const auto rs = core::solve_direction_parallel(ground, sparse, 2);
-  ASSERT_TRUE(rd.direction.converged);
-  ASSERT_TRUE(rs.direction.converged);
-  EXPECT_NEAR(rd.direction.dipole_response.z, rs.direction.dipole_response.z,
-              1e-10);
-  EXPECT_LT(rd.direction.p1.max_abs_diff(rs.direction.p1), 1e-12);
 }
 
 }  // namespace

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <thread>
 
 #include "comm/hierarchical.hpp"
 #include "comm/packed.hpp"
@@ -89,6 +91,29 @@ TEST(Cluster, LeaderAllreduceOnlySumsLeaders) {
       EXPECT_DOUBLE_EQ(v[0], 2001.0);  // nodes 0 and 1
     }
   });
+}
+
+// Floating-point addition is not associative: with contributions
+// {1, 2^-53, 2^-53, 0} the rank-order sum rounds to exactly 1, while
+// adding the two tiny terms first gives 1 + 2^-52. Rank 0 arrives last
+// here, so a sum taken in arrival order would return the latter; the sum
+// collectives must add in rank order whatever the arrival order.
+TEST(Cluster, SumCollectivesAddInRankOrderWhateverTheArrivalOrder) {
+  const double tiny = std::ldexp(1.0, -53);
+  const double contribution[] = {1.0, tiny, tiny, 0.0};
+  for (const bool leaders : {false, true}) {
+    // One rank per node makes every rank a leader.
+    Cluster cluster(4, leaders ? 1 : 4);
+    cluster.run([&](Communicator& c) {
+      if (c.rank() == 0) std::this_thread::sleep_for(std::chrono::milliseconds(100));
+      std::vector<double> v = {contribution[c.rank()]};
+      if (leaders)
+        c.allreduce_sum_leaders(v);
+      else
+        c.allreduce_sum(v);
+      EXPECT_EQ(v[0], 1.0) << (leaders ? "allreduce_sum_leaders" : "allreduce_sum");
+    });
+  }
 }
 
 class HierarchicalProperty

@@ -660,10 +660,9 @@ TEST(StragglerE2E, RebalanceOffCheckpointCadenceWastesNoIteration) {
 }
 
 // Observe-only contract: attaching a detector takes no part in the
-// numerics -- the result agrees with the detector-free run at the level of
-// the solver's own run-to-run reduction jitter (~1e-15; thread arrival
-// order perturbs the shared-buffer summation with or without a ledger),
-// four orders tighter than the 1e-8 physics bar.
+// numerics -- the result agrees with the detector-free run far inside the
+// 1e-8 physics bar (collective sums add in rank order, so two runs of the
+// same world reproduce each other bit for bit).
 TEST(StragglerE2E, DetectorIsObserveOnly) {
   const auto& ground = straggler_ground();
   const auto plain =
