@@ -26,15 +26,40 @@ namespace aeqp::resilience {
 
 namespace {
 
-/// Per-attempt bookkeeping threaded through the CPSCF observer.
+/// A rank failing on this many consecutive attempts is classified permanent
+/// and shrunk away: one free retry, matching the transient rollback rung.
+constexpr int kPermanentFailureThreshold = 2;
+
+/// Weight ceiling the rebalance rung applies to a degraded rank: re-entry
+/// uses min(measured speed weight, kRebalanceShedWeight). The arrival-lag
+/// ratio the ledger measures is a LOWER bound on the true slowdown whenever
+/// compute and collective waiting interleave, and the loss is asymmetric --
+/// leaving too much work on a sick rank stalls the whole world at its pace,
+/// while shedding too much merely adds share/(N-1) to each healthy rank. So
+/// the rung sheds to a token share (the detector's weight floor), the same
+/// call speculative-execution schedulers make once a task is flagged slow.
+constexpr double kRebalanceShedWeight = 1.0 / 16.0;
+
+/// Floors of the third relief rung.
+constexpr std::size_t kMinBatchPoints = 16;
+constexpr std::size_t kMinPackBytes = 4096;
+
+constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
+/// Per-attempt bookkeeping: what the observer saw and how the attempt ended.
 struct AttemptContext {
   double prev_delta = -1.0;      ///< residual of the previous iteration
   int last_iteration = 0;        ///< last iteration the observer saw
   int checkpoint_iteration = 0;  ///< iteration of the last saved checkpoint
-  bool fault = false;
+  bool fault = false;            ///< the health check aborted the attempt
   bool cancelled = false;        ///< the cancel hook tripped mid-solve
   bool straggler = false;        ///< abort requested by the straggler rung
-  std::string fault_reason;
+  bool oom = false;              ///< an OutOfMemoryBudget fault
+  bool timeout = false;          ///< a CollectiveTimeout fault
+  bool rank_failure = false;     ///< a RankFailure fault
+  std::size_t failed_rank = kNone;  ///< its ORIGINAL rank id
+  std::size_t observer_rank = 0;    ///< the rank that observed it
+  std::string reason;            ///< why the attempt did not finish
 };
 
 /// Ascending-id subset test for degraded-rank sets (both sorted).
@@ -42,6 +67,13 @@ bool degraded_subset_of(const std::vector<std::size_t>& degraded,
                         const std::vector<std::size_t>& known) {
   return std::includes(known.begin(), known.end(), degraded.begin(),
                        degraded.end());
+}
+
+/// "1,3" for log and error lines.
+std::string rank_list(const std::vector<std::size_t>& ranks) {
+  std::string who;
+  for (const auto r : ranks) who += (who.empty() ? "" : ",") + std::to_string(r);
+  return who;
 }
 
 /// splitmix64 -- the deterministic hash behind backoff jitter.
@@ -87,295 +119,180 @@ void throw_if_cancelled(const RecoveryOptions& ropt, const char* what,
     throw_cancelled(what, direction, attempt, iteration);
 }
 
-/// The shared retry loop of both CPSCF front-ends. `run` executes one solver
-/// attempt with the given (possibly warm-started, possibly damped) options;
-/// `aborted_of` extracts the solver's aborted flag from its result type;
-/// `apply_relief` walks one more rung of the pressure-relief ladder before
-/// a retry forced by an OutOfMemoryBudget fault (it returns how many relief
-/// actions it applied).
-template <typename Run, typename AbortedOf, typename ApplyRelief>
-auto run_recovered(CheckpointStore& store, const RecoveryOptions& ropt,
-                   RecoveryStats& stats, const core::DfptOptions& base,
-                   int direction, const char* what, Run&& run,
-                   AbortedOf&& aborted_of, ApplyRelief&& apply_relief) {
-  stats = RecoveryStats{};
-  const std::string key =
-      ropt.checkpoint_key + "-dir" + std::to_string(direction);
-  store.remove(key);  // a stale checkpoint from a previous run must not leak in
-
-  std::string last_reason;
-  bool last_rank_failure = false;
-  std::size_t last_failed_rank = 0;
-  std::size_t last_observer_rank = 0;
-  // ABFT corrections are healed inside the kernels and never surface as
-  // exceptions; account for them with a scoped accumulator (rank threads
-  // inherit it), so concurrent drivers in a multi-tenant server never read
-  // each other's corrections.
-  const linalg::AbftStatsScope abft_scope;
-  int oom_rung = 0;  // relief-ladder position, advanced per OOM fault
-  for (int attempt = 0;; ++attempt) {
-    AttemptContext ctx;
-    bool oom_fault = false;
-    core::DfptOptions opts = base;
-    // Graceful degradation: the first retry replays the original trajectory
-    // (a transient fault needs no damping, and the replay is bit-identical);
-    // repeated faults progressively damp the mixing.
-    if (attempt >= 2)
-      opts.mixing = base.mixing * std::pow(ropt.mixing_damping, attempt - 1);
-
-    if (attempt > 0) {
-      ++stats.retries;
-      obs::trace_instant("recovery/retry");
-      if (auto ckpt = store.try_load_cpscf(key);
-          ckpt && ckpt->iteration >= 1 &&
-          ckpt->iteration < opts.max_iterations) {
-        ctx.checkpoint_iteration = ckpt->iteration;
-        ctx.prev_delta = ckpt->last_delta;
-        auto ws = std::make_shared<core::CpscfWarmStart>();
-        ws->iteration = ckpt->iteration;
-        ws->p1 = std::move(ckpt->p1);
-        opts.warm_start = std::move(ws);
-        ++stats.restores;
-        obs::trace_instant("recovery/rollback");
-      }
-      backoff_sleep(ropt, key, attempt);
-      throw_if_cancelled(ropt, what, direction, attempt, ctx.checkpoint_iteration);
-    }
-
-    opts.observer = [&](const core::CpscfIterationState& s) {
-      ctx.last_iteration = s.iteration;
-      if (ropt.cancel && ropt.cancel()) {
-        ctx.cancelled = true;
-        return core::CpscfAction::Abort;
-      }
-      const HealthReport hr =
-          check_iteration_health(*s.p1, s.delta, ctx.prev_delta, ropt.health);
-      if (!hr.healthy) {
-        ctx.fault = true;
-        ctx.fault_reason =
-            "iteration " + std::to_string(s.iteration) + " unhealthy: " + hr.reason;
-        return core::CpscfAction::Abort;
-      }
-      ctx.prev_delta = s.delta;
-      // Soft-watermark polling: shed reclaimable state between iterations
-      // BEFORE the hard ceiling is reached. Non-aborting, observer-only --
-      // reclaimers free caches and replicas, never solver state.
-      if (ropt.memory_relief && mem_pressure().over_soft) {
-        obs::trace_instant("membudget/soft_watermark");
-        if (relieve_pressure() > 0) ++stats.relief_actions;
-      }
-      if (s.iteration % ropt.checkpoint_every == 0) {
-        CpscfCheckpoint ckpt;
-        ckpt.direction = s.direction;
-        ckpt.iteration = s.iteration;
-        ckpt.mixing = s.mixing;
-        ckpt.last_delta = s.delta;
-        ckpt.p1 = *s.p1;
-        store.save(key, ckpt);
-        ctx.checkpoint_iteration = s.iteration;
-      }
-      return core::CpscfAction::Continue;
-    };
-
-    try {
-      auto result = run(opts);
-      stats.abft_corrections = abft_scope.stats().corrections;
-      if (ctx.cancelled)
-        throw_cancelled(what, direction, attempt, ctx.last_iteration);
-      if (!ctx.fault && !aborted_of(result)) return result;  // healthy
-      // An abort this driver never requested means the abort decision
-      // itself was corrupted in transit -- treat it as a fault, not as a
-      // legitimate early exit.
-      last_reason = ctx.fault
-                        ? ctx.fault_reason
-                        : "solver aborted without a recovery request "
-                          "(corrupted control payload?)";
-      last_rank_failure = false;
-    } catch (const parallel::RankFailure& e) {
-      last_reason = e.what();
-      last_rank_failure = true;
-      last_failed_rank = e.failed_rank();
-      last_observer_rank = e.observer_rank();
-    } catch (const parallel::CollectiveTimeout& e) {
-      last_reason = e.what();
-      last_rank_failure = false;
-    } catch (const parallel::PayloadCorruption& e) {
-      // A verified collective caught in-flight corruption: the payload is
-      // poisoned, so roll back like any other fault.
-      last_reason = e.what();
-      last_rank_failure = false;
-      ++stats.payload_corruptions;
-    } catch (const InvariantViolation& e) {
-      // A physics guard tripped past the in-place rungs (ABFT correction,
-      // local recompute): the state is corrupt -- rollback and retry.
-      last_reason = e.what();
-      last_rank_failure = false;
-      ++stats.invariant_violations;
-    } catch (const linalg::AbftError& e) {
-      // Multi-element (uncorrectable) product corruption: detection without
-      // location, so in-place repair is off the table -- rollback.
-      last_reason = e.what();
-      last_rank_failure = false;
-    } catch (const OutOfMemoryBudget& e) {
-      // Memory exhaustion enters the same ladder: the governor turned a
-      // would-be std::bad_alloc into a structured fault, and each retry
-      // below first walks one more relief rung so the re-attempt fits.
-      last_reason = e.what();
-      last_rank_failure = false;
-      oom_fault = true;
-      ++stats.oom_events;
-      obs::trace_instant("recovery/oom");
-    }
-    stats.abft_corrections = abft_scope.stats().corrections;
-    ++stats.faults_detected;
-    obs::trace_instant("recovery/fault_detected");
-    stats.wasted_iterations += static_cast<std::size_t>(
-        std::max(0, ctx.last_iteration - ctx.checkpoint_iteration));
-    AEQP_LOG_INFO << what << ": fault on attempt " << attempt + 1 << " ("
-                  << last_reason << "); rolling back to iteration "
-                  << ctx.checkpoint_iteration;
-
-    if (oom_fault && ropt.memory_relief) {
-      ++oom_rung;
-      stats.relief_actions += apply_relief(oom_rung);
-    }
-
-    if (attempt >= ropt.max_retries) {
-      std::ostringstream msg;
-      msg << what << ": retry budget exhausted for direction " << direction
-          << " after " << attempt + 1 << " attempts: " << stats.faults_detected
-          << " faults detected, " << stats.restores
-          << " checkpoint restores, last failure: " << last_reason;
-      // A dead rank re-fails every retry at the same world size; without
-      // elastic shrink the budget runs out against it. Surface the failure
-      // structurally so callers can identify the culprit rank (RankFailure
-      // derives from Error, so untyped handlers still work).
-      // Retry exhaustion is terminal for the job: dump the flight recorder
-      // before the structured error escapes to the caller.
-      obs::flight_on_error(
-          last_rank_failure ? "RankFailure"
-                            : (oom_fault ? "OutOfMemoryBudget" : "Error"),
-          msg.str());
-      if (last_rank_failure)
-        throw parallel::RankFailure(last_failed_rank, last_observer_rank,
-                                    msg.str());
-      if (oom_fault)
-        throw OutOfMemoryBudget(
-            "recovery/" + key, 0,
-            static_cast<std::size_t>(mem_budget_bytes()),
-            static_cast<std::size_t>(std::max<std::int64_t>(mem_in_use(), 0)));
-      AEQP_THROW(msg.str());
-    }
-  }
+/// The checkpoint of an observed, health-validated iteration: what the
+/// file store and the buddy replicas hold.
+CpscfCheckpoint checkpoint_of(const core::CpscfIterationState& s) {
+  CpscfCheckpoint ckpt;
+  ckpt.direction = s.direction;
+  ckpt.iteration = s.iteration;
+  ckpt.mixing = s.mixing;
+  ckpt.last_delta = s.delta;
+  ckpt.p1 = *s.p1;
+  return ckpt;
 }
 
-/// The elastic retry loop of the parallel front-end (escalation ladder:
-/// retry -> damped retry -> shrink + buddy-restore + re-map + resume). Kept
-/// separate from run_recovered: it tracks the set of surviving ranks across
-/// attempts, classifies repeated same-rank failures as permanent, and falls
-/// back to in-memory buddy replicas when the file checkpoint is lost
-/// together with the rank that wrote it.
-core::ParallelDfptResult run_elastic(CheckpointStore& store,
-                                     const RecoveryOptions& ropt,
-                                     RecoveryStats& stats,
-                                     const scf::ScfResult& ground,
-                                     const core::ParallelDfptOptions& base,
-                                     int direction) {
+/// Pressure-relief ladder, cheapest rung first; `rung` grows by one per
+/// OutOfMemoryBudget fault and the edits of `world` persist across the
+/// remaining attempts. Rung 1 drops the rank tile cache (the on-the-fly
+/// tiles are bit-identical; a device run keeps it, its kernels read cached
+/// tiles), rung 2 runs the reclaimer registry (warm cache, buddy spill),
+/// rung 3 halves the grid batch and quarters the pack window down to their
+/// floors. Returns the relief actions applied.
+std::size_t relieve(core::ParallelDfptOptions& world, int rung) {
+  std::size_t actions = 0;
+  if (rung >= 1 && world.cache_point_evals && !world.dfpt.device) {
+    world.cache_point_evals = false;
+    ++actions;
+    obs::trace_instant("membudget/relief_point_cache");
+  }
+  if (rung >= 2 && relieve_pressure() > 0) ++actions;
+  if (rung >= 3) {
+    const std::size_t batch = tune::grid_batch_points(world.batch_points);
+    const std::size_t pack = tune::pack_window_bytes(world.pack_bytes);
+    const std::size_t shrunk_batch =
+        std::min(batch, std::max(batch / 2, kMinBatchPoints));
+    const std::size_t shrunk_pack =
+        std::min(pack, std::max(pack / 4, kMinPackBytes));
+    if (shrunk_batch < batch || shrunk_pack < pack) {
+      world.batch_points = shrunk_batch;
+      world.pack_bytes = shrunk_pack;
+      ++actions;
+      obs::trace_instant("membudget/relief_shrink_windows");
+    }
+  }
+  return actions;
+}
+
+/// Mirror the recovery counters into the statistics of the solved run.
+void mirror(const RecoveryStats& from, core::ParallelDfptStats& into) {
+  into.faults_detected = from.faults_detected;
+  into.restores = from.restores;
+  into.retries = from.retries;
+  into.wasted_iterations = from.wasted_iterations;
+  into.shrinks = from.shrinks;
+  into.buddy_restores = from.buddy_restores;
+  into.abft_corrections = from.abft_corrections;
+  into.invariant_violations = from.invariant_violations;
+  into.payload_corruptions = from.payload_corruptions;
+  // The solver counts the re-mapping of a run entered with speed weights
+  // (the rung's, or a caller's); the driver counts rung firings.
+  into.rebalances = std::max(into.rebalances, from.rebalances);
+  into.degraded_ranks = std::max(into.degraded_ranks, from.degraded_ranks);
+}
+
+/// The one retry loop behind both front-ends. Every attempt runs
+/// core::solve_direction_parallel on `world` -- the serial front-end's is
+/// the one-rank world -- under the driver's observer, and every fault walks
+/// the same ladder: rollback, damping and memory relief on every world;
+/// buddy replication, the rebalance rung and the shrink rung on elastic
+/// ones. `what` names the front-end in log lines and errors.
+core::ParallelDfptResult solve_recovered(CheckpointStore& store,
+                                         const RecoveryOptions& ropt,
+                                         RecoveryStats& stats,
+                                         const scf::ScfResult& ground,
+                                         core::ParallelDfptOptions world,
+                                         int direction, const char* what) {
+  // The driver installs these hooks on every attempt; a caller's would be
+  // replaced without ever running.
+  AEQP_CHECK(!world.dfpt.observer,
+             std::string(what) +
+                 ": DfptOptions::observer is owned by the recovery driver");
+  AEQP_CHECK(!ropt.elastic || !world.rank_hook,
+             std::string(what) +
+                 ": ParallelDfptOptions::rank_hook is owned by elastic recovery");
   stats = RecoveryStats{};
   const std::string key =
       ropt.checkpoint_key + "-dir" + std::to_string(direction);
   store.remove(key);  // a stale checkpoint from a previous run must not leak in
 
   // Survivor set in ORIGINAL rank ids, kept strictly increasing; the solver
-  // renumbers densely so current world slot s maps to active[s].
-  std::vector<std::size_t> active(base.ranks);
-  std::iota(active.begin(), active.end(), std::size_t{0});
-  BuddyReplicator buddy(base.ranks);
-  // Buddy replicas are reclaimable under memory pressure: spilled to the
-  // disk-backed store they survive BOTH the holder's death and the relief
-  // that evicted them. Registered for the lifetime of this solve only.
+  // renumbers densely so current world slot s maps to active[s]. Only the
+  // shrink rung edits it.
+  std::vector<std::size_t> active = world.active_ranks;
+  if (active.empty()) {
+    active.resize(world.ranks);
+    std::iota(active.begin(), active.end(), std::size_t{0});
+  }
+  // Elastic state. Buddy replicas are reclaimable under memory pressure:
+  // spilled to the disk-backed store they survive BOTH the holder's death
+  // and the relief that evicted them. The straggler detector persists
+  // across attempts (slowness evidence and classifications survive
+  // rollbacks), as do the measured speed weights once the rebalance rung
+  // has fired; `last_degraded` prevents oscillation: only a degraded set
+  // with a NEW member re-fires the rung -- a rank recovering does not (the
+  // weights stay sticky, which is safe: a healthy rank merely carries a bit
+  // less work).
+  BuddyReplicator buddy(world.ranks);
   buddy.set_spill_store(&store);
   std::optional<ScopedMemReclaimer> buddy_spill;
-  if (ropt.memory_relief)
-    buddy_spill.emplace("buddy_spill", [&buddy] { return buddy.spill(); });
-
-  // Straggler defense: the detector persists across attempts (slowness
-  // evidence and classifications survive rollbacks), as do the measured
-  // speed weights once the rebalance rung has fired. `last_degraded`
-  // prevents oscillation: only a degraded set with a NEW member re-fires
-  // the rung -- a rank recovering does not (the weights stay sticky, which
-  // is safe: a healthy rank merely carries a bit less work).
   std::unique_ptr<parallel::StragglerDetector> owned_straggler;
-  parallel::StragglerDetector* straggler = base.straggler_detector;
-  if (straggler == nullptr && ropt.straggler_defense) {
-    owned_straggler = std::make_unique<parallel::StragglerDetector>(base.ranks);
-    straggler = owned_straggler.get();
+  parallel::StragglerDetector* straggler = nullptr;
+  if (ropt.elastic) {
+    if (ropt.memory_relief)
+      buddy_spill.emplace("buddy_spill", [&buddy] { return buddy.spill(); });
+    if (world.straggler_detector == nullptr) {
+      owned_straggler =
+          std::make_unique<parallel::StragglerDetector>(world.ranks);
+      world.straggler_detector = owned_straggler.get();
+    }
+    straggler = world.straggler_detector;
   }
   std::vector<double> rebalance_weights;
   std::vector<std::size_t> last_degraded;
 
-  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
   std::size_t repeat_rank = kNone;  // original id of the rank failing in a row
   int repeat_count = 0;
-  std::string last_reason;
-  bool last_rank_failure = false;
-  std::size_t last_failed_original = 0;
-  std::size_t last_observer_rank = 0;
+  // ABFT corrections are healed inside the kernels and never surface as
+  // exceptions; account for them with a scoped accumulator (rank threads
+  // inherit it), so concurrent drivers in a multi-tenant server never read
+  // each other's corrections.
   const linalg::AbftStatsScope abft_scope;
-  // Relief-ladder state persists across attempts: once a rung has shed
-  // state, every later attempt runs in the reduced-footprint configuration.
-  int oom_rung = 0;
-  bool relief_drop_point_cache = false;
-  std::size_t relief_pack_bytes = 0;     // 0 = untouched
-  std::size_t relief_batch_points = 0;   // 0 = untouched
+  int oom_rung = 0;  // relief-ladder position, advanced per OOM fault
 
   for (int attempt = 0;; ++attempt) {
     AttemptContext ctx;
-    bool oom_fault = false;
-    bool timeout_fault = false;
-    core::ParallelDfptOptions popts = base;
-    popts.active_ranks = active.size() == base.ranks
+    core::ParallelDfptOptions popts = world;
+    popts.active_ranks = active.size() == world.ranks
                              ? std::vector<std::size_t>{}
                              : active;
-    popts.straggler_detector = straggler;
-    popts.rank_speed_weights = rebalance_weights;
     // A rebalanced world distributes the Poisson producer as well: the
     // replicated producer runs at the slowest rank's speed no matter how
     // the grid batches are re-homed, which would cap the rebalance win.
     // Bit-identical by construction (see ParallelDfptOptions), so flipping
     // it on mid-recovery never perturbs the trajectory.
-    if (!rebalance_weights.empty()) popts.distribute_rho = true;
-    if (relief_drop_point_cache) popts.cache_point_evals = false;
-    if (relief_pack_bytes != 0) popts.pack_bytes = relief_pack_bytes;
-    if (relief_batch_points != 0) popts.batch_points = relief_batch_points;
+    if (!rebalance_weights.empty()) {
+      popts.rank_speed_weights = rebalance_weights;
+      popts.distribute_rho = true;
+    }
+    // Graceful degradation: the first retry replays the original trajectory
+    // (a transient fault needs no damping, and the replay is bit-identical);
+    // repeated faults progressively damp the mixing.
     if (attempt >= 2)
       popts.dfpt.mixing =
-          base.dfpt.mixing * std::pow(ropt.mixing_damping, attempt - 1);
+          world.dfpt.mixing * std::pow(ropt.mixing_damping, attempt - 1);
 
     if (attempt > 0) {
       ++stats.retries;
       obs::trace_instant("recovery/retry");
       std::optional<CpscfCheckpoint> ckpt = store.try_load_cpscf(key);
-      if (!ckpt) {
-        // Diskless fallback: the CPSCF state is replicated on every rank,
-        // so ANY replica whose holder survived restores it. A torn replica
-        // is skipped -- another buddy may hold a good one.
-        for (std::size_t owner = 0; owner < base.ranks && !ckpt; ++owner) {
-          const auto blob = buddy.blob_of(owner);
-          if (!blob) continue;
-          if (std::find(active.begin(), active.end(), blob->holder) ==
-              active.end())
-            continue;
-          try {
-            ckpt = deserialize_cpscf(
-                blob->bytes, "buddy replica of rank " + std::to_string(owner));
-            ++stats.buddy_restores;
-            obs::trace_instant("recovery/buddy_restore");
-            AEQP_LOG_INFO << "RecoveryDriver[elastic]: restored iteration "
-                          << ckpt->iteration << " from the replica of rank "
-                          << owner << " held by rank " << blob->holder;
-          } catch (const Error&) {
-          }
+      // Diskless fallback when the file checkpoint died with its writer
+      // (only elastic runs replicate): the CPSCF state is replicated on
+      // every rank, so ANY replica whose holder survived restores it. A
+      // torn replica is skipped -- another buddy may hold a good one.
+      for (std::size_t owner = 0; owner < world.ranks && !ckpt; ++owner) {
+        const auto blob = buddy.blob_of(owner);
+        if (!blob || std::find(active.begin(), active.end(), blob->holder) ==
+                         active.end())
+          continue;
+        try {
+          ckpt = deserialize_cpscf(
+              blob->bytes, "buddy replica of rank " + std::to_string(owner));
+          ++stats.buddy_restores;
+          obs::trace_instant("recovery/buddy_restore");
+          AEQP_LOG_INFO << what << ": restored iteration " << ckpt->iteration
+                        << " from the replica of rank " << owner
+                        << " held by rank " << blob->holder;
+        } catch (const Error&) {
         }
       }
       if (ckpt && ckpt->iteration >= 1 &&
@@ -390,8 +307,7 @@ core::ParallelDfptResult run_elastic(CheckpointStore& store,
         obs::trace_instant("recovery/rollback");
       }
       backoff_sleep(ropt, key, attempt);
-      throw_if_cancelled(ropt, "RecoveryDriver[elastic]", direction, attempt,
-                         ctx.checkpoint_iteration);
+      throw_if_cancelled(ropt, what, direction, attempt, ctx.checkpoint_iteration);
     }
 
     popts.dfpt.observer = [&](const core::CpscfIterationState& s) {
@@ -404,24 +320,20 @@ core::ParallelDfptResult run_elastic(CheckpointStore& store,
           check_iteration_health(*s.p1, s.delta, ctx.prev_delta, ropt.health);
       if (!hr.healthy) {
         ctx.fault = true;
-        ctx.fault_reason = "iteration " + std::to_string(s.iteration) +
-                           " unhealthy: " + hr.reason;
+        ctx.reason =
+            "iteration " + std::to_string(s.iteration) + " unhealthy: " + hr.reason;
         return core::CpscfAction::Abort;
       }
       ctx.prev_delta = s.delta;
-      // Soft-watermark polling, same contract as the non-elastic loop.
+      // Soft-watermark polling: shed reclaimable state between iterations
+      // BEFORE the hard ceiling is reached. Non-aborting, observer-only --
+      // reclaimers free caches and replicas, never solver state.
       if (ropt.memory_relief && mem_pressure().over_soft) {
         obs::trace_instant("membudget/soft_watermark");
         if (relieve_pressure() > 0) ++stats.relief_actions;
       }
       const auto save_checkpoint = [&] {
-        CpscfCheckpoint ckpt;
-        ckpt.direction = s.direction;
-        ckpt.iteration = s.iteration;
-        ckpt.mixing = s.mixing;
-        ckpt.last_delta = s.delta;
-        ckpt.p1 = *s.p1;
-        store.save(key, ckpt);
+        store.save(key, checkpoint_of(s));
         ctx.checkpoint_iteration = s.iteration;
       };
       if (s.iteration % ropt.checkpoint_every == 0) save_checkpoint();
@@ -440,211 +352,155 @@ core::ParallelDfptResult run_elastic(CheckpointStore& store,
             // zero iterations whatever checkpoint_every is.
             if (ctx.checkpoint_iteration != s.iteration) save_checkpoint();
             ctx.straggler = true;
-            std::string who;
-            for (const auto r : degraded)
-              who += (who.empty() ? "" : ",") + std::to_string(r);
-            ctx.fault_reason = "rank(s) " + who +
-                               " classified degraded at iteration " +
-                               std::to_string(s.iteration) +
-                               "; rebalancing before any shrink";
+            ctx.reason = "rank(s) " + rank_list(degraded) +
+                         " classified degraded at iteration " +
+                         std::to_string(s.iteration) +
+                         "; rebalancing before any shrink";
             return core::CpscfAction::Abort;
           }
         }
       }
       return core::CpscfAction::Continue;
     };
-    // Buddy replication rides the per-iteration hook: the hook runs after
-    // the observer's abort broadcast, so only health-validated iterations
-    // are mirrored, on the same cadence as the file checkpoint.
-    popts.rank_hook = [&](parallel::Communicator& comm,
-                          const core::CpscfIterationState& s) {
-      if (s.iteration % ropt.checkpoint_every != 0) return;
-      CpscfCheckpoint ckpt;
-      ckpt.direction = s.direction;
-      ckpt.iteration = s.iteration;
-      ckpt.mixing = s.mixing;
-      ckpt.last_delta = s.delta;
-      ckpt.p1 = *s.p1;
-      buddy.replicate(comm, serialize(ckpt));
-    };
+    // Buddy replication rides the per-iteration hook of elastic runs: the
+    // hook runs after the observer's abort broadcast, so only
+    // health-validated iterations are mirrored, on the same cadence as the
+    // file checkpoint. A plain run keeps its collective schedule.
+    if (ropt.elastic)
+      popts.rank_hook = [&](parallel::Communicator& comm,
+                            const core::CpscfIterationState& s) {
+        if (s.iteration % ropt.checkpoint_every == 0)
+          buddy.replicate(comm, serialize(checkpoint_of(s)));
+      };
 
     try {
       auto result = core::solve_direction_parallel(ground, popts, direction);
       stats.abft_corrections = abft_scope.stats().corrections;
       if (ctx.cancelled)
-        throw_cancelled("RecoveryDriver[elastic]", direction, attempt,
-                        ctx.last_iteration);
-      if (!ctx.fault && !result.direction.aborted) {
+        throw_cancelled(what, direction, attempt, ctx.last_iteration);
+      if (!ctx.fault && !result.direction.aborted) {  // healthy
         stats.remap_seconds = result.stats.remap_seconds;
-        result.stats.faults_detected = stats.faults_detected;
-        result.stats.restores = stats.restores;
-        result.stats.retries = stats.retries;
-        result.stats.wasted_iterations = stats.wasted_iterations;
-        result.stats.shrinks = stats.shrinks;
-        result.stats.buddy_restores = stats.buddy_restores;
-        result.stats.abft_corrections = stats.abft_corrections;
-        result.stats.invariant_violations = stats.invariant_violations;
-        result.stats.payload_corruptions = stats.payload_corruptions;
-        result.stats.rebalances = stats.rebalances;
-        result.stats.degraded_ranks =
-            std::max(result.stats.degraded_ranks, stats.degraded_ranks);
+        mirror(stats, result.stats);
         return result;
       }
-      last_reason = ctx.fault || ctx.straggler
-                        ? ctx.fault_reason
-                        : "solver aborted without a recovery request "
-                          "(corrupted control payload?)";
-      last_rank_failure = false;
-      repeat_rank = kNone;  // a health fault breaks a same-rank failure streak
-      repeat_count = 0;
+      // An abort this driver never requested means the abort decision
+      // itself was corrupted in transit -- treat it as a fault, not as a
+      // legitimate early exit.
+      if (!ctx.fault && !ctx.straggler)
+        ctx.reason = "solver aborted without a recovery request "
+                     "(corrupted control payload?)";
     } catch (const parallel::RankFailure& e) {
-      last_reason = e.what();
-      last_rank_failure = true;
-      last_observer_rank = e.observer_rank();
+      ctx.reason = e.what();
+      ctx.rank_failure = true;
+      ctx.observer_rank = e.observer_rank();
       // The exception carries CURRENT world ids; map back through the
-      // survivor list so the permanence classification follows the physical
-      // (original) rank across renumberings.
-      const std::size_t failed_current = e.failed_rank();
-      last_failed_original =
-          failed_current < active.size() ? active[failed_current] : kNone;
-      if (last_failed_original == repeat_rank) {
-        ++repeat_count;
-      } else {
-        repeat_rank = last_failed_original;
-        repeat_count = 1;
-      }
+      // survivor list so the permanence classification follows the
+      // physical (original) rank across renumberings.
+      if (e.failed_rank() < active.size())
+        ctx.failed_rank = active[e.failed_rank()];
     } catch (const parallel::CollectiveTimeout& e) {
-      // A timeout is the straggler rung's backstop signal: an extreme
-      // slowdown can blow the (adaptive) deadline before the per-iteration
-      // classification sees a full window, so the catch path reclassifies
-      // below and rebalances instead of burning plain retries.
-      last_reason = e.what();
-      last_rank_failure = false;
-      timeout_fault = true;
-      repeat_rank = kNone;
-      repeat_count = 0;
+      // Also the straggler rung's backstop signal (see below).
+      ctx.reason = e.what();
+      ctx.timeout = true;
     } catch (const parallel::PayloadCorruption& e) {
-      // In-flight corruption is transient by assumption (a struck message,
-      // not a struck node): it rolls back but never drives a shrink.
-      last_reason = e.what();
-      last_rank_failure = false;
+      // A verified collective caught in-flight corruption: the payload is
+      // poisoned, so roll back like any other fault. Transient by
+      // assumption (a struck message, not a struck node): never a shrink.
+      ctx.reason = e.what();
       ++stats.payload_corruptions;
-      repeat_rank = kNone;
-      repeat_count = 0;
     } catch (const InvariantViolation& e) {
-      last_reason = e.what();
-      last_rank_failure = false;
+      // A physics guard tripped past the in-place rungs (ABFT correction,
+      // local recompute): the state is corrupt -- rollback and retry.
+      ctx.reason = e.what();
       ++stats.invariant_violations;
-      repeat_rank = kNone;
-      repeat_count = 0;
     } catch (const linalg::AbftError& e) {
-      last_reason = e.what();
-      last_rank_failure = false;
-      repeat_rank = kNone;
-      repeat_count = 0;
+      // Multi-element (uncorrectable) product corruption: detection without
+      // location, so in-place repair is off the table -- rollback.
+      ctx.reason = e.what();
     } catch (const OutOfMemoryBudget& e) {
-      // A budget breach is not a node death: it never drives a shrink
-      // (shrinking RAISES per-rank memory). It walks the relief ladder.
-      last_reason = e.what();
-      last_rank_failure = false;
-      oom_fault = true;
+      // Memory exhaustion enters the same ladder: the governor turned a
+      // would-be std::bad_alloc into a structured fault, and the relief
+      // rungs below shed state so the re-attempt fits. A budget breach is
+      // not a node death: it never drives a shrink (shrinking RAISES
+      // per-rank memory).
+      ctx.reason = e.what();
+      ctx.oom = true;
       ++stats.oom_events;
-      repeat_rank = kNone;
-      repeat_count = 0;
       obs::trace_instant("recovery/oom");
     }
     stats.abft_corrections = abft_scope.stats().corrections;
     stats.wasted_iterations += static_cast<std::size_t>(
         std::max(0, ctx.last_iteration - ctx.checkpoint_iteration));
+    // Same-rank failure streak; any other outcome breaks it.
+    if (!ctx.rank_failure) {
+      repeat_rank = kNone;
+      repeat_count = 0;
+    } else if (ctx.failed_rank == repeat_rank) {
+      ++repeat_count;
+    } else {
+      repeat_rank = ctx.failed_rank;
+      repeat_count = 1;
+    }
     if (ctx.straggler) {
       // A slow rank is a performance event, not a fault: it does not count
       // toward faults_detected, and the checkpoint taken just before the
       // abort makes the re-entry resume at the same iteration.
-      AEQP_LOG_INFO << "RecoveryDriver[elastic]: straggler on attempt "
-                    << attempt + 1 << " (" << last_reason
-                    << "); re-entering from iteration "
+      AEQP_LOG_INFO << what << ": straggler on attempt " << attempt + 1
+                    << " (" << ctx.reason << "); re-entering from iteration "
                     << ctx.checkpoint_iteration;
     } else {
       ++stats.faults_detected;
       obs::trace_instant("recovery/fault_detected");
-      AEQP_LOG_INFO << "RecoveryDriver[elastic]: fault on attempt "
-                    << attempt + 1 << " (" << last_reason
-                    << "); rolling back to iteration "
+      AEQP_LOG_INFO << what << ": fault on attempt " << attempt + 1 << " ("
+                    << ctx.reason << "); rolling back to iteration "
                     << ctx.checkpoint_iteration;
     }
 
-    // --- Pressure-relief ladder: one more rung per OOM fault. Rung 1
-    //     sheds the point-eval cache (bit-identical re-evaluation), rung 2
-    //     runs the reclaimer registry (warm cache, buddy spill), rung 3
-    //     shrinks the pack window and grid batch through the tune knobs.
-    if (oom_fault && ropt.memory_relief) {
-      ++oom_rung;
-      if (oom_rung >= 1 && !relief_drop_point_cache && base.cache_point_evals) {
-        relief_drop_point_cache = true;
-        ++stats.relief_actions;
-        obs::trace_instant("membudget/relief_point_cache");
-      }
-      if (oom_rung >= 2 && relieve_pressure() > 0) ++stats.relief_actions;
-      if (oom_rung >= 3 && relief_pack_bytes == 0) {
-        relief_pack_bytes = std::max<std::size_t>(
-            tune::pack_window_bytes(base.pack_bytes) / 4, std::size_t{4096});
-        relief_batch_points = std::max<std::size_t>(
-            tune::grid_batch_points(base.batch_points) / 2, std::size_t{16});
-        ++stats.relief_actions;
-        obs::trace_instant("membudget/relief_shrink_windows");
-      }
-    }
+    if (ctx.oom && ropt.memory_relief)
+      stats.relief_actions += relieve(world, ++oom_rung);
 
-    // --- Rebalance rung: fires BEFORE the shrink rung. A degraded-but-
-    //     alive rank keeps its place in the world; the next attempt re-homes
-    //     grid batches around the measured speed weights
-    //     (mapping::rebalance_for_slow_ranks), so the run completes at full
-    //     world size with bit-identical results. The timeout backstop
-    //     reclassifies here because an extreme slowdown may have surfaced
-    //     as CollectiveTimeout between iteration boundaries. ---
-    if (straggler != nullptr && (ctx.straggler || timeout_fault)) {
-      if (timeout_fault) straggler->classify();
+    // --- Rebalance rung (elastic), BEFORE the shrink rung: a degraded but
+    //     alive rank keeps its place in the world; the next attempt
+    //     re-homes grid batches around the measured speed weights
+    //     (mapping::rebalance_for_slow_ranks) at full world size. The
+    //     timeout backstop reclassifies here because an extreme slowdown
+    //     may have surfaced as CollectiveTimeout between iteration
+    //     boundaries. ---
+    if (straggler != nullptr && (ctx.straggler || ctx.timeout)) {
+      if (ctx.timeout) straggler->classify();
       const auto degraded = straggler->degraded_ranks();
       if (!degraded.empty() && degraded != last_degraded) {
         rebalance_weights = straggler->speed_weights();
-        // Shed policy: a rank that earned a degraded verdict keeps only a
-        // token share (see RecoveryOptions::rebalance_shed_weight) -- the
-        // measured ratio understates how sick it is, and healthy ranks
-        // absorb the shed work at full speed.
+        // Shed policy: a degraded rank keeps only a token share (see
+        // kRebalanceShedWeight); healthy ranks absorb the shed work.
         for (const std::size_t r : degraded)
           if (r < rebalance_weights.size())
             rebalance_weights[r] =
-                std::min(rebalance_weights[r], ropt.rebalance_shed_weight);
+                std::min(rebalance_weights[r], kRebalanceShedWeight);
         last_degraded = degraded;
         ++stats.rebalances;
-        stats.degraded_ranks =
-            std::max(stats.degraded_ranks, degraded.size());
+        stats.degraded_ranks = std::max(stats.degraded_ranks, degraded.size());
         obs::trace_instant("recovery/rebalance");
-        std::string who;
-        for (const auto r : degraded)
-          who += (who.empty() ? "" : ",") + std::to_string(r);
-        AEQP_LOG_INFO << "RecoveryDriver[elastic]: rebalancing around "
-                         "degraded rank(s) "
-                      << who << " at full world size ("
+        AEQP_LOG_INFO << what << ": rebalancing around degraded rank(s) "
+                      << rank_list(degraded) << " at full world size ("
                       << active.size() << " ranks) before any shrink";
       }
     }
 
-    // --- Escalation rung 3: a rank that fails on consecutive attempts is a
-    //     dead node, not a glitch -- retrying at the same world size would
-    //     fail forever. Shrink it away and resume on the survivors. ---
-    if (last_rank_failure && repeat_rank != kNone &&
-        repeat_count >= ropt.permanent_failure_threshold) {
-      if (active.size() <= ropt.min_ranks) {
+    // --- Shrink rung (elastic): a rank that fails on consecutive attempts
+    //     is a dead node, not a glitch -- retrying at the same world size
+    //     would fail forever. Shrink it away and resume on the survivors;
+    //     the last survivor is the floor. ---
+    if (ropt.elastic && ctx.rank_failure && repeat_rank != kNone &&
+        repeat_count >= kPermanentFailureThreshold) {
+      if (active.size() == 1) {
         std::ostringstream msg;
-        msg << "RecoveryDriver[elastic]: rank " << repeat_rank
-            << " permanently failed but the world is already at the min_ranks"
-               " floor ("
-            << ropt.min_ranks << "); retry budget abandoned for direction "
-            << direction << ", last failure: " << last_reason;
+        msg << what << ": rank " << repeat_rank
+            << " permanently failed and was the last survivor; recovery "
+               "abandoned for direction "
+            << direction << ", last failure: " << ctx.reason;
         obs::flight_on_error("RankFailure", msg.str());
-        throw parallel::RankFailure(repeat_rank, last_observer_rank,
-                                    msg.str());
+        throw parallel::RankFailure(repeat_rank, ctx.observer_rank, msg.str());
       }
       const std::size_t replicas_lost = buddy.drop_holder(repeat_rank);
       if (repeat_rank == active.front()) {
@@ -654,19 +510,16 @@ core::ParallelDfptResult run_elastic(CheckpointStore& store,
         store.remove(key);
       }
       active.erase(std::find(active.begin(), active.end(), repeat_rank));
-      if (straggler != nullptr) {
-        // The dead rank must not pin a stale "degraded" verdict, and its
-        // slowness samples must stop counting toward the cross-rank median.
-        straggler->retain(active);
-        last_degraded.erase(
-            std::remove(last_degraded.begin(), last_degraded.end(),
-                        repeat_rank),
-            last_degraded.end());
-      }
+      // The dead rank must not pin a stale "degraded" verdict, and its
+      // slowness samples must stop counting toward the cross-rank median.
+      straggler->retain(active);
+      last_degraded.erase(
+          std::remove(last_degraded.begin(), last_degraded.end(), repeat_rank),
+          last_degraded.end());
       ++stats.shrinks;
       ++stats.lost_ranks;
       obs::trace_instant("recovery/shrink");
-      AEQP_LOG_INFO << "RecoveryDriver[elastic]: rank " << repeat_rank
+      AEQP_LOG_INFO << what << ": rank " << repeat_rank
                     << " classified permanent after " << repeat_count
                     << " consecutive failures; shrinking the world to "
                     << active.size() << " survivors (" << replicas_lost
@@ -677,20 +530,26 @@ core::ParallelDfptResult run_elastic(CheckpointStore& store,
 
     if (attempt >= ropt.max_retries) {
       std::ostringstream msg;
-      msg << "RecoveryDriver[elastic]: retry budget exhausted for direction "
-          << direction << " after " << attempt + 1 << " attempts: "
-          << stats.faults_detected << " faults detected, " << stats.shrinks
-          << " shrinks, " << stats.restores
-          << " checkpoint restores, last failure: " << last_reason;
+      msg << what << ": retry budget exhausted for direction " << direction
+          << " after " << attempt + 1 << " attempts: " << stats.faults_detected
+          << " faults detected, " << stats.shrinks << " shrinks, "
+          << stats.restores << " checkpoint restores, last failure: "
+          << ctx.reason;
+      // Retry exhaustion is terminal for the job: dump the flight recorder
+      // before the structured error escapes to the caller. A dead rank
+      // re-fails every retry at the same world size; without elastic
+      // shrink the budget runs out against it, surfaced as a RankFailure
+      // naming the culprit (it derives from Error, so untyped handlers
+      // still work).
       obs::flight_on_error(
-          last_rank_failure ? "RankFailure"
-                            : (oom_fault ? "OutOfMemoryBudget" : "Error"),
+          ctx.rank_failure ? "RankFailure"
+                           : (ctx.oom ? "OutOfMemoryBudget" : "Error"),
           msg.str());
-      if (last_rank_failure)
+      if (ctx.rank_failure)
         throw parallel::RankFailure(
-            last_failed_original == kNone ? 0 : last_failed_original,
-            last_observer_rank, msg.str());
-      if (oom_fault)
+            ctx.failed_rank == kNone ? 0 : ctx.failed_rank, ctx.observer_rank,
+            msg.str());
+      if (ctx.oom)
         throw OutOfMemoryBudget(
             "recovery/" + key, 0,
             static_cast<std::size_t>(mem_budget_bytes()),
@@ -715,75 +574,23 @@ RecoveryDriver::RecoveryDriver(CheckpointStore& store, RecoveryOptions options)
 
 core::DfptDirectionResult RecoveryDriver::solve_direction(
     const scf::ScfResult& ground, core::DfptOptions options, int direction) {
-  return run_recovered(
-      store_, options_, stats_, options, direction, "RecoveryDriver[serial]",
-      [&](const core::DfptOptions& opts) {
-        return core::DfptSolver(ground, opts).solve_direction(direction);
-      },
-      [](const core::DfptDirectionResult& r) { return r.aborted; },
-      // The serial solver holds no shed-able caches of its own; relief is
-      // the process-wide reclaimer registry.
-      [](int /*rung*/) -> std::size_t {
-        return relieve_pressure() > 0 ? std::size_t{1} : std::size_t{0};
-      });
+  // DfptSolver's one-rank world: flat synthesis over a single rank.
+  core::ParallelDfptOptions world;
+  world.dfpt = std::move(options);
+  world.ranks = 1;
+  world.ranks_per_node = 1;
+  world.reduce_mode = comm::ReduceMode::Flat;
+  return solve_recovered(store_, options_, stats_, ground, std::move(world),
+                         direction, "RecoveryDriver[serial]")
+      .direction;
 }
 
 core::ParallelDfptResult RecoveryDriver::solve_direction_parallel(
     const scf::ScfResult& ground, core::ParallelDfptOptions options,
     int direction) {
-  if (options_.elastic) {
-    AEQP_CHECK(options_.min_ranks >= 1,
-               "RecoveryDriver: min_ranks must be >= 1");
-    AEQP_CHECK(options_.permanent_failure_threshold >= 1,
-               "RecoveryDriver: permanent_failure_threshold must be >= 1");
-    AEQP_CHECK(options.active_ranks.empty(),
-               "RecoveryDriver: elastic recovery owns the active-rank set");
-    return run_elastic(store_, options_, stats_, ground, options, direction);
-  }
-  auto result = run_recovered(
-      store_, options_, stats_, options.dfpt, direction,
-      "RecoveryDriver[parallel]",
-      [&](const core::DfptOptions& opts) {
-        core::ParallelDfptOptions popts = options;
-        popts.dfpt = opts;
-        return core::solve_direction_parallel(ground, popts, direction);
-      },
-      [](const core::ParallelDfptResult& r) { return r.direction.aborted; },
-      // Pressure-relief ladder, cheapest rung first; mutations of `options`
-      // persist across the remaining attempts of this solve.
-      [&options](int rung) -> std::size_t {
-        std::size_t actions = 0;
-        if (rung >= 1 && options.cache_point_evals) {
-          options.cache_point_evals = false;
-          ++actions;
-          obs::trace_instant("membudget/relief_point_cache");
-        }
-        if (rung >= 2 && relieve_pressure() > 0) ++actions;
-        if (rung >= 3) {
-          const std::size_t pack = tune::pack_window_bytes(options.pack_bytes);
-          const std::size_t batch =
-              tune::grid_batch_points(options.batch_points);
-          const std::size_t shrunk_pack =
-              std::max<std::size_t>(pack / 4, std::size_t{4096});
-          const std::size_t shrunk_batch =
-              std::max<std::size_t>(batch / 2, std::size_t{16});
-          if (shrunk_pack < pack || shrunk_batch < batch) {
-            options.pack_bytes = shrunk_pack;
-            options.batch_points = shrunk_batch;
-            ++actions;
-            obs::trace_instant("membudget/relief_shrink_windows");
-          }
-        }
-        return actions;
-      });
-  result.stats.faults_detected = stats_.faults_detected;
-  result.stats.restores = stats_.restores;
-  result.stats.retries = stats_.retries;
-  result.stats.wasted_iterations = stats_.wasted_iterations;
-  result.stats.abft_corrections = stats_.abft_corrections;
-  result.stats.invariant_violations = stats_.invariant_violations;
-  result.stats.payload_corruptions = stats_.payload_corruptions;
-  return result;
+  return solve_recovered(
+      store_, options_, stats_, ground, std::move(options), direction,
+      options_.elastic ? "RecoveryDriver[elastic]" : "RecoveryDriver[parallel]");
 }
 
 obs::ScopedMetricsSource register_metrics(const RecoveryStats& stats,

@@ -10,6 +10,15 @@
 /// costs only the iterations since the last checkpoint, and the recovered
 /// trajectory of the first retry is bit-identical to a fault-free run.
 ///
+/// One loop serves every front-end. Each attempt runs
+/// core::solve_direction_parallel; the serial front-end's world is the one
+/// rank DfptSolver runs on (ranks = 1, flat reduce), so serial, distributed
+/// and elastic runs share one observer, one checkpoint format, one catch
+/// ladder, one memory-relief ladder and one exhaustion error. The driver
+/// owns DfptOptions::observer (and, on elastic runs,
+/// ParallelDfptOptions::rank_hook): a caller's hook is rejected with an
+/// aeqp::Error rather than replaced.
+///
 /// Silent data corruption (docs/sdc.md) enters the same ladder below the
 /// rollback rung: ABFT-checksummed matmuls correct single-element product
 /// corruption in place (no rollback at all), non-finite Sumup batches are
@@ -18,8 +27,8 @@
 /// PayloadCorruption from a verified collective -- is caught here and
 /// treated as a fault: rollback to the last checkpoint and retry.
 ///
-/// With `RecoveryOptions::elastic` the parallel front-end adds a further
-/// escalation rung for PERMANENT rank failures (a dead node re-fails every
+/// With `RecoveryOptions::elastic` the loop adds further escalation rungs
+/// for stragglers and PERMANENT rank failures (a dead node re-fails every
 /// retry at the same world size):
 ///
 ///   correct in place  ->  local recompute  ->  retry  ->  damped retry
@@ -30,17 +39,17 @@
 /// (straggler, detected by the per-rank arrival-lag ledger or surfaced by
 /// an adaptive collective deadline) keeps its place in the world, and the
 /// grid batches are re-homed around its measured speed with
-/// mapping::rebalance_for_slow_ranks -- full world size, no renumbering,
-/// bit-identical results. Only a rank that actually FAILS repeatedly is
-/// shrunk away.
+/// mapping::rebalance_for_slow_ranks -- full world size, no renumbering.
+/// Only a rank that actually FAILS repeatedly is shrunk away.
 ///
-/// A rank is classified permanent when the same original rank fails on
-/// `permanent_failure_threshold` consecutive attempts. The driver then
-/// excludes it from the active world (ULFM shrink analogue), restores the
-/// last checkpoint from an in-memory buddy replica when the dead rank took
-/// the file checkpoint down with it, re-homes the dead rank's grid batches
-/// onto survivors with the locality-aware re-mapping, and resumes the CPSCF
-/// iteration on the shrunken world.
+/// A rank is classified permanent when the same original rank fails on two
+/// consecutive attempts. The driver then excludes it from the active world
+/// (ULFM shrink analogue), restores the last checkpoint from an in-memory
+/// buddy replica when the dead rank took the file checkpoint down with it,
+/// re-homes the dead rank's grid batches onto survivors with the
+/// locality-aware re-mapping, and resumes the CPSCF iteration on the
+/// shrunken world. The last survivor is the floor: its permanent failure
+/// raises a structured parallel::RankFailure naming it.
 
 #include <functional>
 #include <string>
@@ -80,47 +89,24 @@ struct RecoveryOptions {
   HealthPolicy health;            ///< per-iteration validation bounds
   std::string checkpoint_key = "cpscf";  ///< prefix; "-dir<j>" is appended
   int checkpoint_every = 1;       ///< save every N healthy iterations
-  /// Shrink-and-continue (parallel front-end only): permanently failed
-  /// ranks are excluded from the world and the run resumes on survivors
+  /// Elastic recovery: buddy-replicate every checkpoint, rebalance the
+  /// grid batches around stragglers (the driver attaches the caller's
+  /// ParallelDfptOptions::straggler_detector, or owns one), and shrink
+  /// permanently failed ranks out of the world to resume on the survivors
   /// from a buddy-replicated checkpoint. Off by default -- a non-elastic
-  /// driver exhausts its retry budget against a dead rank and surfaces a
-  /// structured parallel::RankFailure instead of deadlocking.
+  /// driver keeps the run's collective schedule, exhausts its retry budget
+  /// against a dead rank and surfaces a structured parallel::RankFailure
+  /// instead of deadlocking.
   bool elastic = false;
-  /// Elastic floor: never shrink below this many survivors; reaching it
-  /// with another permanent failure exhausts recovery.
-  std::size_t min_ranks = 1;
-  /// A rank is classified PERMANENT (and shrunk away) after failing on this
-  /// many consecutive attempts. 2 = one free retry, matching the transient
-  /// rollback rung.
-  int permanent_failure_threshold = 2;
   /// Pressure-relief ladder (membudget.hpp): when an OutOfMemoryBudget
-  /// fault is caught, each retry first sheds reclaimable state -- drop the
-  /// point-eval cache, run registered reclaimers (warm-cache eviction,
-  /// buddy spill), shrink the pack window and grid batch -- so the
-  /// re-attempt fits the budget; observers also poll the soft watermark
-  /// between iterations and relieve pre-emptively. Disable to surface the
-  /// first breach unrelieved.
+  /// fault is caught, each retry first walks one more rung -- drop the rank
+  /// tile cache (kept on device runs), run registered reclaimers
+  /// (warm-cache eviction, buddy spill), halve the grid batch and quarter
+  /// the pack window (floors 16 points, 4 KiB) -- so the re-attempt fits
+  /// the budget; observers also poll the soft watermark between iterations
+  /// and relieve pre-emptively. Disable to surface the first breach
+  /// unrelieved.
   bool memory_relief = true;
-  /// Straggler defense (elastic parallel runs only): attach a
-  /// parallel::StragglerDetector, classify at every iteration boundary, and
-  /// when a rank degrades, checkpoint + re-enter with measured speed
-  /// weights (the rebalance rung) instead of timing the rank out and
-  /// shrinking it away. Uses the caller's
-  /// ParallelDfptOptions::straggler_detector when set, otherwise the driver
-  /// owns one for the solve. Disable for a bit-identical collective
-  /// schedule to an undefended run.
-  bool straggler_defense = true;
-  /// Weight ceiling the rebalance rung applies to a degraded rank:
-  /// re-entry uses min(measured speed weight, rebalance_shed_weight). The
-  /// arrival-lag ratio the ledger measures is a LOWER bound on the true
-  /// slowdown whenever compute and collective waiting interleave, and the
-  /// loss is asymmetric -- leaving too much work on a sick rank stalls the
-  /// whole world at its pace, while shedding too much merely adds
-  /// share/(N-1) to each healthy rank. So the rung sheds to a token share
-  /// (the detector's weight floor), the same call speculative-execution
-  /// schedulers make once a task is flagged slow. Set to 1.0 to trust the
-  /// measured weights unclamped.
-  double rebalance_shed_weight = 1.0 / 16.0;
 };
 
 /// What recovery cost: mirrored into ParallelDfptStats for parallel runs.
@@ -146,21 +132,24 @@ struct RecoveryStats {
   std::size_t degraded_ranks = 0; ///< peak simultaneously degraded ranks
 };
 
-/// Wraps DfptSolver / solve_direction_parallel in checkpointed retry.
+/// Wraps the CPSCF solvers in checkpointed retry.
 class RecoveryDriver {
 public:
   RecoveryDriver(CheckpointStore& store, RecoveryOptions options);
 
-  /// Serial CPSCF with health validation, checkpointing and retry. Throws
-  /// aeqp::Error once the retry budget is exhausted.
+  /// Serial CPSCF with health validation, checkpointing and retry: the
+  /// one-rank world of DfptSolver (bit-identical to it fault-free) under
+  /// the same loop as solve_direction_parallel. Throws a structured error
+  /// once the retry budget is exhausted.
   [[nodiscard]] core::DfptDirectionResult solve_direction(
       const scf::ScfResult& ground, core::DfptOptions options, int direction);
 
   /// Distributed CPSCF with the same policy; rank failures and collective
   /// timeouts surfaced by the simmpi runtime are treated as faults and
-  /// recovered from. With options.elastic, permanent rank failures escalate
-  /// to shrink + buddy-restore + re-map + resume on the survivors (see the
-  /// file comment). Recovery counters are mirrored into result.stats.
+  /// recovered from. With RecoveryOptions::elastic, stragglers are
+  /// rebalanced around and permanent rank failures escalate to shrink +
+  /// buddy-restore + re-map + resume on the survivors (see the file
+  /// comment). Recovery counters are mirrored into result.stats.
   [[nodiscard]] core::ParallelDfptResult solve_direction_parallel(
       const scf::ScfResult& ground, core::ParallelDfptOptions options,
       int direction);

@@ -127,6 +127,8 @@ std::uint64_t SolveServer::submit(JobSpec spec) {
   std::string reason;
   if (spec.structure.size() == 0) {
     reason = "empty structure";
+  } else if (spec.dfpt.observer) {
+    reason = "DfptOptions::observer is owned by the recovery driver";
   } else if (spec.structure.size() > options_.max_atoms) {
     reason = "structure has " + std::to_string(spec.structure.size()) +
              " atoms, above the server limit of " +
@@ -379,7 +381,7 @@ void SolveServer::execute(JobRecord& rec) {
     // --- CPSCF under the degradation ladder. ---
     struct Rung {
       ServiceTier tier;
-      std::size_t ranks;
+      std::size_t ranks;  // 1 = the serial solver's one-rank world
       core::DfptOptions dfpt;
     };
     core::DfptOptions base = rec.spec.dfpt;
@@ -387,7 +389,8 @@ void SolveServer::execute(JobRecord& rec) {
     // a silently unconverged "result".
     base.require_convergence = true;
     std::vector<Rung> rungs;
-    rungs.push_back({ServiceTier::Full, rec.spec.ranks, base});
+    rungs.push_back(
+        {ServiceTier::Full, std::max<std::size_t>(rec.spec.ranks, 1), base});
     if (rec.spec.allow_degradation) {
       if (rec.spec.ranks > 1) {
         // Memory-aware ladder: halving the ranks RAISES the per-rank
@@ -410,7 +413,7 @@ void SolveServer::execute(JobRecord& rec) {
       core::DfptOptions loose = base;
       loose.tolerance =
           std::min(base.tolerance * options_.reduced_accuracy_factor, 1e-3);
-      rungs.push_back({ServiceTier::ReducedAccuracy, 0, loose});
+      rungs.push_back({ServiceTier::ReducedAccuracy, 1, loose});
     }
 
     std::string last_error = "degradation ladder exhausted";
@@ -431,7 +434,6 @@ void SolveServer::execute(JobRecord& rec) {
       ropt.cancel = expired;
       resilience::RecoveryDriver driver(job_store, ropt);
       try {
-        core::DfptDirectionResult r;
         std::size_t rung_ranks = rung.ranks;
         // Degraded-rank awareness: when an earlier tier reported N degraded
         // (slow but alive) ranks, the ReducedRanks rung drops only those N
@@ -449,27 +451,28 @@ void SolveServer::execute(JobRecord& rec) {
             obs::trace_instant("service/degraded_aware_ranks");
           }
         }
-        if (rung_ranks > 1) {
-          core::ParallelDfptOptions popts;
-          popts.dfpt = rung.dfpt;
-          popts.ranks = rung_ranks;
-          popts.ranks_per_node = std::min(rec.spec.ranks_per_node, rung_ranks);
+        core::ParallelDfptOptions popts;
+        popts.dfpt = rung.dfpt;
+        popts.ranks = rung_ranks;
+        popts.ranks_per_node =
+            std::clamp<std::size_t>(rec.spec.ranks_per_node, 1, rung_ranks);
+        // One rank is the serial solver's world: flat synthesis.
+        if (rung_ranks == 1) popts.reduce_mode = comm::ReduceMode::Flat;
+        // The reduced-accuracy tier exists to leave the faulty cluster.
+        if (rung.tier != ServiceTier::ReducedAccuracy)
           popts.fault_injector = rec.spec.fault_injector;
-          // A collective may not out-wait the job: clamp its timeout to the
-          // remaining budget so a stalled rank surfaces as a recoverable
-          // CollectiveTimeout inside the deadline.
-          const std::size_t left =
-              budget_ms > elapsed_ms() ? budget_ms - elapsed_ms() : 1;
-          popts.collective_timeout_ms =
-              std::min(popts.collective_timeout_ms, std::max<std::size_t>(left, 1));
-          r = driver.solve_direction_parallel(*ground, popts, rec.spec.direction)
-                  .direction;
-        } else {
-          r = driver.solve_direction(*ground, rung.dfpt, rec.spec.direction);
-        }
+        // A collective may not out-wait the job: clamp its timeout to the
+        // remaining budget so a stalled rank surfaces as a recoverable
+        // CollectiveTimeout inside the deadline.
+        const std::size_t left =
+            budget_ms > elapsed_ms() ? budget_ms - elapsed_ms() : 1;
+        popts.collective_timeout_ms =
+            std::min(popts.collective_timeout_ms, std::max<std::size_t>(left, 1));
+        out.result =
+            driver.solve_direction_parallel(*ground, popts, rec.spec.direction)
+                .direction;
         accumulate(out.recovery, driver.last_stats());
         out.tier = rung.tier;
-        out.result = std::move(r);
         out.state = JobState::Succeeded;
         solved = true;
       } catch (const DeadlineExceeded&) {

@@ -518,6 +518,48 @@ TEST(ElasticRecovery, NonElasticDriverSurfacesStructuredRankFailure) {
   EXPECT_EQ(injector.stats().kills, 3u);  // initial attempt + 2 retries
 }
 
+// The elastic floor: rank 1 dies permanently and is shrunk away, then the
+// last survivor dies permanently too. There is nobody left to shrink to, so
+// the driver raises a structured RankFailure naming that rank -- without
+// spending the rest of its retry budget, and without deadlocking.
+TEST(ElasticRecovery, LastSurvivorPermanentFailureRaisesRankFailure) {
+  const auto& ground = ground_h2();
+  parallel::FaultPlan plan;
+  parallel::FaultEvent ev;
+  ev.kind = parallel::FaultKind::Kill;
+  ev.transient = false;
+  ev.rank = 1;
+  ev.collective = 10;  // fires first: rank 0 cannot pass collective 10 alone
+  plan.add(ev);
+  ev.rank = 0;
+  ev.collective = 25;  // reached only once rank 0 runs by itself
+  plan.add(ev);
+  parallel::FaultInjector injector(std::move(plan));
+
+  core::ParallelDfptOptions popt = elastic_popt(&injector);
+  popt.ranks = 2;
+  CheckpointStore store(fresh_dir("elastic_floor"));
+  RecoveryOptions ropt;
+  ropt.elastic = true;
+  ropt.max_retries = 8;
+  ropt.mixing_damping = 1.0;
+  RecoveryDriver driver(store, ropt);
+  try {
+    (void)driver.solve_direction_parallel(ground, popt, 2);
+    FAIL() << "the last survivor's permanent failure did not surface";
+  } catch (const parallel::RankFailure& e) {
+    EXPECT_EQ(e.failed_rank(), 0u);
+    const std::string what = e.what();
+    EXPECT_NE(what.find("last survivor"), std::string::npos) << what;
+    EXPECT_NE(what.find("killed"), std::string::npos) << what;
+  }
+  const auto& s = driver.last_stats();
+  EXPECT_EQ(s.shrinks, 1u);
+  EXPECT_EQ(s.lost_ranks, 1u);
+  EXPECT_EQ(s.retries, 3u);  // rank 1 twice, then rank 0 twice
+  EXPECT_EQ(injector.stats().kills, 4u);
+}
+
 // A bare solver run (no driver at all) with a permanent kill raises the
 // structured failure directly.
 TEST(ElasticRecovery, BareRunWithPermanentKillRaisesRankFailure) {

@@ -478,11 +478,15 @@ TEST_F(MembudgetTest, ArmedButUnbreachedBudgetIsBitIdenticalToIdle) {
 // ---------------------------------------------------------------------------
 // The relief ladder end to end
 
+// The relief ladder is the same on plain and elastic worlds.
+class MembudgetRelief : public MembudgetTest,
+                        public ::testing::WithParamInterface<bool> {};
+
 // Acceptance bar: an injected allocation failure at the point-eval cache
 // surfaces as a structured OutOfMemoryBudget, the RecoveryDriver walks the
 // relief ladder (rung 1: shed the cache, re-evaluate on the fly), and the
 // recovered run matches the unbudgeted reference to 1e-8.
-TEST_F(MembudgetTest, InjectedOomIsRelievedAndRecoversTheReference) {
+TEST_P(MembudgetRelief, InjectedOomIsRelievedAndRecoversTheReference) {
   const auto& ground = ground_h2();
   core::DfptOptions dopt;
   dopt.tolerance = 1e-8;
@@ -503,6 +507,7 @@ TEST_F(MembudgetTest, InjectedOomIsRelievedAndRecoversTheReference) {
   CheckpointStore store(fresh_dir("membudget_relief"));
   RecoveryOptions ropt;
   ropt.max_retries = 3;
+  ropt.elastic = GetParam();
   RecoveryDriver driver(store, ropt);
   const auto rec = driver.solve_direction_parallel(ground, popt, 2);
 
@@ -515,6 +520,41 @@ TEST_F(MembudgetTest, InjectedOomIsRelievedAndRecoversTheReference) {
   // reference within the acceptance tolerance.
   EXPECT_LT(rec.direction.p1.max_abs_diff(ref.p1), 1e-8);
   EXPECT_NEAR(rec.direction.dipole_response.z, ref.dipole_response.z, 1e-8);
+}
+
+INSTANTIATE_TEST_SUITE_P(Worlds, MembudgetRelief, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Elastic" : "Plain";
+                         });
+
+// The serial front-end is the one-rank world with its own tile cache, so
+// the same injected failure strikes it and rung 1 relieves it; the
+// on-the-fly tiles are bit-identical to the cache, so the recovered answer
+// equals the DfptSolver reference exactly.
+TEST_F(MembudgetTest, SerialFrontEndRelievesTheRankTileCache) {
+  const auto& ground = ground_h2();
+  core::DfptOptions dopt;
+  dopt.tolerance = 1e-8;
+  const auto ref = core::DfptSolver(ground, dopt).solve_direction(2);
+  ASSERT_TRUE(ref.converged);
+
+  OomPlan plan;
+  plan.add({"dfpt/point_cache", /*invocation=*/0, /*rank=*/-1,
+            /*transient=*/false});
+  OomInjector injector(std::move(plan));
+  ScopedOomInjector scoped(injector);
+
+  CheckpointStore store(fresh_dir("membudget_serial_relief"));
+  RecoveryOptions ropt;
+  ropt.max_retries = 3;
+  RecoveryDriver driver(store, ropt);
+  const auto rec = driver.solve_direction(ground, dopt, 2);
+
+  EXPECT_TRUE(rec.converged);
+  EXPECT_GE(driver.last_stats().oom_events, 1u);
+  EXPECT_GE(driver.last_stats().relief_actions, 1u);
+  EXPECT_EQ(rec.iterations, ref.iterations);
+  EXPECT_EQ(rec.p1.max_abs_diff(ref.p1), 0.0);
 }
 
 TEST_F(MembudgetTest, WithoutReliefTheBudgetExhaustsStructurally) {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -527,6 +528,47 @@ TEST(DfptResilience, KilledRankInParallelSolverRaisesRankFailure) {
     EXPECT_EQ(e.failed_rank(), 1u);
     EXPECT_NE(std::string(e.what()).find("killed"), std::string::npos);
   }
+}
+
+// The driver installs its own CPSCF observer (and, on elastic runs, its own
+// rank hook) on every attempt. A caller's hook would be replaced without
+// ever running, so the driver rejects it before the first attempt; a plain
+// run keeps the caller's rank hook.
+TEST(DfptResilience, DriverRejectsCallerHooksItWouldReplace) {
+  const auto& ground = ground_h2();
+  CheckpointStore store(fresh_dir("recover_hooks"));
+  int observed = 0;
+  core::DfptOptions dopt;
+  dopt.tolerance = 1e-8;
+  dopt.observer = [&](const core::CpscfIterationState&) {
+    ++observed;
+    return core::CpscfAction::Continue;
+  };
+  RecoveryDriver driver(store, RecoveryOptions{});
+  EXPECT_THROW((void)driver.solve_direction(ground, dopt, 2), Error);
+
+  core::ParallelDfptOptions popt;
+  popt.dfpt = dopt;
+  popt.ranks = 2;
+  popt.ranks_per_node = 2;
+  EXPECT_THROW((void)driver.solve_direction_parallel(ground, popt, 2), Error);
+  EXPECT_EQ(observed, 0);
+
+  popt.dfpt.observer = nullptr;
+  std::atomic<int> hooked{0};
+  popt.rank_hook = [&](parallel::Communicator&,
+                       const core::CpscfIterationState&) { ++hooked; };
+  const auto rec = driver.solve_direction_parallel(ground, popt, 2);
+  EXPECT_TRUE(rec.direction.converged);
+  EXPECT_GT(hooked.load(), 0);
+
+  RecoveryOptions elastic;
+  elastic.elastic = true;
+  RecoveryDriver elastic_driver(store, elastic);
+  hooked = 0;
+  EXPECT_THROW((void)elastic_driver.solve_direction_parallel(ground, popt, 2),
+               Error);
+  EXPECT_EQ(hooked.load(), 0);
 }
 
 // An exhausted retry budget is a detailed error, not a hang or a wrong

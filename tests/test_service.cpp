@@ -272,6 +272,26 @@ TEST(Admission, RejectsMalformedJobsWithStructuredErrors) {
   EXPECT_EQ(server.stats().admitted, 0u);
 }
 
+// The recovery driver owns the CPSCF observer; a job carrying its own would
+// see it replaced without ever running, so admission rejects it as
+// malformed.
+TEST(Admission, RejectsJobCarryingItsOwnCpscfObserver) {
+  service::SolveServer server(small_server("svc_admission_observer"));
+  service::JobSpec spec = light_job();
+  spec.dfpt.observer = [](const core::CpscfIterationState&) {
+    return core::CpscfAction::Continue;
+  };
+  try {
+    (void)server.submit(spec);
+    FAIL() << "a job with its own CPSCF observer must be rejected";
+  } catch (const JobRejected& e) {
+    EXPECT_EQ(e.kind(), "JobRejected");
+    EXPECT_NE(e.reason().find("observer"), std::string::npos) << e.reason();
+  }
+  EXPECT_EQ(server.stats().rejected_invalid, 1u);
+  EXPECT_EQ(server.stats().admitted, 0u);
+}
+
 TEST(Admission, QueueFullShedsWithStructuredBackpressure) {
   service::SolveServer server(
       small_server("svc_queuefull", /*workers=*/1, /*capacity=*/1));
