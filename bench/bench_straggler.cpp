@@ -39,32 +39,43 @@ using namespace aeqp;
 using namespace aeqp::resilience;
 using Clock = std::chrono::steady_clock;
 
-// A 4-atom hydrogen chain rather than H2: the rebalance win is bounded by
+// A 6-atom hydrogen chain rather than H2: the rebalance win is bounded by
 // the ratio of distributed grid work (which the weighted re-mapping can
 // move off the straggler) to the replicated per-iteration tail (Sternheimer
 // update, P^(1) assembly, radial Poisson solve -- paid by every rank, so an
-// 8x rank pays it at 8x no matter the mapping). Four atoms quadruple the
-// distributed share while the replicated tail grows slowly, which keeps a
-// governed run with one 8x rank comfortably inside the 2x walltime rail
-// even on an oversubscribed CI box.
+// 8x rank pays it at 8x no matter the mapping). A longer chain on a denser
+// angular grid multiplies the distributed share while the replicated tail
+// grows slowly.
+//
+// The run must also be long. The detector needs two slow windows (two
+// CPSCF iterations at 8x) before its verdict, a cost fixed per straggler
+// event that only the iterations after the rebalance amortize. The former
+// workload (4 atoms, degree 11, tolerance 1e-8) converges in 8 Pulay
+// iterations; there, about 54 ms of pre-verdict slowness plus 5 ms of
+// re-entry against a 55 ms clean run put the ratio at 1.9-2.3. This one
+// takes 13 iterations (0.28 s clean on 4 vCPUs) and keeps a governed run
+// with one 8x rank inside the 2x walltime rail even on an oversubscribed
+// CI box.
 grid::Structure hydrogen_chain() {
   grid::Structure s;
-  for (int a = 0; a < 4; ++a) s.add_atom(1, {0, 0, -2.1 + 1.4 * a});
+  for (int a = 0; a < 6; ++a) s.add_atom(1, {0, 0, -3.5 + 1.4 * a});
   return s;
 }
+
+constexpr double kTolerance = 1e-12;
 
 scf::ScfResult light_ground() {
   scf::ScfOptions opt;
   opt.tier = basis::BasisTier::Light;
   opt.grid.radial_points = 40;
-  opt.grid.angular_degree = 11;
+  opt.grid.angular_degree = 17;
   opt.poisson.radial_points = 72;
   return scf::ScfSolver(hydrogen_chain(), opt).run();
 }
 
 core::ParallelDfptOptions bench_popt(parallel::FaultInjector* injector) {
   core::ParallelDfptOptions popt;
-  popt.dfpt.tolerance = 1e-8;
+  popt.dfpt.tolerance = kTolerance;
   popt.ranks = 4;
   popt.ranks_per_node = 2;
   popt.reduce_mode = comm::ReduceMode::Flat;
@@ -158,7 +169,7 @@ void straggler_run() {
   // sample).
   const auto ground = light_ground();
   core::DfptOptions ref_opt;
-  ref_opt.tolerance = 1e-8;
+  ref_opt.tolerance = kTolerance;
   const auto ref = core::DfptSolver(ground, ref_opt).solve_direction(2);
 
   core::ParallelDfptResult clean;

@@ -10,6 +10,9 @@ cmake -B build -S .
 cmake --build build -j
 ctest --test-dir build --output-on-failure -j
 
+echo "== tier 1: benchmark self-check (H2 gate, serial + ranked paths) =="
+python3 perfbench/run.py --self-check
+
 echo "== tier 1: perf-regression sentinel self-test =="
 python3 scripts/bench_history.py self-test
 

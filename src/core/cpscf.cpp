@@ -15,12 +15,18 @@
 #include "resilience/guards.hpp"
 #include "resilience/membudget.hpp"
 #include "resilience/sdc_inject.hpp"
+#include "scf/diis.hpp"
 #include "tune/tune.hpp"
 #include "xc/lda.hpp"
 
 namespace aeqp::core::detail {
 
 using linalg::Matrix;
+
+namespace {
+/// Pulay pairs the CPSCF keeps: 16 nb^2 doubles per rank.
+constexpr std::size_t kPulayHistory = 8;
+}  // namespace
 
 CpscfGround::CpscfGround(const scf::ScfResult& g, double screening_threshold)
     : ground(g) {
@@ -97,6 +103,9 @@ CpscfRun::CpscfRun(const CpscfGround& inputs, const ParallelDfptOptions& w, int 
     const CpscfWarmStart& ws = *world.dfpt.warm_start;
     AEQP_CHECK(ws.p1.rows() == nb && ws.p1.cols() == nb,
                "CPSCF: warm start P^(1) has wrong dimensions");
+    for (const auto& [x, e] : ws.diis_history)
+      AEQP_CHECK(x.rows() == nb && x.cols() == nb && e.rows() == nb && e.cols() == nb,
+                 "CPSCF: warm start Pulay history has wrong dimensions");
     AEQP_CHECK(ws.iteration >= 1 && ws.iteration < world.dfpt.max_iterations,
                "CPSCF: warm start iteration outside (0, max_iterations)");
   }
@@ -239,9 +248,14 @@ void run_cpscf_rank(parallel::Communicator& comm, CpscfRun& run,
     });
   };
 
+  // Pulay history of (P^(1) + beta r, r) pairs, replicated like P^(1):
+  // every rank extrapolates the same pairs to the same next P^(1).
+  scf::DiisMixer mixer(kPulayHistory);
+
   int start_iteration = 0;
   if (opt.warm_start) {
     p1 = opt.warm_start->p1;
+    mixer.import_history(opt.warm_start->diis_history);
     have_response = true;
     start_iteration = opt.warm_start->iteration;
     compute_sumup();
@@ -302,17 +316,18 @@ void run_cpscf_rank(parallel::Communicator& comm, CpscfRun& run,
                               opt.frequency, opt.abft);
     });
 
-    // --- DM phase: P^(1) = sum_i f_i (C^(1)+ C^T + C C^(1)-T), the
-    //     omega-generalization of Eq. (7), with linear mixing. ---
+    // --- DM phase: F(P^(1)) = sum_i f_i (C^(1)+ C^T + C C^(1)-T), the
+    //     omega-generalization of Eq. (7), then one Pulay step on the
+    //     unmixed residual r = F(P^(1)) - P^(1). The history pairs are
+    //     (P^(1) + beta r, r), so a one-pair history is the linear step. ---
     double delta = 0.0;
     phase(Phase::DM, "cpscf/dm", [&] {
-      Matrix p1_new = response_density_matrix(c1, in.c_occ, ground.occupations);
-      if (have_response) {
-        p1_new.scale(opt.mixing);
-        p1_new.axpy(1.0 - opt.mixing, p1);
-      }
-      delta = p1_new.max_abs_diff(p1);
-      p1 = std::move(p1_new);
+      Matrix r = response_density_matrix(c1, in.c_occ, ground.occupations);
+      r.axpy(-1.0, p1);
+      Matrix x = p1;
+      x.axpy(opt.mixing, r);
+      p1 = mixer.extrapolate(std::move(x), std::move(r));
+      delta = mixer.last_residual_norm();
       // Phase-boundary invariants: P^(1) finite, and tr(P^(1) S) = 0 --
       // the perturbation conserves the electron count.
       resilience::guard_finite(p1, "cpscf/p1");
@@ -330,7 +345,7 @@ void run_cpscf_rank(parallel::Communicator& comm, CpscfRun& run,
     if (opt.observer) {
       std::vector<double> action(1, 0.0);
       if (lead) {
-        const CpscfIterationState state{run.direction, iter, delta, opt.mixing, &p1};
+        const CpscfIterationState state{run.direction, iter, delta, opt.mixing, &p1, &mixer};
         if (opt.observer(state) == CpscfAction::Abort) action[0] = 1.0;
       }
       comm.broadcast(action, 0);
@@ -343,7 +358,7 @@ void run_cpscf_rank(parallel::Communicator& comm, CpscfRun& run,
     //     after the abort broadcast so the collective schedule stays
     //     uniform. ---
     if (world.rank_hook) {
-      const CpscfIterationState state{run.direction, iter, delta, opt.mixing, &p1};
+      const CpscfIterationState state{run.direction, iter, delta, opt.mixing, &p1, &mixer};
       world.rank_hook(comm, state);
     }
 
@@ -365,21 +380,24 @@ void run_cpscf_rank(parallel::Communicator& comm, CpscfRun& run,
       }
     });
 
+    if (opt.verbose && lead)
+      AEQP_LOG_INFO << "DFPT dir " << run.direction << " iter " << iter
+                    << " max|dP1|=" << delta;
+    // Converged: P^(1) and n^(1) are final, and the next v^(1) would never
+    // be read. delta is replicated, so every rank skips the Rho phase and
+    // its collectives together.
+    if (delta < opt.tolerance && iter > 1) {
+      if (lead) result.converged = true;
+      break;
+    }
+
     // --- Rho phase: v^(1)_H by multipole Poisson solve (Eq. 9) plus the
     //     XC kernel term f_xc n^(1) (Eq. 12). ---
     phase(Phase::Rho, "cpscf/rho", [&] {
       compute_rho();
       resilience::guard_finite({v1.data(), v1.size()}, "cpscf/v1");
     });
-
     have_response = true;
-    if (opt.verbose && lead)
-      AEQP_LOG_INFO << "DFPT dir " << run.direction << " iter " << iter
-                    << " max|dP1|=" << delta;
-    if (delta < opt.tolerance && iter > 1) {
-      if (lead) result.converged = true;
-      break;
-    }
   }
 
   // Publish this rank's share of n^(1) (disjoint points) and the dipole

@@ -4,8 +4,8 @@
 /// The one CPSCF iteration body behind DfptSolver and
 /// solve_direction_parallel. Every simmpi rank runs
 ///
-///   H -> Sternheimer -> DM/mix/guards -> observer -> Sumup (+ SDC
-///   recompute rung) -> Rho
+///   H -> Sternheimer -> DM/Pulay step/guards -> observer -> Sumup (+ SDC
+///   recompute rung) -> convergence test -> Rho
 ///
 /// over the grid tiles it owns, synthesizing H^(1) with a packed AllReduce
 /// and (optionally) the Rho producer's rho_multipole rows. The serial

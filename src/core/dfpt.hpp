@@ -20,8 +20,11 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "linalg/matrix.hpp"
+#include "scf/diis.hpp"
 #include "scf/scf_solver.hpp"
 #include "simt/runtime.hpp"
 
@@ -41,9 +44,12 @@ using PhaseTimes = std::map<Phase, double>;
 struct CpscfIterationState {
   int direction = 0;
   int iteration = 0;
-  double delta = 0.0;   ///< max |Delta P^(1)| of this iteration
-  double mixing = 0.0;  ///< mixing factor in effect
+  /// max |F(P^(1)) - P^(1)| of this iteration: the unmixed residual of the
+  /// P^(1) the iteration started from, whatever the mixing factor.
+  double delta = 0.0;
+  double mixing = 0.0;  ///< Pulay step beta in effect
   const linalg::Matrix* p1 = nullptr;  ///< response density matrix
+  const scf::DiisMixer* mixer = nullptr;  ///< Pulay history (always non-null)
 };
 
 /// What the observer wants the cycle to do next. Abort ends the cycle
@@ -58,19 +64,29 @@ enum class CpscfAction { Continue, Abort };
 using CpscfObserver = std::function<CpscfAction(const CpscfIterationState&)>;
 
 /// Resume point for a CPSCF cycle: the response density matrix after
-/// `iteration` completed iterations. The response potential is recomputed
-/// from P^(1) on resume, which reproduces the uninterrupted trajectory
-/// bit-for-bit.
+/// `iteration` completed iterations plus the Pulay history. The response
+/// potential is recomputed from P^(1) on resume, which reproduces the
+/// uninterrupted trajectory bit-for-bit; an empty history restarts the
+/// extrapolation with a plain mixing step.
 struct CpscfWarmStart {
   int iteration = 0;
   linalg::Matrix p1;
+  /// (P^(1) + beta r, r) pairs, oldest first, as exported by
+  /// scf::DiisMixer::export_history().
+  std::vector<std::pair<linalg::Matrix, linalg::Matrix>> diis_history;
 };
 
 /// DFPT configuration.
 struct DfptOptions {
   int max_iterations = 40;
-  double tolerance = 1e-6;     ///< max |Delta P^(1)| convergence threshold
-  double mixing = 0.5;         ///< linear mixing of P^(1) between cycles
+  /// Convergence threshold on the unmixed residual max |F(P^(1)) - P^(1)|,
+  /// where F maps P^(1) through H -> Sternheimer -> DM; independent of
+  /// `mixing`, so a damped run stops at the same accuracy.
+  double tolerance = 1e-6;
+  /// Pulay step beta: the next P^(1) is the combination of the last 8
+  /// pairs (P^(1) + beta r, r) with the least extrapolated residual, r =
+  /// F(P^(1)) - P^(1). With one pair that is linear mixing by beta.
+  double mixing = 0.5;
   /// Perturbation frequency omega in hartree (0 = static response). The
   /// dynamic Sternheimer amplitudes X_ai = H1_ai/(eps_i - eps_a + omega)
   /// and Y_ai = H1_ai/(eps_i - eps_a - omega) yield the frequency-dependent

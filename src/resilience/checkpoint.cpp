@@ -38,6 +38,14 @@ public:
     put_u64(m.cols());
     put_raw(m.data(), m.rows() * m.cols() * sizeof(double));
   }
+  /// A DIIS history: its length, then each (x, e) pair, oldest first.
+  void put_history(const std::vector<std::pair<linalg::Matrix, linalg::Matrix>>& h) {
+    put_u64(h.size());
+    for (const auto& [x, e] : h) {
+      put_matrix(x);
+      put_matrix(e);
+    }
+  }
   [[nodiscard]] const std::vector<unsigned char>& bytes() const { return buf_; }
 
 private:
@@ -68,6 +76,16 @@ public:
     linalg::Matrix m(rows, cols);
     get_raw(m.data(), rows * cols * sizeof(double));
     return m;
+  }
+  std::vector<std::pair<linalg::Matrix, linalg::Matrix>> get_history() {
+    const std::uint64_t n = get_u64();
+    std::vector<std::pair<linalg::Matrix, linalg::Matrix>> h;
+    for (std::uint64_t i = 0; i < n; ++i) {
+      linalg::Matrix x = get_matrix();
+      linalg::Matrix e = get_matrix();
+      h.emplace_back(std::move(x), std::move(e));
+    }
+    return h;
   }
   [[nodiscard]] bool exhausted() const { return pos_ == data_.size(); }
 
@@ -192,6 +210,7 @@ std::vector<unsigned char> encode(const CpscfCheckpoint& ckpt) {
   w.put_f64(ckpt.mixing);
   w.put_f64(ckpt.last_delta);
   w.put_matrix(ckpt.p1);
+  w.put_history(ckpt.diis_history);
   return w.bytes();
 }
 
@@ -200,11 +219,7 @@ std::vector<unsigned char> encode(const ScfCheckpoint& ckpt) {
   w.put_i32(ckpt.iteration);
   w.put_f64(ckpt.last_delta);
   w.put_matrix(ckpt.density_matrix);
-  w.put_u64(ckpt.diis_history.size());
-  for (const auto& [h, e] : ckpt.diis_history) {
-    w.put_matrix(h);
-    w.put_matrix(e);
-  }
+  w.put_history(ckpt.diis_history);
   return w.bytes();
 }
 
@@ -217,6 +232,7 @@ CpscfCheckpoint decode_cpscf(std::span<const unsigned char> payload,
   ckpt.mixing = r.get_f64();
   ckpt.last_delta = r.get_f64();
   ckpt.p1 = r.get_matrix();
+  ckpt.diis_history = r.get_history();
   AEQP_CHECK(r.exhausted(), "CheckpointStore: trailing bytes in " + context);
   return ckpt;
 }
@@ -228,13 +244,7 @@ ScfCheckpoint decode_scf(std::span<const unsigned char> payload,
   ckpt.iteration = r.get_i32();
   ckpt.last_delta = r.get_f64();
   ckpt.density_matrix = r.get_matrix();
-  const std::uint64_t n = r.get_u64();
-  ckpt.diis_history.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    linalg::Matrix h = r.get_matrix();
-    linalg::Matrix e = r.get_matrix();
-    ckpt.diis_history.emplace_back(std::move(h), std::move(e));
-  }
+  ckpt.diis_history = r.get_history();
   AEQP_CHECK(r.exhausted(), "CheckpointStore: trailing bytes in " + context);
   return ckpt;
 }
@@ -254,9 +264,12 @@ std::filesystem::path CheckpointStore::path_of(const std::string& key) const {
 
 std::vector<unsigned char> serialize(const CpscfCheckpoint& ckpt) {
   // Governor probe before the frame is materialized: the payload is
-  // dominated by P^(1), so the estimate is sharp to within the header.
-  oom_probe("resilience/checkpoint_frame",
-            ckpt.p1.rows() * ckpt.p1.cols() * sizeof(double) + 64);
+  // P^(1) plus the Pulay history, so the estimate is sharp to within the
+  // headers.
+  std::size_t doubles = ckpt.p1.rows() * ckpt.p1.cols();
+  for (const auto& [x, e] : ckpt.diis_history)
+    doubles += x.rows() * x.cols() + e.rows() * e.cols();
+  oom_probe("resilience/checkpoint_frame", doubles * sizeof(double) + 64);
   auto blob = frame(kKindCpscf, encode(ckpt));
   // Frames are transient (handed to the buddy ring or a writer and then
   // dropped), so only the high-water mark is meaningful.

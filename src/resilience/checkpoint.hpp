@@ -43,18 +43,21 @@ namespace aeqp::resilience {
 /// namespaces still sees exactly one crc32).
 using ::aeqp::crc32;
 
-/// Current checkpoint format version; bumped on any layout change.
-inline constexpr std::uint32_t kCheckpointFormatVersion = 1;
+/// Current checkpoint format version; bumped on any layout change
+/// (version 2: CPSCF checkpoints carry the Pulay history).
+inline constexpr std::uint32_t kCheckpointFormatVersion = 2;
 
 /// State of one CPSCF (DFPT) direction at the end of an iteration. The
-/// response potential is a pure function of P^(1), so checkpointing the
-/// response density matrix plus counters is enough to resume bit-identically.
+/// response potential is a pure function of P^(1), so the response density
+/// matrix, the Pulay history and the counters resume bit-identically.
 struct CpscfCheckpoint {
   int direction = 0;
   int iteration = 0;       ///< CPSCF iterations completed
-  double mixing = 0.0;     ///< mixing factor in effect when saved
-  double last_delta = 0.0; ///< max |Delta P^(1)| of the saved iteration
+  double mixing = 0.0;     ///< Pulay step beta in effect when saved
+  double last_delta = 0.0; ///< max |F(P^(1)) - P^(1)| of the saved iteration
   linalg::Matrix p1;       ///< response density matrix
+  /// (P^(1) + beta r, r) pairs, oldest first (scf::DiisMixer's export).
+  std::vector<std::pair<linalg::Matrix, linalg::Matrix>> diis_history;
 };
 
 /// State of one SCF run at the end of an iteration: density matrix plus the

@@ -19,8 +19,10 @@ struct HealthPolicy {
   bool check_finite = true;      ///< reject NaN/Inf anywhere in the state
   double max_abs_value = 1e8;    ///< ceiling on |state| entries
   /// The residual may grow at most this factor between consecutive
-  /// iterations (mixing keeps legitimate CPSCF residuals near-monotone;
-  /// a corrupted payload blows the residual up by many orders).
+  /// iterations. Pulay residuals are not monotone -- the worst legitimate
+  /// CPSCF growth measured is 1.3x per iteration (H2, H4, CH4 and a
+  /// 14-atom chain at mixing 0.0625-0.5) -- while a corrupted payload
+  /// blows the residual up by many orders.
   double max_delta_growth = 1e3;
 };
 

@@ -128,6 +128,7 @@ CpscfCheckpoint checkpoint_of(const core::CpscfIterationState& s) {
   ckpt.mixing = s.mixing;
   ckpt.last_delta = s.delta;
   ckpt.p1 = *s.p1;
+  ckpt.diis_history = s.mixer->export_history();
   return ckpt;
 }
 
@@ -265,9 +266,11 @@ core::ParallelDfptResult solve_recovered(CheckpointStore& store,
       popts.distribute_rho = true;
     }
     // Graceful degradation: the first retry replays the original trajectory
-    // (a transient fault needs no damping, and the replay is bit-identical);
-    // repeated faults progressively damp the mixing.
-    if (attempt >= 2)
+    // with the saved Pulay history (a transient fault needs no damping, and
+    // the replay is bit-identical); repeated faults drop the history and
+    // progressively shrink the first step.
+    const bool damped = attempt >= 2;
+    if (damped)
       popts.dfpt.mixing =
           world.dfpt.mixing * std::pow(ropt.mixing_damping, attempt - 1);
 
@@ -302,6 +305,7 @@ core::ParallelDfptResult solve_recovered(CheckpointStore& store,
         auto ws = std::make_shared<core::CpscfWarmStart>();
         ws->iteration = ckpt->iteration;
         ws->p1 = std::move(ckpt->p1);
+        if (!damped) ws->diis_history = std::move(ckpt->diis_history);
         popts.dfpt.warm_start = std::move(ws);
         ++stats.restores;
         obs::trace_instant("recovery/rollback");

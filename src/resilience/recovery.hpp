@@ -6,7 +6,7 @@
 /// checkpointed through the solver's observer hook; a detected fault
 /// (numerical poisoning, rank failure, collective timeout) rolls the run
 /// back to the last good checkpoint and retries, degrading gracefully to a
-/// damped mixing factor when faults repeat. A transient fault therefore
+/// fresh Pulay history and a damped first step when faults repeat. A transient fault therefore
 /// costs only the iterations since the last checkpoint, and the recovered
 /// trajectory of the first retry is bit-identical to a fault-free run.
 ///
@@ -67,9 +67,11 @@ namespace aeqp::resilience {
 struct RecoveryOptions {
   /// Retries after the initial attempt; exceeding the budget throws.
   int max_retries = 5;
-  /// Graceful degradation: from the second retry on, the mixing factor is
+  /// Graceful degradation: from the second retry on, the CPSCF resumes
+  /// without its Pulay history and the mixing factor (the first step) is
   /// multiplied by this per additional retry (the first retry resumes the
-  /// original trajectory unchanged -- a transient fault needs no damping).
+  /// original trajectory and history unchanged -- a transient fault needs
+  /// no damping).
   double mixing_damping = 0.5;
   /// Exponential backoff between retries: attempt k sleeps
   /// backoff_base_ms * 2^(k-1). 0 disables sleeping (tests, simulation).

@@ -31,7 +31,7 @@ void DiisMixer::reset() {
 std::vector<std::pair<Matrix, Matrix>> DiisMixer::export_history() const {
   std::vector<std::pair<Matrix, Matrix>> out;
   out.reserve(history_.size());
-  for (const Entry& entry : history_) out.emplace_back(entry.h, entry.e);
+  for (const Entry& entry : history_) out.emplace_back(entry.x, entry.e);
   return out;
 }
 
@@ -47,21 +47,22 @@ void DiisMixer::import_history(
 }
 
 Matrix DiisMixer::extrapolate(const Matrix& h, const Matrix& p, const Matrix& s) {
+  return extrapolate(h, residual(h, p, s));
+}
+
+Matrix DiisMixer::extrapolate(Matrix x, Matrix e) {
   // A single non-finite entry admitted to the history poisons every later
   // extrapolation (the B-matrix dots touch all stored residuals), so refuse
   // corrupt input at the door instead of letting it spread.
   if (resilience::guards_enabled()) {
-    resilience::guard_finite(h, "diis/h");
-    resilience::guard_finite(p, "diis/p");
+    resilience::guard_finite(x, "diis/x");
+    resilience::guard_finite(e, "diis/residual");
   }
-  Entry entry{h, residual(h, p, s)};
-  if (resilience::guards_enabled())
-    resilience::guard_finite(entry.e, "diis/residual");
-  last_residual_norm_ = entry.e.max_abs();
-  history_.push_back(std::move(entry));
+  last_residual_norm_ = e.max_abs();
+  history_.push_back(Entry{std::move(x), std::move(e)});
   if (history_.size() > max_history_) history_.pop_front();
   const std::size_t m = history_.size();
-  if (m < 2) return h;
+  if (m < 2) return history_.back().x;
 
   // Bordered Lagrange system: minimize |sum c_i e_i|^2 with sum c_i = 1.
   Matrix b(m + 1, m + 1);
@@ -86,14 +87,15 @@ Matrix DiisMixer::extrapolate(const Matrix& h, const Matrix& p, const Matrix& s)
   } catch (const Error&) {
     // Ill-conditioned subspace: drop the oldest entries and carry on.
     AEQP_LOG_DEBUG << "DIIS B-matrix singular; resetting history";
-    Entry latest = history_.back();
+    Entry latest = std::move(history_.back());
     history_.clear();
     history_.push_back(std::move(latest));
-    return h;
+    return history_.back().x;
   }
 
-  Matrix mixed(h.rows(), h.cols());
-  for (std::size_t i = 0; i < m; ++i) mixed.axpy(coeff[i], history_[i].h);
+  const Matrix& latest = history_.back().x;
+  Matrix mixed(latest.rows(), latest.cols());
+  for (std::size_t i = 0; i < m; ++i) mixed.axpy(coeff[i], history_[i].x);
   return mixed;
 }
 

@@ -1,11 +1,15 @@
 #pragma once
 
 /// \file diis.hpp
-/// Pulay's Direct Inversion in the Iterative Subspace (DIIS) accelerator
-/// for the SCF cycle. The error vector is the commutator-like residual
-/// e = H P S - S P H, which vanishes exactly at self-consistency; the next
-/// Hamiltonian is the least-squares combination of the stored history that
-/// minimizes the extrapolated residual norm.
+/// Pulay's Direct Inversion in the Iterative Subspace (DIIS): the one
+/// extrapolation behind the SCF and the CPSCF. The mixer stores pairs
+/// (x, e) of an iterate and its error vector and returns the combination
+/// sum c_i x_i whose extrapolated error |sum c_i e_i| is least, subject to
+/// sum c_i = 1 (a bordered Lagrange solve). The SCF pairs the Hamiltonian
+/// with the commutator residual e = H P S - S P H, which vanishes exactly
+/// at self-consistency; the CPSCF pairs P^(1) + beta r with the response
+/// residual r = F(P^(1)) - P^(1), which makes the step Anderson mixing --
+/// a Krylov (GMRES-equivalent) solver on the linear response equation.
 
 #include <deque>
 #include <utility>
@@ -18,28 +22,33 @@ namespace aeqp::scf {
 /// DIIS history and extrapolation.
 class DiisMixer {
 public:
-  /// `max_history`: number of (H, e) pairs retained.
+  /// `max_history`: number of (x, e) pairs retained.
   explicit DiisMixer(std::size_t max_history = 8);
 
   /// The DIIS residual e = H P S - S P H.
   static linalg::Matrix residual(const linalg::Matrix& h, const linalg::Matrix& p,
                                  const linalg::Matrix& s);
 
-  /// Push the latest Hamiltonian/density pair and return the extrapolated
-  /// Hamiltonian. With fewer than two stored pairs (or an ill-conditioned
-  /// B matrix) the input H is returned unchanged.
+  /// Push the iterate `x` with its error vector `e` and return the
+  /// extrapolated iterate. With fewer than two stored pairs (or an
+  /// ill-conditioned B matrix) `x` is returned unchanged. Throws
+  /// InvariantViolation (with guards on) on a non-finite x or e, which
+  /// would otherwise poison every later extrapolation.
+  [[nodiscard]] linalg::Matrix extrapolate(linalg::Matrix x, linalg::Matrix e);
+
+  /// The SCF step: extrapolate the Hamiltonian on its commutator residual.
   [[nodiscard]] linalg::Matrix extrapolate(const linalg::Matrix& h,
                                            const linalg::Matrix& p,
                                            const linalg::Matrix& s);
 
-  /// Max |e_ij| of the most recent residual (a convergence diagnostic).
+  /// Max |e_ij| of the most recent error vector (a convergence diagnostic).
   [[nodiscard]] double last_residual_norm() const { return last_residual_norm_; }
 
   [[nodiscard]] std::size_t history_size() const { return history_.size(); }
 
   void reset();
 
-  /// Serialize the stored (H, e) pairs, oldest first, for checkpointing.
+  /// Serialize the stored (x, e) pairs, oldest first, for checkpointing.
   [[nodiscard]] std::vector<std::pair<linalg::Matrix, linalg::Matrix>>
   export_history() const;
 
@@ -52,7 +61,7 @@ public:
 
 private:
   struct Entry {
-    linalg::Matrix h;
+    linalg::Matrix x;
     linalg::Matrix e;
   };
   std::size_t max_history_;

@@ -497,7 +497,7 @@ TEST(ElasticRecovery, NonElasticDriverSurfacesStructuredRankFailure) {
   parallel::FaultEvent ev;
   ev.kind = parallel::FaultKind::Kill;
   ev.rank = 0;
-  ev.collective = 40;
+  ev.collective = 6;  // iteration 4 of 5 (two collectives per iteration)
   ev.transient = false;
   plan.add(ev);
   parallel::FaultInjector injector(std::move(plan));
@@ -532,7 +532,7 @@ TEST(ElasticRecovery, LastSurvivorPermanentFailureRaisesRankFailure) {
   ev.collective = 10;  // fires first: rank 0 cannot pass collective 10 alone
   plan.add(ev);
   ev.rank = 0;
-  ev.collective = 25;  // reached only once rank 0 runs by itself
+  ev.collective = 15;  // reached only once rank 0 runs by itself
   plan.add(ev);
   parallel::FaultInjector injector(std::move(plan));
 
@@ -568,7 +568,7 @@ TEST(ElasticRecovery, BareRunWithPermanentKillRaisesRankFailure) {
   parallel::FaultEvent ev;
   ev.kind = parallel::FaultKind::Kill;
   ev.rank = 2;
-  ev.collective = 10;
+  ev.collective = 2;  // iteration 4 of 5 (one collective per iteration)
   ev.transient = false;
   plan.add(ev);
   parallel::FaultInjector injector(std::move(plan));

@@ -113,6 +113,31 @@ TEST(Checkpoint, ScfRoundTripRestoresDiisHistory) {
   }
 }
 
+TEST(Checkpoint, CpscfRoundTripRestoresPulayHistory) {
+  CheckpointStore store(fresh_dir("ckpt_cpscf_history"));
+  CpscfCheckpoint in;
+  in.iteration = 5;
+  in.p1 = test_matrix(6, 6, 0.01);
+  in.diis_history.emplace_back(test_matrix(6, 6, 2.0), test_matrix(6, 6, 3.0));
+  in.diis_history.emplace_back(test_matrix(6, 6, 4.0), test_matrix(6, 6, 5.0));
+  store.save("cpscf", in);
+
+  const CpscfCheckpoint out = store.load_cpscf("cpscf");
+  EXPECT_EQ(out.p1.max_abs_diff(in.p1), 0.0);
+  ASSERT_EQ(out.diis_history.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(out.diis_history[i].first.max_abs_diff(in.diis_history[i].first),
+              0.0);
+    EXPECT_EQ(out.diis_history[i].second.max_abs_diff(in.diis_history[i].second),
+              0.0);
+  }
+  // The in-memory frame buddy replication ships decodes the same way.
+  const CpscfCheckpoint wire = deserialize_cpscf(serialize(in));
+  ASSERT_EQ(wire.diis_history.size(), 2u);
+  EXPECT_EQ(wire.diis_history[1].second.max_abs_diff(in.diis_history[1].second),
+            0.0);
+}
+
 TEST(Checkpoint, DetectsCorruptionAndMissingFiles) {
   CheckpointStore store(fresh_dir("ckpt_corrupt"));
   EXPECT_FALSE(store.try_load_cpscf("nope").has_value());
@@ -400,6 +425,7 @@ TEST(DfptResilience, SerialWarmStartIsBitIdentical) {
     if (s.iteration == 3) {
       ws->iteration = s.iteration;
       ws->p1 = *s.p1;
+      ws->diis_history = s.mixer->export_history();
       return core::CpscfAction::Abort;
     }
     return core::CpscfAction::Continue;
@@ -415,6 +441,21 @@ TEST(DfptResilience, SerialWarmStartIsBitIdentical) {
   EXPECT_EQ(res.iterations, ref.iterations);
   EXPECT_EQ(res.p1.max_abs_diff(ref.p1), 0.0);
   EXPECT_EQ(res.dipole_response.z, ref.dipole_response.z);
+}
+
+// A Pulay history from another basis would be read past its end by the
+// extrapolation's dot products: the warm start is refused up front.
+TEST(DfptResilience, WarmStartRejectsMisSizedHistory) {
+  const auto& ground = ground_h2();
+  const std::size_t nb = ground.coefficients.rows();
+  auto ws = std::make_shared<core::CpscfWarmStart>();
+  ws->iteration = 1;
+  ws->p1 = linalg::Matrix(nb, nb);
+  ws->diis_history.emplace_back(linalg::Matrix(nb, nb),
+                                linalg::Matrix(nb + 1, nb + 1));
+  core::DfptOptions dopt;
+  dopt.warm_start = ws;
+  EXPECT_THROW((void)core::DfptSolver(ground, dopt).solve_direction(2), Error);
 }
 
 class ScfResume : public ::testing::TestWithParam<scf::Mixer> {};
@@ -501,6 +542,40 @@ TEST(DfptResilience, RecoveredParallelRunMatchesFaultFreeReference) {
   EXPECT_EQ(rec.stats.wasted_iterations, 0u);
   EXPECT_NEAR(rec.direction.dipole_response.z, ref.dipole_response.z, 1e-8);
   EXPECT_LT(rec.direction.p1.max_abs_diff(ref.p1), 1e-8);
+}
+
+// The first retry restores P^(1) and the Pulay history from the checkpoint,
+// so it replays the fault-free trajectory of the same world bit for bit.
+TEST(DfptResilience, FirstRetryReplaysTheTrajectoryBitForBit) {
+  const auto& ground = ground_h2();
+  core::ParallelDfptOptions popt;
+  popt.dfpt.tolerance = 1e-8;
+  popt.ranks = 4;
+  popt.ranks_per_node = 2;
+  popt.reduce_mode = comm::ReduceMode::Flat;
+  popt.batch_points = 96;
+  const core::ParallelDfptResult clean =
+      core::solve_direction_parallel(ground, popt, 2);
+  ASSERT_TRUE(clean.direction.converged);
+
+  // Collective 6 is iteration 4's abort broadcast: the poisoned decision
+  // rolls the run back to iteration 3, whose history holds three pairs.
+  parallel::FaultPlan plan;
+  plan.add({parallel::FaultKind::NanPayload, /*rank=*/1, /*collective=*/6,
+            /*element=*/0});
+  parallel::FaultInjector injector(std::move(plan));
+  popt.fault_injector = &injector;
+  CheckpointStore store(fresh_dir("recover_replay"));
+  RecoveryDriver driver(store, RecoveryOptions{});
+  const core::ParallelDfptResult rec =
+      driver.solve_direction_parallel(ground, popt, 2);
+
+  EXPECT_EQ(injector.stats().corruptions, 1u);
+  EXPECT_EQ(rec.stats.retries, 1u);
+  EXPECT_EQ(rec.stats.restores, 1u);
+  EXPECT_EQ(rec.direction.iterations, clean.direction.iterations);
+  EXPECT_EQ(rec.direction.p1.max_abs_diff(clean.direction.p1), 0.0);
+  EXPECT_EQ(rec.direction.dipole_response.z, clean.direction.dipole_response.z);
 }
 
 // A killed rank inside the distributed solver propagates as a structured

@@ -548,11 +548,13 @@ TEST(AdaptiveDeadlines, ClusterFeedsAttachedDetectorAtCollectives) {
 // ---------------------------------------------------------------------------
 // End-to-end: the rebalance rung beats the shrink rung for stragglers
 
+// A 4-atom hydrogen chain: its CPSCF runs 9 iterations, long enough for
+// the production ledger's 10 ms windows to close twice after the slowdown
+// starts. H2 converges in 5, before any straggler verdict.
 const scf::ScfResult& straggler_ground() {
   static const scf::ScfResult res = [] {
     grid::Structure s;
-    s.add_atom(1, {0, 0, -0.7});
-    s.add_atom(1, {0, 0, 0.7});
+    for (int a = 0; a < 4; ++a) s.add_atom(1, {0, 0, -2.1 + 1.4 * a});
     scf::ScfOptions opt;
     opt.tier = basis::BasisTier::Light;
     opt.grid.radial_points = 30;
@@ -636,7 +638,10 @@ TEST(StragglerE2E, RebalanceOffCheckpointCadenceWastesNoIteration) {
   parallel::FaultEvent ev;
   ev.kind = parallel::FaultKind::Slowdown;
   ev.rank = 1;
-  ev.collective = 10;
+  // Without periodic checkpoints an iteration issues about two
+  // collectives: collective 2 is iteration 2, and the verdict lands at
+  // iteration 4-5 of 9.
+  ev.collective = 2;
   ev.slow_factor = 8.0;
   ev.transient = false;
   plan.add(ev);
