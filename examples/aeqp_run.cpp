@@ -12,6 +12,7 @@
 // Example:
 //   ./example_aeqp_run --builtin water --diis
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -25,6 +26,7 @@
 #include "core/structures.hpp"
 #include "core/xyz.hpp"
 #include "obs/report.hpp"
+#include "resilience/guards.hpp"
 #include "scf/scf_solver.hpp"
 
 namespace {
@@ -142,6 +144,12 @@ int main(int argc, char** argv) {
                     r.polarizability(i, 1), r.polarizability(i, 2));
       std::printf("isotropic_polarizability_bohr3: %.6f\n",
                   r.isotropic_polarizability());
+      // The grid-moment and Tr(P^(1) D) paths to alpha, worst direction.
+      double gap = 0.0;
+      for (const auto& d : r.directions)
+        gap = std::max(gap, resilience::alpha_path_gap(d.dipole_response,
+                                                       d.dipole_response_trace));
+      std::printf("alpha_path_gap: %.3e\n", gap);
     }
   } catch (const Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());

@@ -52,7 +52,6 @@ SKIP_KEYS = {"schema_version", "timestamp", "profile", "samples"}
 # Substring -> direction. "up": larger is better; "down": smaller is
 # better. Metrics matching neither are tracked but not gated.
 DIRECTION_RULES = [
-    ("sweep/threads=", "down"),  # thread-sweep phase wall-clock seconds
     ("per_second", "up"),
     ("per_atom", None),  # workload descriptor, not a rate
     ("speedup", "up"),
@@ -92,17 +91,14 @@ def flatten(node, prefix="", out=None):
         for item in node:
             if not isinstance(item, dict):
                 continue
-            # Self-labelling rows: gauges carry "name", thread-sweep rows
-            # carry "threads"; key the row by its label so each becomes a
-            # stable metric path.
-            for label_key, fmt in (("name", "{}"), ("threads", "threads={}")):
-                if label_key in item:
-                    flatten(
-                        {k: v for k, v in item.items() if k != label_key},
-                        f"{prefix}/{fmt.format(item[label_key])}",
-                        out,
-                    )
-                    break
+            # Self-labelling rows (gauges carry "name"): key the row by its
+            # label so each becomes a stable metric path.
+            if "name" in item:
+                flatten(
+                    {k: v for k, v in item.items() if k != "name"},
+                    f"{prefix}/{item['name']}",
+                    out,
+                )
     elif isinstance(node, bool):
         pass
     elif isinstance(node, (int, float)) and math.isfinite(node):

@@ -4,6 +4,16 @@
 # in chrome://tracing or https://ui.perfetto.dev. See docs/observability.md.
 #
 # Usage:  scripts/profile_example.sh [output-trace.json]
+#
+# For a function-level profile below the spans, use a single-thread gprof
+# build instead (gprof samples only the main thread; -fno-inline-functions
+# keeps the tile and basis kernels visible as their own entries):
+#
+#   cmake -B build-gprof -S . -DCMAKE_CXX_FLAGS="-pg -fno-inline-functions" \
+#         -DCMAKE_EXE_LINKER_FLAGS=-pg
+#   cmake --build build-gprof -j --target example_aeqp_run
+#   AEQP_NUM_THREADS=1 ./build-gprof/examples/example_aeqp_run --builtin ch4
+#   gprof ./build-gprof/examples/example_aeqp_run gmon.out | less
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

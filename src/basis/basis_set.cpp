@@ -288,44 +288,39 @@ void fold_density(const linalg::Matrix& p, linalg::Matrix& f) {
 
 namespace {
 
-/// The folded half-pair kernel over rows of a row-major `f` with leading
-/// dimension `ld`, for global (uint32) or tile-local (uint16) indices.
+/// One point of the folded half-pair kernel: sum_{a<=b} F(idx_a, idx_b)
+/// val_a val_b over the rows of a row-major `f` with leading dimension
+/// `ld`, for global (uint32) or tile-local (uint16) indices.
 template <typename Index>
-void folded_kernel(const double* f, std::size_t ld, const std::uint32_t* offsets,
-                   std::size_t n_points, const Index* indices,
-                   const double* values, double* out) {
+double folded_point(const double* f, std::size_t ld, const Index* idx,
+                    const double* val, std::size_t ne) {
   const auto row = [&](Index mu) { return f + static_cast<std::size_t>(mu) * ld; };
-  for (std::size_t k = 0; k < n_points; ++k) {
-    const Index* idx = indices + offsets[k];
-    const double* val = values + offsets[k];
-    const std::size_t ne = offsets[k + 1] - offsets[k];
-    // Rows a and a+1 of the upper triangle run together: they share every
-    // idx/val load, and their four partial sums (two per row) split the
-    // point's pair updates into independent add chains.
-    double n0 = 0.0, n1 = 0.0;
-    std::size_t a = 0;
-    for (; a + 1 < ne; a += 2) {
-      const double* f0 = row(idx[a]);
-      const double* f1 = row(idx[a + 1]);
-      double s0 = f0[idx[a]] * val[a] + f0[idx[a + 1]] * val[a + 1], s1 = 0.0;
-      double t0 = f1[idx[a + 1]] * val[a + 1], t1 = 0.0;
-      std::size_t b = a + 2;
-      for (; b + 1 < ne; b += 2) {
-        s0 += f0[idx[b]] * val[b];
-        s1 += f0[idx[b + 1]] * val[b + 1];
-        t0 += f1[idx[b]] * val[b];
-        t1 += f1[idx[b + 1]] * val[b + 1];
-      }
-      if (b < ne) {
-        s0 += f0[idx[b]] * val[b];
-        t0 += f1[idx[b]] * val[b];
-      }
-      n0 += val[a] * (s0 + s1);
-      n1 += val[a + 1] * (t0 + t1);
+  // Rows a and a+1 of the upper triangle run together: they share every
+  // idx/val load, and their four partial sums (two per row) split the
+  // point's pair updates into independent add chains.
+  double n0 = 0.0, n1 = 0.0;
+  std::size_t a = 0;
+  for (; a + 1 < ne; a += 2) {
+    const double* f0 = row(idx[a]);
+    const double* f1 = row(idx[a + 1]);
+    double s0 = f0[idx[a]] * val[a] + f0[idx[a + 1]] * val[a + 1], s1 = 0.0;
+    double t0 = f1[idx[a + 1]] * val[a + 1], t1 = 0.0;
+    std::size_t b = a + 2;
+    for (; b + 1 < ne; b += 2) {
+      s0 += f0[idx[b]] * val[b];
+      s1 += f0[idx[b + 1]] * val[b + 1];
+      t0 += f1[idx[b]] * val[b];
+      t1 += f1[idx[b + 1]] * val[b + 1];
     }
-    if (a < ne) n0 += val[a] * (row(idx[a])[idx[a]] * val[a]);
-    out[k] = n0 + n1;
+    if (b < ne) {
+      s0 += f0[idx[b]] * val[b];
+      t0 += f1[idx[b]] * val[b];
+    }
+    n0 += val[a] * (s0 + s1);
+    n1 += val[a + 1] * (t0 + t1);
   }
+  if (a < ne) n0 += val[a] * (row(idx[a])[idx[a]] * val[a]);
+  return n0 + n1;
 }
 
 }  // namespace
@@ -333,14 +328,24 @@ void folded_kernel(const double* f, std::size_t ld, const std::uint32_t* offsets
 void contract_density_folded(const linalg::Matrix& f, const std::uint32_t* offsets,
                              std::size_t n_points, const std::uint32_t* indices,
                              const double* values, double* out) {
-  folded_kernel(f.data(), f.cols(), offsets, n_points, indices, values, out);
+  for (std::size_t k = 0; k < n_points; ++k)
+    out[k] = folded_point(f.data(), f.cols(), indices + offsets[k], values + offsets[k],
+                          offsets[k + 1] - offsets[k]);
 }
 
 void contract_density_folded(const double* f, std::size_t ld,
                              const std::uint32_t* offsets, std::size_t n_points,
-                             const std::uint16_t* indices, const double* values,
-                             double* out) {
-  folded_kernel(f, ld, offsets, n_points, indices, values, out);
+                             const std::uint16_t* indices, const double* phi,
+                             std::size_t phi_ld, double* out) {
+  thread_local std::vector<double> val;  // one point's entry values
+  val.resize(phi_ld);
+  for (std::size_t k = 0; k < n_points; ++k) {
+    const std::uint16_t* idx = indices + offsets[k];
+    const std::size_t ne = offsets[k + 1] - offsets[k];
+    const double* phik = phi + k * phi_ld;
+    for (std::size_t e = 0; e < ne; ++e) val[e] = phik[idx[e]];
+    out[k] = folded_point(f, ld, idx, val.data(), ne);
+  }
 }
 
 void contract_density_folded(const linalg::Matrix& f, const BatchEval& ev,

@@ -180,13 +180,14 @@ void contract_density_folded(const linalg::Matrix& f, const std::uint32_t* offse
                              const double* values, double* out);
 
 /// The same folded kernel against a dense row-major block `f` of leading
-/// dimension `ld`, addressed by 16-bit local indices: the grid-tile form
-/// (scf/tiles.hpp). Rounds exactly like the global-index form over the
-/// same entries and the same F values.
+/// dimension `ld`, addressed by 16-bit local indices, with point k's values
+/// read from row k (stride `phi_ld`) of a dense point-major array at the
+/// same local indices: the grid-tile form (scf/tiles.hpp). Rounds exactly
+/// like the global-index form over the same entries and the same F values.
 void contract_density_folded(const double* f, std::size_t ld,
                              const std::uint32_t* offsets, std::size_t n_points,
-                             const std::uint16_t* indices, const double* values,
-                             double* out);
+                             const std::uint16_t* indices, const double* phi,
+                             std::size_t phi_ld, double* out);
 
 /// contract_density_folded over every point of a batched evaluation.
 void contract_density_folded(const linalg::Matrix& f, const BatchEval& ev,

@@ -79,7 +79,7 @@ RankTiles::RankTiles(const basis::BasisSet& basis, const grid::MolecularGrid& gr
     resilience::oom_probe("dfpt/point_cache", 2 * points_.size() * sizeof(std::uint32_t));
     cache_.resize(size());
     exec::parallel_for(0, size(), [&](std::size_t t) {
-      scf::build_tile(basis, grid, points_of(t), false, cache_[t]);
+      scf::build_tile(basis, grid, points_of(t), cache_[t]);
     });
     tiles_ = &cache_;
     for (const scf::GridTile& tile : cache_) bytes += tile.bytes();
@@ -89,7 +89,7 @@ RankTiles::RankTiles(const basis::BasisSet& basis, const grid::MolecularGrid& gr
 
 const scf::GridTile& RankTiles::tile(std::size_t t, scf::GridTile& scratch) const {
   if (tiles_ != nullptr) return (*tiles_)[t];
-  scf::build_tile(*basis_, *grid_, points_of(t), false, scratch);
+  scf::build_tile(*basis_, *grid_, points_of(t), scratch);
   return scratch;
 }
 
@@ -129,6 +129,11 @@ DfptDirectionResult CpscfRun::finish(const std::string& who, const std::string& 
   for (int axis = 0; axis < 3; ++axis)
     result.dipole_response_trace[axis] =
         linalg::trace_product(result.p1, in.ground.integrator->dipole_matrix(axis));
+  // A converged direction's two paths must agree; a fault that struck the
+  // final Sumup would otherwise pass as a converged answer.
+  if (result.converged)
+    resilience::guard_alpha_paths(result.dipole_response, result.dipole_response_trace,
+                                  "cpscf/alpha_paths");
   return std::move(result);
 }
 
@@ -291,17 +296,17 @@ void run_cpscf_rank(parallel::Communicator& comm, CpscfRun& run,
               [&](std::size_t tt, const scf::GridTile&, std::size_t k) {
                 return v1[tiles.begin(tt) + k];
               },
-              /*laplacian=*/false, partial);
+              partial);
         }
         packed_sum([&](comm::PackedAllReducer& packer) {
           for (std::size_t row = 0; row < nb; ++row)
             packer.add(std::span<double>(partial.data() + row * nb, nb));
         });
         h1.axpy(1.0, partial);
-        h1.symmetrize();
       }
-      // Phase-boundary invariant: H^(1) is Hermitian by construction;
-      // asymmetry or a non-finite entry is corruption. The value is
+      // Phase-boundary invariant: H^(1) is exactly symmetric by
+      // construction (mirrored tile blocks, elementwise sums), so any
+      // asymmetry or non-finite entry is corruption. The value is
       // replicated, so all ranks throw together and the collective
       // schedule stays aligned.
       resilience::guard_hermitian(h1, "cpscf/h1");

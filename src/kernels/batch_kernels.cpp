@@ -1,5 +1,7 @@
 #include "kernels/batch_kernels.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 
 namespace aeqp::kernels {
@@ -60,13 +62,13 @@ void h_kernel(simt::SimtRuntime& rt, const grid::MolecularGrid& grid,
     std::vector<double> w;
     scf::tile_weights(grid, tile,
                       [&](std::size_t k) { return v_samples[tile.point_ids[k]]; }, w);
-    for (std::size_t k = 0; k < tile.size(); ++k) {
-      const std::size_t ne = tile.offsets[k + 1] - tile.offsets[k];
-      if (w[k] != 0.0) wg.flops(2 * ne * ne);
-    }
+    // The dense update: every point the kernel does not skip costs the
+    // upper block triangle's multiply-adds.
+    const auto live = static_cast<std::size_t>(std::count_if(
+        w.begin(), w.end(), [](double wk) { return wk != 0.0; }));
+    wg.flops(2 * scf::tile_update_pairs(tile) * live);
     blocks[wg.group_id()].basis_ids = tile.basis_ids;
-    scf::accumulate_tile(tile, w.data(), /*laplacian=*/false,
-                         blocks[wg.group_id()].values);
+    scf::accumulate_tile(tile, w.data(), blocks[wg.group_id()].values);
     wg.barrier();
     rt.stats().offchip_write_bytes += nloc * nloc * sizeof(double);
     wg.issue_simt(tile.size(), 8);

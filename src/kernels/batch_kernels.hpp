@@ -8,10 +8,11 @@
 /// response-Hamiltonian contribution of the tile.
 ///
 /// The group bodies are the tile engine's own operations (scf/tiles.hpp):
-/// the folded tile contraction and the tile accumulation with a tile-order
-/// flush. The kernels therefore compute bit-for-bit what the host
-/// integrator computes over the same tiles, while counting the
-/// device-model events the portability analysis consumes.
+/// the folded tile contraction and the tile's symmetric rank-k update with
+/// a tile-order flush. The kernels therefore compute bit-for-bit what the
+/// host integrator computes over the same tiles, while counting the
+/// device-model events the portability analysis consumes (the H kernel
+/// counts the dense update's flops).
 
 #include <span>
 #include <vector>

@@ -4,7 +4,8 @@
 /// Physics invariant guards: cheap, physically exact checks the all-electron
 /// formulation guarantees -- electron count (integral of rho equals
 /// N_electrons on the integration grid), Hermiticity of H and delta-H,
-/// trace(DM * S) = N, and finiteness sweeps at phase boundaries. A silent
+/// trace(DM * S) = N, agreement of the two polarizability paths, and
+/// finiteness sweeps at phase boundaries. A silent
 /// compute-side corruption that slips past ABFT (or strikes a non-ABFT
 /// kernel) violates one of these within the same iteration; the guard turns
 /// the eventual wrong answer into an immediate structured
@@ -20,13 +21,16 @@
 /// modules *below* resilience in the link graph -- so they must not pull
 /// link-time symbols out of the resilience archive.
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <span>
 #include <string>
 
 #include "common/error.hpp"
+#include "common/vec3.hpp"
 #include "linalg/matrix.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -92,8 +96,8 @@ inline void guard_finite(const linalg::Matrix& m, const char* site) {
 }
 
 /// Hermiticity (real-symmetric here): max |m_ij - m_ji| within `tol` of
-/// zero, scaled by the matrix magnitude. H and delta-H are built from
-/// symmetrized integrals, so any asymmetry beyond roundoff is corruption.
+/// zero, scaled by the matrix magnitude. H and delta-H are exactly
+/// symmetric by construction, so any asymmetry is corruption.
 inline void guard_hermitian(const linalg::Matrix& m, const char* site,
                             double tol = 1e-10) {
   if (!guards_enabled()) return;
@@ -151,6 +155,34 @@ inline void guard_trace_identity(const linalg::Matrix& dm,
   const double scale = std::max(1.0, std::abs(n_electrons));
   if (std::abs(tr - n_electrons) > rel_tol * scale)
     detail::raise_violation("trace_identity", site, tr, n_electrons);
+}
+
+/// Relative gap between the two polarizability paths of one field
+/// direction: max_I |grid_I - trace_I| / max_I |grid_I| (0 when the paths
+/// agree exactly, infinite when either holds a non-finite value), with
+/// grid_I the grid moment \int r_I n^(1) and trace_I = Tr(P^(1) D_I).
+[[nodiscard]] inline double alpha_path_gap(const Vec3& grid, const Vec3& trace) {
+  double diff = 0.0, scale = 0.0;
+  for (int i = 0; i < 3; ++i) {
+    if (!std::isfinite(grid[i]) || !std::isfinite(trace[i]))
+      return std::numeric_limits<double>::infinity();
+    diff = std::max(diff, std::abs(grid[i] - trace[i]));
+    scale = std::max(scale, std::abs(grid[i]));
+  }
+  return diff == 0.0 ? 0.0 : diff / scale;
+}
+
+/// The two polarizability paths of a converged direction agree: both sum
+/// P^(1)_mu_nu chi_mu r_I chi_nu over the same grid, in different orders,
+/// so they sit about 1e-14 apart. A corrupted final Sumup moves only the
+/// grid moment: max_I |grid_I - trace_I| must stay within
+/// rel_tol * max_I |grid_I|.
+inline void guard_alpha_paths(const Vec3& grid, const Vec3& trace, const char* site,
+                              double rel_tol = 1e-8) {
+  if (!guards_enabled()) return;
+  detail::count_check();
+  const double gap = alpha_path_gap(grid, trace);
+  if (!(gap <= rel_tol)) detail::raise_violation("alpha_paths", site, gap, rel_tol);
 }
 
 }  // namespace aeqp::resilience

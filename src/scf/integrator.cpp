@@ -18,14 +18,30 @@ BatchIntegrator::BatchIntegrator(std::shared_ptr<const basis::BasisSet> basis,
   AEQP_CHECK(basis_ && grid_, "BatchIntegrator: null basis or grid");
   // Cut-plane batches are spatially compact, so their active-basis unions
   // (the dense local blocks) stay small.
-  tiles_ = build_tiles(*basis_, *grid_,
-                       grid::make_batches(*grid_, tune::grid_batch_points(0)),
-                       /*with_laplacian=*/true);
+  const std::vector<grid::Batch> batches =
+      grid::make_batches(*grid_, tune::grid_batch_points(0));
+  // The one basis-evaluation pass: each tile is built with its Laplacians
+  // in a per-thread scratch, which feeds T's tile block at once and is
+  // never stored.
+  tiles_.resize(batches.size());
+  std::vector<TileBlock> blocks(batches.size());
+  exec::parallel_for(0, batches.size(), [&](std::size_t t) {
+    thread_local std::vector<double> lap, w;
+    GridTile& tile = tiles_[t];
+    build_tile(*basis_, *grid_, batches[t].points, tile, &lap);
+    tile_weights(*grid_, tile, [](std::size_t) { return -0.5; }, w);
+    blocks[t].basis_ids = tile.basis_ids;
+    accumulate_tile(tile, lap.data(), w.data(), blocks[t].values);
+  });
+  kinetic_ = Matrix(basis_->size(), basis_->size());
+  flush_tile_blocks(blocks, kinetic_);
+  // The asymmetric grid estimate of <mu|nabla^2|nu> is symmetrized, the
+  // standard practice for NAO grid integration (FHI-aims does the same).
+  kinetic_.symmetrize();
 }
 
 template <typename Factor>
-Matrix BatchIntegrator::accumulate_weighted(Factor&& point_factor,
-                                            bool use_laplacian) const {
+Matrix BatchIntegrator::accumulate_weighted(Factor&& point_factor) const {
   Matrix m(basis_->size(), basis_->size());
   accumulate_tiles(
       *grid_, tiles_.size(),
@@ -33,21 +49,15 @@ Matrix BatchIntegrator::accumulate_weighted(Factor&& point_factor,
       [&](std::size_t, const GridTile& tile, std::size_t k) {
         return point_factor(tile.point_ids[k]);
       },
-      use_laplacian, m);
+      m);
   return m;
 }
 
 Matrix BatchIntegrator::overlap() const {
-  return accumulate_weighted([](std::size_t) { return 1.0; }, false);
+  return accumulate_weighted([](std::size_t) { return 1.0; });
 }
 
-Matrix BatchIntegrator::kinetic() const {
-  Matrix t = accumulate_weighted([](std::size_t) { return -0.5; }, true);
-  // The asymmetric grid estimate of <mu|nabla^2|nu> is symmetrized, the
-  // standard practice for NAO grid integration (FHI-aims does the same).
-  t.symmetrize();
-  return t;
-}
+Matrix BatchIntegrator::kinetic() const { return kinetic_; }
 
 Matrix BatchIntegrator::external_potential() const {
   std::call_once(vnuc_once_, [&] {
@@ -66,20 +76,18 @@ Matrix BatchIntegrator::external_potential() const {
       }
     });
   });
-  return accumulate_weighted(
-      [&](std::size_t p) { return vnuc_samples_[p]; }, false);
+  return accumulate_weighted([&](std::size_t p) { return vnuc_samples_[p]; });
 }
 
 Matrix BatchIntegrator::potential_matrix(std::span<const double> v_samples) const {
   AEQP_CHECK(v_samples.size() == grid_->size(),
              "potential_matrix: sample count mismatch");
-  return accumulate_weighted([&](std::size_t p) { return v_samples[p]; }, false);
+  return accumulate_weighted([&](std::size_t p) { return v_samples[p]; });
 }
 
 Matrix BatchIntegrator::dipole_matrix(int axis) const {
   AEQP_CHECK(axis >= 0 && axis < 3, "dipole_matrix: axis must be 0..2");
-  return accumulate_weighted(
-      [&](std::size_t p) { return grid_->point(p).pos[axis]; }, false);
+  return accumulate_weighted([&](std::size_t p) { return grid_->point(p).pos[axis]; });
 }
 
 std::vector<double> BatchIntegrator::density(const Matrix& p_mat) const {

@@ -9,13 +9,15 @@
 /// Basis values at grid points are evaluated once and cached as grid tiles
 /// (scf/tiles.hpp): the cut-plane batches of grid::make_batches at the
 /// tuned batch size -- the same tiling the distributed CPSCF solver maps
-/// onto ranks -- each holding its points' values and Laplacians against a
-/// dense local basis block. The SCF and DFPT loops revisit every point
-/// dozens of times with different potentials/density matrices; this cache
-/// is exactly the per-batch working set an OpenCL work-group holds in the
-/// paper's kernels. Matrix accumulation and density synthesis run through
-/// the tile engine: pool-parallel tiles, tile-order flush, bit-identical
-/// for every thread count.
+/// onto ranks -- each holding its points' values densely against a local
+/// basis block. The SCF and DFPT loops revisit every point dozens of times
+/// with different potentials/density matrices; this cache is exactly the
+/// per-batch working set an OpenCL work-group holds in the paper's kernels.
+/// No Laplacian is cached: the constructor's one evaluation pass builds the
+/// kinetic matrix from per-thread Laplacian scratch as it builds the tiles.
+/// Matrix accumulation and density synthesis run through the tile engine:
+/// pool-parallel tiles, tile-order flush, bit-identical for every thread
+/// count; every accumulated matrix is exactly symmetric.
 
 #include <memory>
 #include <mutex>
@@ -41,7 +43,8 @@ public:
   /// Overlap matrix S_mu_nu = \int chi_mu chi_nu.
   [[nodiscard]] linalg::Matrix overlap() const;
 
-  /// Kinetic matrix T_mu_nu = -1/2 \int chi_mu nabla^2 chi_nu (symmetrized).
+  /// Kinetic matrix T_mu_nu = -1/2 \int chi_mu nabla^2 chi_nu (symmetrized),
+  /// built once by the constructor.
   [[nodiscard]] linalg::Matrix kinetic() const;
 
   /// External (nuclear attraction) potential matrix:
@@ -78,17 +81,17 @@ private:
   std::shared_ptr<const basis::BasisSet> basis_;
   std::shared_ptr<const grid::MolecularGrid> grid_;
 
-  std::vector<GridTile> tiles_;  // with Laplacians (kinetic matrix)
+  std::vector<GridTile> tiles_;
+  linalg::Matrix kinetic_;
 
   // Nuclear potential samples, built lazily (geometry-only, so shared by
   // every SCF and CPSCF iteration).
   mutable std::once_flag vnuc_once_;
   mutable std::vector<double> vnuc_samples_;
 
-  /// M = sum_p w_p f(p) chi chi^T (or chi nabla^2 chi^T) over every tile.
+  /// M = sum_p w_p f(p) chi chi^T over every tile.
   template <typename Factor>
-  [[nodiscard]] linalg::Matrix accumulate_weighted(Factor&& point_factor,
-                                                   bool use_laplacian) const;
+  [[nodiscard]] linalg::Matrix accumulate_weighted(Factor&& point_factor) const;
 };
 
 }  // namespace aeqp::scf

@@ -174,9 +174,10 @@ ScfResult ScfSolver::run() const {
     phase_span.begin("scf/hamiltonian");
     Matrix h = h_core;
     h.axpy(1.0, integ->potential_matrix(v_eff));
-    h.symmetrize();
     // Phase-boundary guard: a corrupted integral poisons every eigenpair
-    // downstream, so validate the Hamiltonian before diagonalization.
+    // downstream, so validate the Hamiltonian before diagonalization. H is
+    // exactly symmetric by construction, so nothing is symmetrized away
+    // before the guard looks.
     resilience::guard_hermitian(h, "scf/h");
 
     // DIIS extrapolates the Hamiltonian from the residual history.

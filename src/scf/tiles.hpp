@@ -4,17 +4,21 @@
 /// The grid-tile engine: one layout and one implementation of each grid
 /// operation, shared by the integrator, every CPSCF rank and the SIMT
 /// kernels. A tile is one cut-plane batch of grid points (grid::make_batches,
-/// paper Fig. 2) whose basis values are indexed against the tile's dense
+/// paper Fig. 2) whose basis values are held densely against the tile's
 /// local block -- the sorted union of the basis functions active anywhere
-/// in it (the "small dense block" of Fig. 3(b)).
+/// in it (the "small dense block" of Fig. 3(b)). A tile stores basis values
+/// only; no Laplacian is cached (the integrator builds T while it builds
+/// its tiles).
 ///
 ///  - Sumup (Eq. 8): gather the tile's block of the folded density matrix,
-///    then contract every point over half its entry pairs. A point's value
-///    depends only on the fold and its own entries: identical for every
-///    tiling, thread and rank count.
-///  - Matrix accumulation (H, S, T, V, D; Eqs. 10-12): every tile fills its
-///    own dense block and the blocks flush to the global matrix in tile
-///    order: bit-identical for every thread count.
+///    then contract every point over half its nonzero entry pairs, read
+///    from the dense values through the point's local index list. A
+///    point's value depends only on the fold and its own entries:
+///    identical for every tiling, thread and rank count.
+///  - Matrix accumulation (H, S, V, D; Eqs. 10-12): every tile fills its
+///    own dense block with one symmetric rank-k update, and the blocks
+///    flush to the global matrix in tile order: bit-identical for every
+///    thread count, and exactly symmetric.
 
 #include <cstdint>
 #include <span>
@@ -28,15 +32,17 @@
 
 namespace aeqp::scf {
 
-/// One grid tile: a batch's points and their nonzero basis values, indexed
-/// against the tile's dense local basis block.
+/// One grid tile: a batch's points and their basis values against the
+/// tile's dense local basis block.
 struct GridTile {
   std::vector<std::uint32_t> point_ids;    ///< grid point ids
   std::vector<std::uint32_t> basis_ids;    ///< local -> global basis index (sorted)
-  std::vector<std::uint32_t> offsets;      ///< per-point CSR into the entries
-  std::vector<std::uint16_t> local_index;  ///< entry -> local basis index
-  std::vector<double> values;              ///< entry -> chi value
-  std::vector<double> laplacians;          ///< entry -> nabla^2 chi (if built)
+  std::vector<std::uint32_t> offsets;      ///< per-point CSR into local_index
+  std::vector<std::uint16_t> local_index;  ///< entry -> local index of a nonzero chi
+  /// Point-major dense chi: phi[k * ld + i] = chi_{basis_ids[i]}(point k),
+  /// exactly 0 where chi vanishes and in the padding.
+  std::vector<double> phi;
+  std::size_t ld = 0;  ///< row stride of phi: basis_ids.size() rounded up to 4
 
   [[nodiscard]] std::size_t size() const { return point_ids.size(); }
   /// Heap bytes held (capacity), for the memory audit.
@@ -44,23 +50,24 @@ struct GridTile {
 };
 
 /// Build the tile of `points`. One entry filter for every tile: a point
-/// keeps exactly the entries with a nonzero basis value, in evaluation
-/// order, whether or not Laplacians are stored. (BasisSet::evaluate keeps
-/// zero values when asked for Laplacians; those come from a Y_lm that
-/// vanishes at a symmetry point, so their Laplacian term vanishes too and
-/// dropping them changes no integral.) The shared filter makes every tile
-/// of a point -- integrator, rank cache, on-the-fly rebuild -- pair its
-/// entries identically in the folded contraction.
+/// lists exactly its nonzero basis values, in evaluation order. (With
+/// Laplacians BasisSet::evaluate also keeps zero values; those come from a
+/// Y_lm that vanishes at a symmetry point, so their Laplacian vanishes too
+/// and dropping them changes no integral.) The shared filter makes every
+/// tile of a point -- integrator, rank cache, on-the-fly rebuild -- hold
+/// the same values and pair its entries identically in the folded
+/// contraction. When `laplacians` is given it receives nabla^2 chi of the
+/// same entries in phi's layout (zero elsewhere): the kinetic matrix's
+/// scratch, never stored in the tile.
 void build_tile(const basis::BasisSet& basis, const grid::MolecularGrid& grid,
-                std::span<const std::uint32_t> points, bool with_laplacian,
-                GridTile& out);
+                std::span<const std::uint32_t> points, GridTile& out,
+                std::vector<double>* laplacians = nullptr);
 
 /// Tiles of every batch, built across the exec pool (geometry-only work,
 /// done once per geometry: the initialization Fig. 11 optimizes).
 [[nodiscard]] std::vector<GridTile> build_tiles(const basis::BasisSet& basis,
                                                 const grid::MolecularGrid& grid,
-                                                const std::vector<grid::Batch>& batches,
-                                                bool with_laplacian = false);
+                                                const std::vector<grid::Batch>& batches);
 
 /// blk[i * nloc + j] = f(basis_ids[i], basis_ids[j]): the tile's dense
 /// block of a global matrix.
@@ -75,11 +82,22 @@ void contract_tile(const double* blk, const GridTile& tile, double* out);
 /// gather_block + contract_tile through a per-thread scratch block.
 void tile_density(const linalg::Matrix& folded, const GridTile& tile, double* out);
 
-/// blk (nloc x nloc, zero-filled here) = sum_k w[k] chi_k x_k^T over the
-/// tile's points, with x = chi, or nabla^2 chi when `laplacian` is set.
-/// Points with w[k] == 0 are skipped.
-void accumulate_tile(const GridTile& tile, const double* w, bool laplacian,
+/// blk (nloc x nloc, overwritten) = sum_k w[k] chi_k chi_k^T over the
+/// tile's points: a symmetric rank-k update of phi. 4x4 register blocks
+/// cover the upper triangle; each (i, j) sums (chi_ki w_k) chi_kj in point
+/// order, skipping points with w[k] == 0 -- the order of a per-point
+/// scatter of the nonzero entries, so the bits match one -- and every
+/// upper entry is mirrored on store, so blk is exactly symmetric.
+void accumulate_tile(const GridTile& tile, const double* w, std::vector<double>& blk);
+
+/// The same kernel over the full block: blk = sum_k (chi_k w_k) y_k^T for a
+/// point-major `y` laid out like phi (build_tile's Laplacians: T).
+void accumulate_tile(const GridTile& tile, const double* y, const double* w,
                      std::vector<double>& blk);
+
+/// Multiply-adds accumulate_tile spends on every point it does not skip:
+/// the 4x4 blocks of the upper block triangle of ld x ld.
+[[nodiscard]] std::size_t tile_update_pairs(const GridTile& tile);
 
 /// A tile's accumulated dense block and the global ids it scatters to.
 struct TileBlock {
@@ -103,15 +121,14 @@ void tile_weights(const grid::MolecularGrid& grid, const GridTile& tile,
   }
 }
 
-/// m += sum over tiles t < n_tiles of sum_k w_k chi_k x_k^T, with
+/// m += sum over tiles t < n_tiles of sum_k w_k chi_k chi_k^T, with
 /// w_k = grid weight of the point * factor(t, tile, k). Tiles compute
 /// across the exec pool, blocks flush in tile order. `tile_at(t, scratch)`
 /// returns tile t, either a cached tile or one rebuilt into `scratch` (a
 /// per-thread tile) -- both give the same bits.
 template <typename TileAt, typename Factor>
 void accumulate_tiles(const grid::MolecularGrid& grid, std::size_t n_tiles,
-                      TileAt&& tile_at, Factor&& factor, bool laplacian,
-                      linalg::Matrix& m) {
+                      TileAt&& tile_at, Factor&& factor, linalg::Matrix& m) {
   std::vector<TileBlock> blocks(n_tiles);
   exec::parallel_for(0, n_tiles, [&](std::size_t t) {
     thread_local GridTile scratch;
@@ -119,7 +136,7 @@ void accumulate_tiles(const grid::MolecularGrid& grid, std::size_t n_tiles,
     const GridTile& tile = tile_at(t, scratch);
     tile_weights(grid, tile, [&](std::size_t k) { return factor(t, tile, k); }, w);
     blocks[t].basis_ids = tile.basis_ids;
-    accumulate_tile(tile, w.data(), laplacian, blocks[t].values);
+    accumulate_tile(tile, w.data(), blocks[t].values);
   });
   flush_tile_blocks(blocks, m);
 }

@@ -1,9 +1,14 @@
 // Tests for kernels/batch_kernels.hpp: the Sumup and H phases in the
 // OpenCL-style batch execution model, validated against the serial
-// BatchIntegrator on real molecules.
+// BatchIntegrator on real molecules -- and for the tile engine under both
+// (scf/tiles.hpp): the dense tile layout, the symmetric rank-k update
+// against a per-point scalar scatter, and the kinetic matrix the
+// integrator builds in its one tile pass.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
 
 #include "common/error.hpp"
@@ -64,6 +69,177 @@ TEST(BatchSupports, CoverEveryPointOnce) {
   }
   for (int c : seen) EXPECT_EQ(c, 1);
 }
+
+TEST(BatchSupports, DenseRowsHoldExactlyTheListedValues) {
+  const Workbench s = make_workbench(core::water());
+  basis::PointEval ev;
+  for (const auto& tile : s.supports) {
+    const std::size_t nloc = tile.basis_ids.size();
+    EXPECT_EQ(tile.ld % 4, 0u);
+    EXPECT_GE(tile.ld, nloc);
+    EXPECT_LT(tile.ld, nloc + 4);
+    ASSERT_EQ(tile.phi.size(), tile.size() * tile.ld);
+    for (std::size_t k = 0; k < tile.size(); ++k) {
+      // Row k is the point's basis evaluation: its nonzero values at their
+      // local indices, in evaluation order, and exact zeros elsewhere.
+      s.basis->evaluate(s.grid->point(tile.point_ids[k]).pos, false, ev);
+      std::vector<double> row(tile.ld, 0.0);
+      std::size_t e = tile.offsets[k];
+      for (std::size_t i = 0; i < ev.indices.size(); ++i) {
+        if (ev.values[i] == 0.0) continue;
+        ASSERT_LT(e, tile.offsets[k + 1]);
+        EXPECT_EQ(tile.basis_ids[tile.local_index[e]], ev.indices[i]);
+        row[tile.local_index[e++]] = ev.values[i];
+      }
+      EXPECT_EQ(e, tile.offsets[k + 1]);
+      for (std::size_t i = 0; i < tile.ld; ++i)
+        ASSERT_EQ(tile.phi[k * tile.ld + i], row[i]) << "point " << k << " slot " << i;
+    }
+  }
+}
+
+/// How far a kernel's sums may sit from a test-local reference with the
+/// same per-(i, j) order, relative to the largest entry: exactly 0 in the
+/// portable build. A target with fused multiply-add (-march=native) lets
+/// the compiler contract the two loops' multiply-adds differently, and
+/// there they agree to rounding.
+#ifdef __FP_FAST_FMA
+constexpr double kSumTolerance = 1e-14;
+#else
+constexpr double kSumTolerance = 0.0;
+#endif
+
+class TileEngine : public ::testing::TestWithParam<bool> {
+protected:
+  [[nodiscard]] Workbench bench() const {
+    return GetParam() ? make_workbench(core::methane(), 48) : make_workbench(core::water());
+  }
+};
+
+// The symmetric rank-k update sums, per (i, j), the same products in the
+// same point order as a scalar scatter over every point's nonzero entries
+// -- so its upper triangle matches that reference bit for bit (see
+// kSumTolerance) -- and mirrors it, so the block is exactly symmetric.
+TEST_P(TileEngine, RankKUpdateMatchesPerPointScatterBitForBit) {
+  const Workbench s = bench();
+  Rng rng(46);
+  bool odd_block = false, zero_weight = false;
+  std::vector<double> w, blk;
+  for (const auto& tile : s.supports) {
+    const std::size_t nloc = tile.basis_ids.size();
+    odd_block = odd_block || nloc % 4 != 0;
+    // Random potential values, with an exact zero on every fifth point.
+    scf::tile_weights(*s.grid, tile,
+                      [&](std::size_t k) { return k % 5 == 2 ? 0.0 : rng.uniform(-1, 1); }, w);
+    std::vector<double> ref(nloc * nloc, 0.0);
+    for (std::size_t k = 0; k < tile.size(); ++k) {
+      if (w[k] == 0.0) {
+        zero_weight = true;
+        continue;
+      }
+      const double* phi = tile.phi.data() + k * tile.ld;
+      for (std::uint32_t a = tile.offsets[k]; a < tile.offsets[k + 1]; ++a)
+        for (std::uint32_t b = tile.offsets[k]; b < tile.offsets[k + 1]; ++b) {
+          const std::size_t i = tile.local_index[a], j = tile.local_index[b];
+          ref[i * nloc + j] += (phi[i] * w[k]) * phi[j];
+        }
+    }
+    scf::accumulate_tile(tile, w.data(), blk);
+    ASSERT_EQ(blk.size(), nloc * nloc);
+    double scale = 0.0;
+    for (const double r : ref) scale = std::max(scale, std::abs(r));
+    for (std::size_t i = 0; i < nloc; ++i)
+      for (std::size_t j = i; j < nloc; ++j) {
+        ASSERT_LE(std::abs(blk[i * nloc + j] - ref[i * nloc + j]), kSumTolerance * scale)
+            << i << "," << j;
+        ASSERT_EQ(blk[j * nloc + i], blk[i * nloc + j]) << i << "," << j;
+      }
+  }
+  EXPECT_TRUE(odd_block) << "no tile with nloc % 4 != 0";
+  EXPECT_TRUE(zero_weight) << "no point with w == 0";
+}
+
+// T is built in the integrator's tile pass from Laplacian scratch; a
+// test-local scatter over BasisSet::evaluate(..., true, ...) on the same
+// tiles, flushed in tile order and symmetrized, gives the same bits (see
+// kSumTolerance).
+TEST_P(TileEngine, KineticEqualsLaplacianScatterOverTheSameTiles) {
+  const Workbench s = bench();
+  const std::size_t nb = s.basis->size();
+  linalg::Matrix ref(nb, nb);
+  basis::PointEval ev;
+  for (const auto& tile : s.integ->tiles()) {
+    const std::size_t nloc = tile.basis_ids.size();
+    const auto local = [&](std::uint32_t mu) {
+      return static_cast<std::size_t>(
+          std::lower_bound(tile.basis_ids.begin(), tile.basis_ids.end(), mu) -
+          tile.basis_ids.begin());
+    };
+    std::vector<double> blk(nloc * nloc, 0.0);
+    for (std::size_t k = 0; k < tile.size(); ++k) {
+      const grid::GridPoint& gp = s.grid->point(tile.point_ids[k]);
+      const double w = gp.weight * -0.5;
+      if (w == 0.0) continue;
+      s.basis->evaluate(gp.pos, true, ev);
+      // The tile's entry filter: nonzero values only.
+      for (std::size_t a = 0; a < ev.indices.size(); ++a) {
+        if (ev.values[a] == 0.0) continue;
+        const double x = ev.values[a] * w;
+        for (std::size_t b = 0; b < ev.indices.size(); ++b) {
+          if (ev.values[b] == 0.0) continue;
+          blk[local(ev.indices[a]) * nloc + local(ev.indices[b])] += x * ev.laplacians[b];
+        }
+      }
+    }
+    for (std::size_t i = 0; i < nloc; ++i)
+      for (std::size_t j = 0; j < nloc; ++j)
+        ref(tile.basis_ids[i], tile.basis_ids[j]) += blk[i * nloc + j];
+  }
+  ref.symmetrize();
+  EXPECT_LE(s.integ->kinetic().max_abs_diff(ref), kSumTolerance * ref.max_abs());
+}
+
+// The H kernel counts the flops of the dense update it runs: every point
+// it does not skip costs the 4x4 blocks of the upper block triangle.
+TEST_P(TileEngine, HKernelCountsTheDenseUpdateFlops) {
+  const Workbench s = bench();
+  Rng rng(47);
+  std::vector<double> v(s.grid->size());
+  for (std::size_t p = 0; p < v.size(); ++p) v[p] = p % 7 == 3 ? 0.0 : rng.uniform(-1, 1);
+  std::size_t expected = 0;
+  for (const auto& tile : s.supports) {
+    const std::size_t blocks = (tile.basis_ids.size() + 3) / 4;
+    std::size_t live = 0;
+    for (const std::uint32_t pid : tile.point_ids)
+      live += v[pid] != 0.0 && s.grid->point(pid).weight != 0.0;
+    expected += 2 * live * 16 * (blocks * (blocks + 1) / 2);
+  }
+  simt::SimtRuntime rt(simt::DeviceModel::gcn_gpu());
+  linalg::Matrix h(s.basis->size(), s.basis->size());
+  h_kernel(rt, *s.grid, s.supports, v, h);
+  EXPECT_EQ(rt.stats().flops, expected);
+}
+
+// Every grid matrix comes out exactly symmetric: mirrored tile blocks,
+// flushed elementwise.
+TEST_P(TileEngine, GridMatricesAreExactlySymmetric) {
+  const Workbench s = bench();
+  Rng rng(48);
+  std::vector<double> v(s.grid->size());
+  for (auto& x : v) x = rng.uniform(-0.5, 0.5);
+  simt::SimtRuntime rt(simt::DeviceModel::sw39010());
+  linalg::Matrix hk(s.basis->size(), s.basis->size());
+  h_kernel(rt, *s.grid, s.supports, v, hk);
+  const linalg::Matrix mats[] = {s.integ->overlap(),          s.integ->kinetic(),
+                                 s.integ->external_potential(), s.integ->potential_matrix(v),
+                                 s.integ->dipole_matrix(0),     s.integ->dipole_matrix(1),
+                                 s.integ->dipole_matrix(2),     hk};
+  for (const auto& m : mats)
+    for (std::size_t i = 0; i < m.rows(); ++i)
+      for (std::size_t j = i + 1; j < m.cols(); ++j) ASSERT_EQ(m(i, j), m(j, i)) << i << "," << j;
+}
+
+INSTANTIATE_TEST_SUITE_P(WaterAndMethane, TileEngine, ::testing::Bool());
 
 class BatchKernelDevices : public ::testing::TestWithParam<bool> {};
 

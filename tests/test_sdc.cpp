@@ -619,6 +619,64 @@ TEST(SdcSolver, MultipoleNanEscalatesThroughRecoveryDriver) {
   EXPECT_NEAR(rec.dipole_response.z, ref.dipole_response.z, 1e-8);
 }
 
+// A finite bit flip in the final Sumup batch passes the finiteness guard
+// and, with no Rho phase left to run, reaches only the grid moment. The
+// alpha-path guard catches it: the grid moment and Tr(P^(1) D) no longer
+// agree, so the serial solver raises InvariantViolation instead of
+// reporting a converged but wrong alpha.
+class SdcFinalSumup : public ::testing::TestWithParam<int> {};
+
+SdcPlan final_sumup_flip(int iterations, int bit) {
+  SdcPlan plan;
+  plan.add({SdcKind::BitFlip, "cpscf/rho_batch",
+            /*invocation=*/static_cast<std::size_t>(iterations - 1),
+            /*element=*/300, bit});
+  return plan;
+}
+
+TEST_P(SdcFinalSumup, AlphaPathGuardRejectsTheStruckAnswer) {
+  GuardsOn guards;
+  const auto& ground = ground_h2();
+  core::DfptOptions dopt;
+  dopt.tolerance = 1e-8;
+  const auto ref = core::DfptSolver(ground, dopt).solve_direction(2);
+  ASSERT_TRUE(ref.converged);
+  EXPECT_LT(alpha_path_gap(ref.dipole_response, ref.dipole_response_trace), 1e-12);
+
+  SdcInjector injector(final_sumup_flip(ref.iterations, GetParam()));
+  ScopedSdcInjector scoped(injector);
+  EXPECT_THROW((void)core::DfptSolver(ground, dopt).solve_direction(2),
+               InvariantViolation);
+  EXPECT_EQ(injector.pending(), 0u);
+  EXPECT_EQ(injector.stats().bit_flips, 1u);
+}
+
+// Through the RecoveryDriver the violation is one more fault: one retry
+// from the last checkpoint, and the recovered alpha is the reference's.
+TEST_P(SdcFinalSumup, RecoveryDriverRetriesToTheReferenceAlpha) {
+  GuardsOn guards;
+  const auto& ground = ground_h2();
+  core::DfptOptions dopt;
+  dopt.tolerance = 1e-8;
+  const auto ref = core::DfptSolver(ground, dopt).solve_direction(2);
+  ASSERT_TRUE(ref.converged);
+
+  SdcInjector injector(final_sumup_flip(ref.iterations, GetParam()));
+  ScopedSdcInjector scoped(injector);
+  CheckpointStore store(fresh_dir("sdc_final_sumup_" + std::to_string(GetParam())));
+  RecoveryOptions ropt;
+  ropt.max_retries = 3;
+  RecoveryDriver driver(store, ropt);
+  const auto rec = driver.solve_direction(ground, dopt, 2);
+  EXPECT_EQ(injector.pending(), 0u);
+  EXPECT_TRUE(rec.converged);
+  EXPECT_EQ(driver.last_stats().invariant_violations, 1u);
+  EXPECT_EQ(rec.dipole_response.z, ref.dipole_response.z);
+}
+
+// Bit 51 (the top mantissa bit) and bit 63 (the sign).
+INSTANTIATE_TEST_SUITE_P(Bits, SdcFinalSumup, ::testing::Values(51, 63));
+
 // A guarded, ABFT-verified, fault-free run is bit-identical to a fully
 // unguarded one: the defense layers only read.
 TEST(SdcSolver, GuardedFaultFreeRunIsBitIdenticalToUnguarded) {
