@@ -1,10 +1,10 @@
 // Integration benchmark: the paper's full parallel decomposition executing
-// for real on the threaded simmpi runtime -- distributed Sumup/H phases,
-// replicated Poisson producers, packed (hierarchical) synthesis of the
-// response Hamiltonian -- across rank counts and reduce schemes. Everything
-// here is measured, not modeled; the table shows how the communication-
-// count savings materialize in the real DFPT cycle. (The dense-vs-CSR
-// storage axis of Fig. 3 is bench_fig09b_dense_access's.)
+// for real on the threaded simmpi runtime -- distributed Sumup/H phases and
+// Rho projection, packed (hierarchical) synthesis of the response
+// Hamiltonian and rho_multipole -- across rank counts and reduce schemes.
+// Everything here is measured, not modeled; the table shows how the
+// communication-count savings materialize in the real DFPT cycle. (The
+// dense-vs-CSR storage axis of Fig. 3 is bench_fig09b_dense_access's.)
 
 #include <benchmark/benchmark.h>
 
@@ -111,7 +111,7 @@ void elastic_degraded_run() {
   parallel::FaultEvent ev;
   ev.kind = parallel::FaultKind::Kill;
   ev.rank = 0;  // the checkpoint writer: forces the buddy-restore path
-  ev.collective = 40;
+  ev.collective = 58;
   ev.transient = false;
   plan.add(ev);
   parallel::FaultInjector injector(std::move(plan));

@@ -10,9 +10,11 @@
 ///  - **Path**: files land under AEQP_BENCH_DIR (default: the working
 ///    directory). CI points this at the artifact staging directory; local
 ///    runs keep today's behaviour.
-///  - **Envelope**: every file opens with the same three fields --
+///  - **Envelope**: every file opens with the same four fields --
 ///    "schema_version" (bumped when the envelope itself changes),
-///    "bench" (the ledger series name), and "timestamp". The timestamp is
+///    "bench" (the ledger series name), "timestamp", and
+///    "hardware_threads" (the host's core count: the ledger gates an entry
+///    only against history from the same core count). The timestamp is
 ///    PASSED IN via AEQP_BENCH_TIMESTAMP (CI sets it to the commit's ISO
 ///    date) rather than read from the wall clock, so re-running the same
 ///    commit reproduces byte-identical output and the history ledger stays
@@ -24,11 +26,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 
 namespace aeqp::benchio {
 
 /// Version of the common envelope (not of any bench's payload fields).
-inline constexpr int kSchemaVersion = 1;
+inline constexpr int kSchemaVersion = 2;
 
 /// Directory BENCH_*.json files are written to: AEQP_BENCH_DIR or ".".
 [[nodiscard]] inline std::string bench_dir() {
@@ -69,8 +72,10 @@ inline void write_envelope(std::FILE* f, const char* bench_name) {
                "{\n"
                "  \"schema_version\": %d,\n"
                "  \"bench\": \"%s\",\n"
-               "  \"timestamp\": \"%s\",\n",
-               kSchemaVersion, bench_name, bench_timestamp().c_str());
+               "  \"timestamp\": \"%s\",\n"
+               "  \"hardware_threads\": %u,\n",
+               kSchemaVersion, bench_name, bench_timestamp().c_str(),
+               std::thread::hardware_concurrency());
 }
 
 }  // namespace aeqp::benchio

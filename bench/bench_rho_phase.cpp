@@ -182,7 +182,7 @@ void print_table(const Rates& r) {
                                                      : "  ** MISMATCH **");
 }
 
-void write_json(const Rates& r, const char* filename) {
+void write_json(const Rates& r, bool smoke, const char* filename) {
   std::string path;
   std::FILE* f = benchio::open_bench(filename, &path);
   if (!f) {
@@ -190,8 +190,11 @@ void write_json(const Rates& r, const char* filename) {
     return;
   }
   benchio::write_envelope(f, "rho_phase");
+  // The smoke workload's rates are not comparable with the full one's:
+  // the ledger files smoke runs under a series of their own.
   std::fprintf(
       f,
+      "  \"smoke\": %s,\n"
       "  \"molecule\": \"H2O\",\n"
       "  \"grid_points\": %zu,\n"
       "  \"basis_size\": %zu,\n"
@@ -212,7 +215,8 @@ void write_json(const Rates& r, const char* filename) {
       "  },\n"
       "  \"batched_vs_per_point_max_diff\": %g\n"
       "}\n",
-      r.grid_points, r.basis_size, r.density_evals, r.contract_batched,
+      smoke ? "true" : "false", r.grid_points, r.basis_size, r.density_evals,
+      r.contract_batched,
       r.contract_batched_unscreened, r.contract_per_point, r.project_batched,
       r.project_per_point, r.potential_batched, r.potential_per_point,
       r.contract_per_point > 0 ? r.contract_batched / r.contract_per_point : 0,
@@ -252,6 +256,6 @@ int main(int argc, char** argv) {
   exec::ThreadPool::set_global_threads(0);
   if (r.grid_points == 0) return 1;
   print_table(r);
-  write_json(r, "BENCH_rho.json");
+  write_json(r, smoke, "BENCH_rho.json");
   return r.batched_vs_per_point_max_diff == 0.0 ? 0 : 2;
 }

@@ -7,11 +7,12 @@
 // load for the per-class deadline -- nanoseconds, cheap enough to leave on
 // for every governed run. Second, the ladder's rebalance rung: with one
 // rank persistently 8x slow, the governed run must complete at FULL world
-// size (no shrink), with the weighted re-mapping holding the walltime to
-// under 2x the clean run -- against the ~8x a do-nothing schedule would
-// cost. The JSON lands in BENCH_straggler.json for the perf-regression
-// sentinel (scripts/bench_history.py); the correctness rails (full world,
-// rebalance engaged, 1e-8 vs reference, ratio < 2) hard-fail the harness.
+// size (no shrink), with the weighted shares of grid batches and Rho
+// projection rows holding the walltime to under 2x the clean run --
+// against the ~8x a do-nothing schedule would cost. The JSON lands in
+// BENCH_straggler.json for the perf-regression sentinel
+// (scripts/bench_history.py); the correctness rails (full world, rebalance
+// engaged, 1e-8 vs reference, ratio < 2) hard-fail the harness.
 
 #include <benchmark/benchmark.h>
 
@@ -80,10 +81,6 @@ core::ParallelDfptOptions bench_popt(parallel::FaultInjector* injector) {
   popt.ranks_per_node = 2;
   popt.reduce_mode = comm::ReduceMode::Flat;
   popt.batch_points = 96;
-  // Weighted Rho-producer shares: under a persistent straggler the
-  // replicated producer would run at the slowest rank's speed no matter how
-  // the grid batches are re-homed, capping the rebalance win far above 2x.
-  popt.distribute_rho = true;
   popt.fault_injector = injector;
   popt.collective_timeout_ms = 30000;
   return popt;

@@ -1,7 +1,7 @@
 // Distributed DFPT demo: the paper's parallel decomposition running on the
 // simulated MPI cluster -- locality-mapped grid batches, distributed
-// Sumup/H phases, replicated Poisson producers, packed hierarchical
-// synthesis of the response Hamiltonian -- checked against the serial
+// Sumup/H phases and Rho projection, packed hierarchical synthesis of the
+// response Hamiltonian and rho_multipole -- checked against the serial
 // solver.
 //
 //   ./example_distributed_dfpt

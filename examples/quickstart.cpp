@@ -7,8 +7,10 @@
 //
 //   ./example_quickstart
 //
-// Profiling: AEQP_TRACE=summary prints the per-phase report on exit;
-// AEQP_TRACE=full additionally writes trace.json. See docs/observability.md.
+// Profiling: the trace spans are the only phase timing. AEQP_TRACE=summary
+// prints the per-phase report on exit (scf/*, cpscf/{dm,sumup,rho,h,
+// sternheimer}, poisson/*); AEQP_TRACE=full additionally writes trace.json.
+// See docs/observability.md.
 
 #include <cstdio>
 
@@ -60,9 +62,5 @@ int main() {
   std::printf("Isotropic polarizability: %.4f bohr^3 (%.4f angstrom^3)\n",
               result.isotropic_polarizability(),
               result.isotropic_polarizability() * constants::bohr3_to_angstrom3);
-
-  std::printf("\nPer-phase DFPT time (all directions):\n");
-  for (const auto& [phase, sec] : result.total_phase_seconds())
-    std::printf("  %-12s %8.3f s\n", core::phase_name(phase).c_str(), sec);
   return 0;
 }

@@ -14,6 +14,10 @@ one JSON-lines file per bench series -- and gates CI against it:
   self-test -- end-to-end sanity: a synthetic 10% regression MUST fail and
              an in-tolerance wobble MUST pass; exit 1 otherwise
 
+Entries are partitioned by machine tag ("<AEQP_BENCH_MACHINE>-<cores>c")
+and smoke-mode runs go to a "<bench>-smoke" series, so an entry is gated
+only against history from the same core count and workload size.
+
 Only metrics with a known "better" direction are gated (throughputs up,
 latencies/overheads/exponents down); everything else is recorded and
 reported but never fails the build. The tolerance default (5%) absorbs
@@ -37,17 +41,24 @@ DEFAULT_WINDOW = 5
 DEFAULT_TOLERANCE = 0.05
 
 
-def machine_tag() -> str:
+def machine_tag(hardware_threads=None) -> str:
     """Ledger entries are only comparable within one environment: absolute
     rates differ several-fold between a laptop, a CI runner, and a cluster
-    node. Entries carry this tag and `check` gates only against history
-    from the same tag (set AEQP_BENCH_MACHINE in CI)."""
+    node, and between core counts of one machine class. Entries carry this
+    tag -- AEQP_BENCH_MACHINE (set in CI, default "local") plus the
+    envelope's core count, e.g. "local-4c" -- and `check` gates only
+    against history from the same tag."""
     import os
 
-    return os.environ.get("AEQP_BENCH_MACHINE", "local")
+    machine = os.environ.get("AEQP_BENCH_MACHINE", "local")
+    if hardware_threads is None:
+        return machine  # pre-core-count envelope
+    return f"{machine}-{int(hardware_threads)}c"
 
-# Keys whose subtree is diagnostic payload, not a comparable metric.
-SKIP_KEYS = {"schema_version", "timestamp", "profile", "samples"}
+# Keys whose subtree is diagnostic payload or run context, not a comparable
+# metric.
+SKIP_KEYS = {"schema_version", "timestamp", "hardware_threads", "smoke",
+             "profile", "samples"}
 
 # Substring -> direction. "up": larger is better; "down": smaller is
 # better. Metrics matching neither are tracked but not gated.
@@ -107,14 +118,19 @@ def flatten(node, prefix="", out=None):
 
 
 def load_bench(path: Path):
+    """Return (series, entry). A smoke-mode run ("smoke": true) gets a
+    series of its own, "<bench>-smoke": its workload is a fraction of the
+    full one, so its rates never gate (or are gated by) full runs."""
     with open(path) as f:
         data = json.load(f)
     name = data.get("bench")
     if not name:
         raise ValueError(f"{path}: missing 'bench' field (not a BENCH_*.json?)")
+    if data.get("smoke") is True:
+        name += "-smoke"
     entry = {
         "timestamp": data.get("timestamp", ""),
-        "machine": machine_tag(),
+        "machine": machine_tag(data.get("hardware_threads")),
         "metrics": flatten(data),
     }
     return name, entry
@@ -196,9 +212,9 @@ def check_entry(bench, entry, history, window, tolerance):
 def cmd_check(args) -> int:
     ledger = Path(args.ledger)
     all_regressions = []
-    tag = machine_tag()
     for file in args.files:
         bench, entry = load_bench(Path(file))
+        tag = entry["machine"]
         history = [
             e
             for e in read_ledger(ledger, bench)
@@ -282,7 +298,8 @@ def cmd_report(args) -> int:
 
 def cmd_self_test(args) -> int:
     """The sentinel's own regression test: seed a synthetic ledger, then a
-    10% throughput drop must FAIL and a 1% wobble must PASS."""
+    10% throughput drop must FAIL and a 1% wobble must PASS; an entry from
+    another core count or a smoke run must never be gated against it."""
     failures = []
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -354,6 +371,49 @@ def cmd_self_test(args) -> int:
         if fresh_candidate(90.0) == 0:
             failures.append("10% regression against the seeded entry "
                             "was NOT flagged")
+
+        # Ledger partitions: an entry is gated only against history from
+        # the same core count and the same workload size.
+        parts = tmp / "partition-history"
+        parts.mkdir()
+        with open(parts / "part.jsonl", "w") as f:
+            for v in (100.0, 101.0, 99.0):
+                f.write(json.dumps({
+                    "timestamp": "",
+                    "machine": machine_tag(8),
+                    "metrics": {"points_per_second/kernel": v},
+                }) + "\n")
+
+        def part_candidate(pps, threads, smoke):
+            path = tmp / "BENCH_part.json"
+            path.write_text(json.dumps({
+                "schema_version": 2,
+                "bench": "part",
+                "timestamp": "",
+                "hardware_threads": threads,
+                "smoke": smoke,
+                "points_per_second": {"kernel": pps},
+            }))
+            ns = argparse.Namespace(
+                ledger=str(parts), files=[str(path)],
+                window=DEFAULT_WINDOW, tolerance=DEFAULT_TOLERANCE,
+            )
+            return cmd_check(ns)
+
+        print("-- self-test: 8-core baseline still gates 8 cores (must fail) --")
+        if part_candidate(50.0, 8, False) == 0:
+            failures.append("a 50% drop on the baseline's core count "
+                            "was NOT flagged")
+        print("-- self-test: 4-core entry vs 8-core baseline (must pass) --")
+        if part_candidate(50.0, 4, False) != 0:
+            failures.append("a 4-core entry was gated against the 8-core "
+                            "baseline")
+        print("-- self-test: smoke entry vs full baseline (must pass) --")
+        if part_candidate(5.0, 8, True) != 0:
+            failures.append("a smoke entry was gated against the full "
+                            "baseline")
+        if not (parts / "part-smoke.jsonl").exists():
+            failures.append("a smoke entry did not seed its own series")
 
     if failures:
         print("\nSELF-TEST FAILED:")

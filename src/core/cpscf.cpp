@@ -1,11 +1,11 @@
 #include "core/cpscf.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
-#include "common/timer.hpp"
 #include "exec/thread_pool.hpp"
 #include "kernels/batch_kernels.hpp"
 #include "obs/metrics.hpp"
@@ -26,6 +26,22 @@ using linalg::Matrix;
 namespace {
 /// Pulay pairs the CPSCF keeps: 16 nb^2 doubles per rank.
 constexpr std::size_t kPulayHistory = 8;
+
+/// Contiguous shares of `rows` proportional to `weights`: share s is
+/// [begin[s], begin[s + 1]). An 8x-slow rank gets ~1/8 of a healthy share.
+std::vector<std::size_t> split_rows(std::size_t rows, const std::vector<double>& weights) {
+  double wsum = 0.0;
+  for (const double w : weights) wsum += w;
+  std::vector<std::size_t> begin(weights.size() + 1, rows);
+  begin[0] = 0;
+  double acc = 0.0;
+  for (std::size_t s = 0; s + 1 < weights.size(); ++s) {
+    acc += weights[s];
+    begin[s + 1] = std::max(
+        begin[s], static_cast<std::size_t>(std::llround(static_cast<double>(rows) * acc / wsum)));
+  }
+  return begin;
+}
 }  // namespace
 
 CpscfGround::CpscfGround(const scf::ScfResult& g, double screening_threshold)
@@ -93,11 +109,23 @@ const scf::GridTile& RankTiles::tile(std::size_t t, scf::GridTile& scratch) cons
   return scratch;
 }
 
+std::vector<double> world_speed_weights(const ParallelDfptOptions& world) {
+  const std::vector<std::size_t>& active = world.active_ranks;
+  const std::size_t n = active.empty() ? world.ranks : active.size();
+  std::vector<double> weights(n, 1.0);
+  if (!world.rank_speed_weights.empty())
+    for (std::size_t s = 0; s < n; ++s)
+      weights[s] = world.rank_speed_weights[active.empty() ? s : active[s]];
+  return weights;
+}
+
 CpscfRun::CpscfRun(const CpscfGround& inputs, const ParallelDfptOptions& w, int j)
     : in(inputs),
       world(w),
       direction(j),
-      h1_ext(inputs.ground.integrator->dipole_matrix(j)) {
+      h1_ext(inputs.ground.integrator->dipole_matrix(j)),
+      rho_row_begin(split_rows(inputs.ground.hartree->projection_row_count(),
+                               world_speed_weights(w))) {
   const std::size_t nb = in.ground.coefficients.rows();
   if (world.dfpt.warm_start) {
     const CpscfWarmStart& ws = *world.dfpt.warm_start;
@@ -112,8 +140,6 @@ CpscfRun::CpscfRun(const CpscfGround& inputs, const ParallelDfptOptions& w, int 
   // Bare perturbation matrix: -r_J (paper Eq. 11).
   h1_ext.scale(-1.0);
   result.n1_samples.assign(in.ground.grid->size(), 0.0);
-  for (const Phase p : {Phase::DM, Phase::Sumup, Phase::Rho, Phase::H, Phase::Sternheimer})
-    result.phase_seconds[p] = 0.0;
 }
 
 DfptDirectionResult CpscfRun::finish(const std::string& who, const std::string& context) {
@@ -151,7 +177,6 @@ void run_cpscf_rank(parallel::Communicator& comm, CpscfRun& run,
   const bool lead = rank == 0;
   const std::vector<std::uint32_t>& points = tiles.points();
   DfptDirectionResult& result = run.result;
-  PhaseTimes& t = result.phase_seconds;
 
   // P^(1) and its fold are replicated on every rank: O(N^2) in the global
   // basis size, the dominant per-rank structures next to the tile cache.
@@ -212,33 +237,24 @@ void run_cpscf_rank(parallel::Communicator& comm, CpscfRun& run,
     resilience::sdc_probe("cpscf/rho_batch", {n1.data(), n1.size()});
   };
   const auto compute_rho = [&] {
-    // Batched producer: angular rings go through the shared basis-density
-    // callback (ring blocks are geometry-defined, hence rank-identical).
-    const poisson::BatchDensityFn n1_fn =
-        poisson::basis_density(basis, in.screen_radii, p1_fold);
-    poisson::PartitionedPotential v1_part;
-    if (!run.rho_row_begin.empty()) {
-      // Distributed producer: this rank projects only its weighted share
-      // of the (atom, shell) rows; the full rho_multipole is synthesized
-      // with a packed row-by-row AllReduce. Each row is computed by
-      // exactly one rank and summed with exact zeros, so the synthesized
-      // samples -- and everything downstream -- are bit-identical to the
-      // replicated producer.
-      auto rho_m = hartree.project_rows(n1_fn, run.rho_row_begin[rank],
-                                        run.rho_row_begin[rank + 1]);
-      packed_sum([&](comm::PackedAllReducer& packer) {
-        for (auto& per_atom : rho_m.samples)
-          for (auto& channel : per_atom) packer.add(channel);
-      });
-      hartree.finalize_splines(rho_m);
-      v1_part = hartree.solve(rho_m);
-    } else {
-      v1_part = hartree.solve_density(n1_fn);
-    }
+    // Producer: this rank projects its share of the (atom, shell) rows
+    // through the screened basis-density callback, and the packed AllReduce
+    // (the paper's rho_multipole reduction) sums the partial channels. Each
+    // row is computed by exactly one rank and x + 0 is exact, so every
+    // world synthesizes the samples of a one-rank projection bit for bit.
+    poisson::MultipoleDensity rho_m = hartree.project_rows(
+        poisson::basis_density(basis, in.screen_radii, p1_fold),
+        run.rho_row_begin[rank], run.rho_row_begin[rank + 1]);
+    packed_sum([&](comm::PackedAllReducer& packer) {
+      for (auto& per_atom : rho_m.samples)
+        for (auto& channel : per_atom) packer.add(channel);
+    });
+    hartree.finalize_splines(rho_m);
+    const poisson::PartitionedPotential v1_part = hartree.solve(rho_m);
     // Batched consumer over this rank's points, `block` points per
     // potential_batch call. Each point's value is independent, so the
     // block size is pure cache tuning and never changes v1.
-    const std::size_t block = tune::rho_block_size(opt.rho_block_size);
+    const std::size_t block = tune::rho_block_size(0);
     exec::parallel_for_ranges(0, points.size(), block, [&](std::size_t b0, std::size_t e0) {
       thread_local std::vector<Vec3> ppos;
       thread_local std::vector<double> vh;
@@ -267,20 +283,13 @@ void run_cpscf_rank(parallel::Communicator& comm, CpscfRun& run,
     compute_rho();
   }
 
-  // Runs one phase inside its trace span; rank 0 books its wall time.
-  const auto phase = [&](Phase p, const char* span, const auto& body) {
-    const Timer timer;
-    const obs::TraceScope scope(span);
-    body();
-    if (lead) t[p] += timer.seconds();
-  };
-
   for (int iter = start_iteration + 1; iter <= opt.max_iterations; ++iter) {
     // --- H phase: response Hamiltonian H^(1) (Eqs. 10-12). Partial
     //     integrals over this rank's tiles (a SIMT launch on a device),
     //     synthesized by packed AllReduce. ---
     Matrix h1 = run.h1_ext;
-    phase(Phase::H, "cpscf/h", [&] {
+    {
+      AEQP_TRACE_SCOPE("cpscf/h");
       if (have_response) {
         Matrix partial(nb, nb);
         if (opt.device) {
@@ -310,23 +319,25 @@ void run_cpscf_rank(parallel::Communicator& comm, CpscfRun& run,
       // replicated, so all ranks throw together and the collective
       // schedule stays aligned.
       resilience::guard_hermitian(h1, "cpscf/h1");
-    });
+    }
 
     // --- Sternheimer update (replicated): the +-omega amplitudes. With
     //     ABFT on, a compute-site fault on one rank is corrected locally
     //     before it can de-synchronize the replicas. ---
     ResponseOrbitals c1;
-    phase(Phase::Sternheimer, "cpscf/sternheimer", [&] {
+    {
+      AEQP_TRACE_SCOPE("cpscf/sternheimer");
       c1 = sternheimer_update(h1, in.c_occ, in.c_virt, ground.eigenvalues,
                               opt.frequency, opt.abft);
-    });
+    }
 
     // --- DM phase: F(P^(1)) = sum_i f_i (C^(1)+ C^T + C C^(1)-T), the
     //     omega-generalization of Eq. (7), then one Pulay step on the
     //     unmixed residual r = F(P^(1)) - P^(1). The history pairs are
     //     (P^(1) + beta r, r), so a one-pair history is the linear step. ---
     double delta = 0.0;
-    phase(Phase::DM, "cpscf/dm", [&] {
+    {
+      AEQP_TRACE_SCOPE("cpscf/dm");
       Matrix r = response_density_matrix(c1, in.c_occ, ground.occupations);
       r.axpy(-1.0, p1);
       Matrix x = p1;
@@ -337,7 +348,7 @@ void run_cpscf_rank(parallel::Communicator& comm, CpscfRun& run,
       // the perturbation conserves the electron count.
       resilience::guard_finite(p1, "cpscf/p1");
       resilience::guard_trace_identity(p1, ground.overlap, 0.0, "cpscf/p1");
-    });
+    }
     if (lead) {
       result.iterations = iter;
       run.last_delta = delta;
@@ -368,7 +379,8 @@ void run_cpscf_rank(parallel::Communicator& comm, CpscfRun& run,
     }
 
     // --- Sumup phase: n^(1)(r) on this rank's points (Eq. 8). ---
-    phase(Phase::Sumup, "cpscf/sumup", [&] {
+    {
+      AEQP_TRACE_SCOPE("cpscf/sumup");
       compute_sumup();
       // Second rung of the SDC ladder: the batch is a pure function of
       // the replicated P^(1), so a transient corruption is repaired by one
@@ -383,7 +395,7 @@ void run_cpscf_rank(parallel::Communicator& comm, CpscfRun& run,
         compute_sumup();
         resilience::guard_finite({n1.data(), n1.size()}, "cpscf/n1");
       }
-    });
+    }
 
     if (opt.verbose && lead)
       AEQP_LOG_INFO << "DFPT dir " << run.direction << " iter " << iter
@@ -398,10 +410,11 @@ void run_cpscf_rank(parallel::Communicator& comm, CpscfRun& run,
 
     // --- Rho phase: v^(1)_H by multipole Poisson solve (Eq. 9) plus the
     //     XC kernel term f_xc n^(1) (Eq. 12). ---
-    phase(Phase::Rho, "cpscf/rho", [&] {
+    {
+      AEQP_TRACE_SCOPE("cpscf/rho");
       compute_rho();
       resilience::guard_finite({v1.data(), v1.size()}, "cpscf/v1");
-    });
+    }
     have_response = true;
   }
 

@@ -7,10 +7,11 @@
 ///   H -> Sternheimer -> DM/Pulay step/guards -> observer -> Sumup (+ SDC
 ///   recompute rung) -> convergence test -> Rho
 ///
-/// over the grid tiles it owns, synthesizing H^(1) with a packed AllReduce
-/// and (optionally) the Rho producer's rho_multipole rows. The serial
-/// solver is the one-rank world over the integrator's tiles, so serial,
-/// distributed and device runs share every line of the cycle.
+/// over the grid tiles it owns and its share of the Rho producer's
+/// (atom, radial shell) rows, synthesizing H^(1) and rho_multipole with
+/// packed AllReduces. The serial solver is the one-rank world over the
+/// integrator's tiles, so serial, distributed and device runs share every
+/// line of the cycle.
 
 #include <cstdint>
 #include <string>
@@ -79,12 +80,18 @@ private:
   obs::MemScope mem_{"dfpt/point_cache"};
 };
 
+/// Speed weight of each rank of the running world (1.0 = healthy):
+/// `world.rank_speed_weights`, original-world indexed, read through
+/// `world.active_ranks`; all 1.0 when no weights are set.
+[[nodiscard]] std::vector<double> world_speed_weights(const ParallelDfptOptions& world);
+
 /// One direction's CPSCF run: what its ranks read and what they write.
-/// Rank 0 writes the replicated results (iterations, flags, P^(1), phase
-/// times, moments); every rank writes its own points of n^(1).
+/// Rank 0 writes the replicated results (iterations, flags, P^(1),
+/// moments); every rank writes its own points of n^(1).
 struct CpscfRun {
-  /// Validates the warm start and prepares the bare perturbation -D_J.
-  /// `world.dfpt` holds the cycle settings; the rest of `world` the
+  /// Validates the warm start, prepares the bare perturbation -D_J and
+  /// splits the Rho producer's rows over the running world. `world.dfpt`
+  /// holds the cycle settings; the rest of `world` the world shape and the
   /// synthesis settings (reduce mode, pack window, payload verification,
   /// rank hook).
   CpscfRun(const CpscfGround& in, const ParallelDfptOptions& world, int direction);
@@ -99,9 +106,10 @@ struct CpscfRun {
   const ParallelDfptOptions& world;
   const int direction;
   linalg::Matrix h1_ext;
-  /// Weighted row split of the distributed Rho producer (size ranks + 1);
-  /// empty = every rank runs the replicated producer.
-  std::vector<std::size_t> rho_row_begin;
+  /// Rank s projects the (atom, radial shell) rows [rho_row_begin[s],
+  /// rho_row_begin[s + 1]): contiguous shares proportional to the speed
+  /// weights, identical on every rank; {0, rows} on one rank.
+  const std::vector<std::size_t> rho_row_begin;
 
   DfptDirectionResult result;
   double last_delta = 0.0;

@@ -15,17 +15,6 @@ namespace aeqp::core {
 using linalg::Matrix;
 using linalg::Vector;
 
-std::string phase_name(Phase p) {
-  switch (p) {
-    case Phase::DM: return "DM";
-    case Phase::Sumup: return "Sumup";
-    case Phase::Rho: return "Rho";
-    case Phase::H: return "H";
-    case Phase::Sternheimer: return "Sternheimer";
-  }
-  return "?";
-}
-
 ResponseOrbitals sternheimer_update(const Matrix& h1, const Matrix& c_occ,
                                     const Matrix& c_virt,
                                     const Vector& eigenvalues, double omega,
@@ -75,13 +64,6 @@ Matrix response_density_matrix(const ResponseOrbitals& c1, const Matrix& c_occ,
     }
   });
   return p1;
-}
-
-PhaseTimes DfptResult::total_phase_seconds() const {
-  PhaseTimes total;
-  for (const auto& dir : directions)
-    for (const auto& [phase, sec] : dir.phase_seconds) total[phase] += sec;
-  return total;
 }
 
 DfptSolver::DfptSolver(const scf::ScfResult& ground, DfptOptions options)

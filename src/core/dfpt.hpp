@@ -13,13 +13,12 @@
 ///
 /// The cycle updates the coefficient response C^(1) through the Sternheimer
 /// (sum-over-states) solution and iterates until self-consistency, then
-/// forms the polarizability (Eq. 13).
+/// forms the polarizability (Eq. 13). Each phase runs inside its
+/// cpscf/{dm,sumup,rho,h,sternheimer} trace span, the cycle's only timing.
 
 #include <array>
 #include <functional>
-#include <map>
 #include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -29,14 +28,6 @@
 #include "simt/runtime.hpp"
 
 namespace aeqp::core {
-
-/// Names of the timed DFPT phases, matching the paper's Fig. 14 legend.
-enum class Phase { DM, Sumup, Rho, H, Sternheimer };
-
-/// Wall-clock seconds accumulated per phase.
-using PhaseTimes = std::map<Phase, double>;
-
-[[nodiscard]] std::string phase_name(Phase p);
 
 /// Snapshot handed to a CpscfObserver after the DM update of every CPSCF
 /// iteration (P^(1) and the residual are final for the iteration at that
@@ -107,10 +98,6 @@ struct DfptOptions {
   /// decisions derive from geometry and tau only, so any tau preserves the
   /// thread/rank determinism contract (docs/performance.md).
   double screening_threshold = 1e-12;
-  /// Grid points per potential_batch block in the Rho phase; 0 = the tuned
-  /// value. Blocking never changes results (each point's potential is
-  /// independent), only cache behavior.
-  std::size_t rho_block_size = 0;
   bool verbose = false;
   /// Run the Sternheimer/DM matmuls through the ABFT-checksummed variants
   /// (linalg/abft.hpp): a single corrupted product element is located and
@@ -141,7 +128,6 @@ struct DfptDirectionResult {
   Vec3 dipole_response_trace{};
   linalg::Matrix p1;                 ///< converged P^(1)
   std::vector<double> n1_samples;    ///< n^(1) on the integration grid
-  PhaseTimes phase_seconds;
 };
 
 /// Full polarizability run.
@@ -155,7 +141,6 @@ struct DfptResult {
     return (polarizability(0, 0) + polarizability(1, 1) + polarizability(2, 2)) /
            3.0;
   }
-  [[nodiscard]] PhaseTimes total_phase_seconds() const;
 };
 
 /// Response orbitals of one Sternheimer update: C^(1)+ = C_virt X and

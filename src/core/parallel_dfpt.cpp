@@ -1,7 +1,6 @@
 #include "core/parallel_dfpt.hpp"
 
 #include <chrono>
-#include <cmath>
 #include <sstream>
 #include <utility>
 
@@ -12,7 +11,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "parallel/cluster.hpp"
-#include "poisson/multipole.hpp"
 #include "tune/tune.hpp"
 
 namespace aeqp::core {
@@ -26,7 +24,6 @@ ParallelDfptResult solve_direction_parallel(const scf::ScfResult& ground,
              "solve_direction_parallel: direction must be 0..2");
   const detail::CpscfGround inputs(ground, options.dfpt.screening_threshold);
   const auto& grid = *ground.grid;
-  const auto& hartree = *ground.hartree;
 
   // Elastic world: a non-empty active_ranks list re-enters the solver at a
   // reduced world size after permanent rank loss. n_active is the world the
@@ -67,24 +64,19 @@ ParallelDfptResult solve_direction_parallel(const scf::ScfResult& ground,
   out.stats.survivor_ranks = n_active;
   out.stats.lost_ranks = options.ranks - n_active;
 
-  // Current-world speed weights (1.0 = healthy); reused by the weighted
-  // Rho-producer row split when distribute_rho is on.
-  std::vector<double> world_weights(n_active, 1.0);
   if (!options.rank_speed_weights.empty()) {
     // Straggler rebalance rung: re-home batches around the measured rank
-    // speeds. Weights are original-world indexed; translate to the running
-    // world's slots (identity when no shrink happened). Every rank computes
-    // the same deterministic mapping, so results stay bit-identical to a
-    // run that started from this assignment.
+    // speeds, read in the running world's slots (identity when no shrink
+    // happened). Every rank computes the same deterministic mapping, so
+    // results stay bit-identical to a run that started from this
+    // assignment. The CPSCF run splits the Rho rows by the same weights.
     AEQP_CHECK(options.rank_speed_weights.size() == options.ranks,
                "solve_direction_parallel: rank_speed_weights must cover the "
                "original world");
+    const std::vector<double> world_weights = detail::world_speed_weights(options);
     std::size_t n_slow = 0;
-    for (std::size_t s = 0; s < n_active; ++s) {
-      world_weights[s] =
-          options.rank_speed_weights[active.empty() ? s : active[s]];
-      if (world_weights[s] < 1.0) ++n_slow;
-    }
+    for (const double w : world_weights)
+      if (w < 1.0) ++n_slow;
     Timer rebalance_timer;
     auto rebalance =
         mapping::rebalance_for_slow_ranks(assignment, batches, world_weights);
@@ -96,32 +88,7 @@ ParallelDfptResult solve_direction_parallel(const scf::ScfResult& ground,
     obs::trace_instant("mapping/rebalance");
   }
 
-  // Weighted contiguous row ranges of the Poisson producer (empty = the
-  // replicated producer). Shares are proportional to the measured speed
-  // weights -- an 8x-slow rank projects ~1/8 as many rho_multipole rows --
-  // and every rank derives the identical split, so the packed synthesis
-  // below sums disjoint contributions in a fixed order.
-  std::vector<std::size_t> rho_row_begin;
-  if (options.distribute_rho && n_active > 1) {
-    const std::size_t nrows = hartree.projection_row_count();
-    rho_row_begin.assign(n_active + 1, 0);
-    double wsum = 0.0;
-    for (double wv : world_weights) wsum += wv;
-    double acc = 0.0;
-    for (std::size_t s = 0; s + 1 < n_active; ++s) {
-      acc += world_weights[s];
-      rho_row_begin[s + 1] = std::max(
-          rho_row_begin[s],
-          static_cast<std::size_t>(std::llround(
-              static_cast<double>(nrows) * acc / wsum)));
-    }
-    rho_row_begin[n_active] = nrows;
-    for (std::size_t s = 0; s < n_active; ++s)
-      rho_row_begin[s + 1] = std::max(rho_row_begin[s + 1], rho_row_begin[s]);
-  }
-
   detail::CpscfRun run(inputs, options, direction);
-  run.rho_row_begin = std::move(rho_row_begin);
 
   out.stats.batches = batches.size();
   std::size_t total_pts = 0, max_pts = 0;

@@ -11,13 +11,13 @@
 ///    locality-enhancing batch mapping; each rank contracts the grid tiles
 ///    of its batches (scf/tiles.hpp) and partial H^(1) contributions are
 ///    synthesized with a packed (optionally hierarchical) AllReduce.
-///  - The Poisson producer (multipole projection + radial solves) is
-///    replicated on every rank by default, "trading redundant calculations
-///    for communication avoidance" exactly as the paper's producer kernels
-///    do. With `distribute_rho` the projection rows are split across ranks
-///    (weighted by measured rank speeds) and synthesized with a packed
-///    rho_multipole AllReduce -- bit-identical output, used by the
-///    straggler-rebalance rung so a slow rank sheds producer work too.
+///  - The Poisson producer's multipole projection is distributed too: each
+///    rank projects a contiguous share of the (atom, radial shell) rows,
+///    sized by its speed weight, and the partial rho_multipole channels are
+///    summed with the same packed AllReduce (the paper's rho_multipole
+///    reduction). Every row is computed by exactly one rank and x + 0 is
+///    exact, so the sum equals a one-rank projection bit for bit. The
+///    spline fit and the radial solves run on every rank.
 ///  - The Sternheimer update and P^(1) assembly are replicated (identical
 ///    inputs -> identical outputs on every rank).
 ///
@@ -81,25 +81,14 @@ struct ParallelDfptOptions {
   parallel::StragglerDetector* straggler_detector = nullptr;
   /// Measured per-rank speed weights, ORIGINAL-world indexed (size
   /// `ranks`); non-empty = re-home batches with
-  /// mapping::rebalance_for_slow_ranks so slow ranks carry
-  /// proportionally less grid work. World size and rank numbering are
+  /// mapping::rebalance_for_slow_ranks and size the Rho producer's row
+  /// shares by the same weights, so slow ranks carry proportionally less
+  /// grid and projection work. World size and rank numbering are
   /// unchanged -- this is the recovery ladder's rebalance rung, fired
-  /// before any shrink. Empty = keep the locality mapping as-is.
+  /// before any shrink. Empty = keep the locality mapping and equal shares.
   std::vector<double> rank_speed_weights;
-  /// Distribute the Rho-phase Poisson producer: each rank projects a
-  /// contiguous share of the (atom, radial shell) rho_multipole rows --
-  /// sized by rank_speed_weights when present -- and the partial
-  /// projections are synthesized with a packed row-by-row AllReduce (the
-  /// paper's rho_multipole reduction). Every row is computed by exactly one
-  /// rank and x + 0 is exact in IEEE addition, so the summed projection is
-  /// bit-identical to the replicated producer. Off by default: replicating
-  /// the producer trades redundant compute for communication avoidance,
-  /// the right call when ranks are homogeneous -- but under a straggler
-  /// the replicated producer runs at the slowest rank's speed, so the
-  /// rebalance rung enables this to shed producer work too.
-  bool distribute_rho = false;
   /// CRC-verify every collective payload (Cluster::set_verify_payloads) and
-  /// run the packed H-phase AllReduce with a linear checksum element, so
+  /// run the packed AllReduces with a linear checksum element, so
   /// in-flight corruption surfaces as parallel::PayloadCorruption at the
   /// collective instead of as eventual CPSCF divergence.
   bool verify_collectives = false;
@@ -122,8 +111,11 @@ struct ParallelDfptOptions {
 
 /// Communication statistics of one distributed run.
 struct ParallelDfptStats {
-  std::size_t collectives = 0;      ///< packed AllReduce invocations
-  std::size_t rows_reduced = 0;     ///< matrix rows synthesized
+  /// Packed AllReduce invocations: the H^(1) and rho_multipole syntheses.
+  std::size_t collectives = 0;
+  /// Rows synthesized: H^(1) matrix rows plus rho_multipole (atom, l, m)
+  /// channels.
+  std::size_t rows_reduced = 0;
   std::size_t batches = 0;          ///< total grid batches
   double max_rank_points_share = 0; ///< load balance: max/mean points
   // Elastic-world shape of this run (filled by the solver).

@@ -1,8 +1,10 @@
 #include "exec/thread_pool.hpp"
 
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
+#include <ctime>
 #include <thread>
 
 #include "common/error.hpp"
@@ -11,6 +13,21 @@ namespace aeqp::exec {
 
 namespace {
 thread_local bool tl_in_worker = false;
+/// CPU ms pool workers spent in the regions this thread submitted.
+thread_local double tl_helper_cpu_ms = 0.0;
+
+/// CPU time the calling thread itself consumed, in milliseconds.
+double own_cpu_ms() {
+#ifdef CLOCK_THREAD_CPUTIME_ID
+  timespec ts{};
+  if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) == 0)
+    return static_cast<double>(ts.tv_sec) * 1e3 +
+           static_cast<double>(ts.tv_nsec) * 1e-6;
+#endif
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
 
 std::mutex g_global_m;
 std::unique_ptr<ThreadPool> g_global;
@@ -27,6 +44,8 @@ std::size_t hardware_threads() {
   return hw > 0 ? hw : 1;
 }
 
+double thread_cpu_ms() { return own_cpu_ms() + tl_helper_cpu_ms; }
+
 struct ThreadPool::Impl {
   std::vector<std::thread> threads;
   std::mutex m;
@@ -35,6 +54,7 @@ struct ThreadPool::Impl {
   const std::function<void(std::size_t)>* job = nullptr;
   std::uint64_t job_id = 0;
   std::size_t active = 0;
+  double helper_cpu_ms = 0.0;  ///< workers' CPU in the current region
   bool stop = false;
   // One region at a time; a second submitter falls back to serial instead
   // of queueing (simmpi ranks-as-threads must never convoy on the pool).
@@ -60,10 +80,13 @@ ThreadPool::ThreadPool(std::size_t n_threads)
           fn = s.job;
         }
         tl_in_worker = true;
+        const double cpu0 = own_cpu_ms();
         (*fn)(w);
+        const double spent = own_cpu_ms() - cpu0;
         tl_in_worker = false;
         {
           const std::lock_guard<std::mutex> lk(s.m);
+          s.helper_cpu_ms += spent;
           if (--s.active == 0) s.cv_done.notify_all();
         }
       }
@@ -92,6 +115,7 @@ bool ThreadPool::try_run_on_all(const std::function<void(std::size_t)>& work) {
     im.job = &work;
     ++im.job_id;
     im.active = im.threads.size();
+    im.helper_cpu_ms = 0.0;
   }
   im.cv_job.notify_all();
   // The caller is worker 0; flagging it keeps nested loops serial.
@@ -102,6 +126,7 @@ bool ThreadPool::try_run_on_all(const std::function<void(std::size_t)>& work) {
     std::unique_lock<std::mutex> lk(im.m);
     im.cv_done.wait(lk, [&] { return im.active == 0; });
     im.job = nullptr;
+    tl_helper_cpu_ms += im.helper_cpu_ms;
   }
   return true;
 }

@@ -42,6 +42,12 @@ namespace aeqp::exec {
 /// (at least 1).
 [[nodiscard]] std::size_t hardware_threads();
 
+/// CPU time, in milliseconds, spent on the calling thread's behalf: what
+/// the thread itself consumed plus what pool workers consumed running the
+/// parallel regions it submitted. Where no per-thread CPU clock exists the
+/// wall clock stands in.
+[[nodiscard]] double thread_cpu_ms();
+
 class ThreadPool {
 public:
   /// n_threads = 0 picks hardware_threads(). The pool spawns n-1 workers;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <ctime>
 #include <limits>
 #include <new>
 #include <thread>
@@ -10,6 +9,7 @@
 #include "common/crc32.hpp"
 #include "common/error.hpp"
 #include "common/task_scope.hpp"
+#include "exec/thread_pool.hpp"
 #include "obs/comm_matrix.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
@@ -20,24 +20,6 @@
 namespace aeqp::parallel {
 
 namespace {
-
-/// CPU time consumed by the calling thread, in milliseconds. The Slowdown
-/// fault scales this -- the rank's OWN burned cycles -- so that on an
-/// oversubscribed host the wall span (which also contains co-scheduled
-/// peers' compute) never inflates the injected delay. Where no per-thread
-/// CPU clock exists the wall clock stands in; the caller clamps against the
-/// wall span, so the fallback degrades to the old behaviour, never worse.
-double thread_cpu_ms() {
-#ifdef CLOCK_THREAD_CPUTIME_ID
-  timespec ts{};
-  if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) == 0)
-    return static_cast<double>(ts.tv_sec) * 1e3 +
-           static_cast<double>(ts.tv_nsec) * 1e-6;
-#endif
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// Post-mortem hook for structured errors escaping Cluster::run: classify
 /// the exception and hand the flight recorder its kind so the dump names
@@ -382,29 +364,30 @@ std::chrono::steady_clock::time_point Communicator::enter_collective(
     static obs::Counter& verified = obs::counter("comm/payloads_verified");
     verified.increment();
   }
-  // Work-clock measurement: time since this rank LEFT its previous
-  // collective is compute (its wait time was spent inside the previous
-  // collective and is excluded) -- the wall span the straggler ledger
-  // accumulates. The Slowdown fault instead scales the rank thread's own
-  // consumed CPU time over the same span: on a dedicated core the two
-  // coincide, but on an oversubscribed host the wall span also contains
-  // co-scheduled peers' compute, and scaling it would keep punishing a
-  // victim even after the rebalance rung has moved its work away. Zero
-  // clock reads when nothing is attached.
+  // Work-clock measurement: the work this rank did since it LEFT its
+  // previous collective (its wait time was spent inside that collective and
+  // is excluded), read as the CPU time spent on its behalf over the span --
+  // its own thread's plus the pool workers' in the parallel regions it
+  // submitted (exec::thread_cpu_ms), capped at the wall span. On dedicated
+  // cores that equals the wall span, but on an oversubscribed host the wall
+  // span also contains co-scheduled peers' compute. The Slowdown fault scales the CPU time, so
+  // it never keeps punishing a victim after the rebalance rung has moved
+  // its work away; the straggler ledger accumulates it plus the delay the
+  // injector held the rank here, so a healthy rank the host merely
+  // descheduled never reads as slow. Zero clock reads when nothing is
+  // attached.
   const bool timed = cluster_->timing_armed();
   std::chrono::steady_clock::time_point t_enter{};
-  double work_ms = 0.0;
+  double cpu_ms = 0.0;
   if (timed) {
     t_enter = std::chrono::steady_clock::now();
-    if (last_leave_valid_)
-      work_ms = std::chrono::duration<double, std::milli>(t_enter - last_leave_)
-                    .count();
+    if (last_leave_valid_) {
+      const double wall_ms =
+          std::chrono::duration<double, std::milli>(t_enter - last_leave_).count();
+      cpu_ms = std::min(wall_ms, std::max(0.0, exec::thread_cpu_ms() - last_leave_cpu_ms_));
+    }
   }
   if (cluster_->injector_ != nullptr) {
-    double cpu_ms = 0.0;
-    if (last_leave_valid_)
-      cpu_ms = std::min(work_ms,
-                        std::max(0.0, thread_cpu_ms() - last_leave_cpu_ms_));
     cluster_->injector_->on_collective(
         rank_, cluster_->origin_[rank_], seq, what, payload,
         [this] { return cluster_->failed(); }, cpu_ms);
@@ -414,16 +397,15 @@ std::chrono::steady_clock::time_point Communicator::enter_collective(
     // the classifier would never see the very slowness that tripped the
     // deadline.
     if (cluster_->straggler_ != nullptr && last_leave_valid_) {
-      const auto t_after = std::chrono::steady_clock::now();
-      cluster_->straggler_->record_work(
-          cluster_->origin_[rank_],
-          std::chrono::duration<double, std::milli>(t_after - last_leave_)
-              .count());
+      const double held_ms = std::chrono::duration<double, std::milli>(
+                                 std::chrono::steady_clock::now() - t_enter)
+                                 .count();
+      cluster_->straggler_->record_work(cluster_->origin_[rank_], cpu_ms + held_ms);
     }
     // A peer may have failed while this rank was stalled by the injector.
     if (cluster_->failed()) cluster_->throw_failure(rank_);
   } else if (cluster_->straggler_ != nullptr && last_leave_valid_) {
-    cluster_->straggler_->record_work(cluster_->origin_[rank_], work_ms);
+    cluster_->straggler_->record_work(cluster_->origin_[rank_], cpu_ms);
   }
   if (verify) {
     const std::uint32_t check =
@@ -449,7 +431,7 @@ void Communicator::leave_collective(
   if (!cluster_->timing_armed()) return;
   const auto now = std::chrono::steady_clock::now();
   last_leave_ = now;
-  if (cluster_->injector_ != nullptr) last_leave_cpu_ms_ = thread_cpu_ms();
+  last_leave_cpu_ms_ = exec::thread_cpu_ms();
   last_leave_valid_ = true;
   // Entry-to-completion duration feeds the adaptive deadline. Completed
   // collectives only: a timed-out collective throws before reaching here,

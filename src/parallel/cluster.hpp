@@ -191,10 +191,10 @@ private:
   std::size_t rank_;
   std::size_t seq_ = 0;
   std::chrono::steady_clock::time_point last_leave_{};
-  /// This rank thread's consumed CPU time at the last collective's
-  /// completion. The Slowdown fault scales the CPU time the rank itself
-  /// burned -- not the wall span, which on an oversubscribed host also
-  /// contains co-scheduled peers' compute and would over-punish the victim.
+  /// exec::thread_cpu_ms() at the last collective's completion. The
+  /// Slowdown fault and the straggler ledger read the CPU time spent on the
+  /// rank's behalf -- not the wall span, which on an oversubscribed host
+  /// also contains co-scheduled peers' compute.
   double last_leave_cpu_ms_ = 0.0;
   bool last_leave_valid_ = false;
 };

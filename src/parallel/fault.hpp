@@ -145,11 +145,12 @@ public:
   /// the *running* world, `original_rank` its id in the original
   /// (pre-shrink) world -- events always address original ids, so plans
   /// keep meaning the same physical ranks after a Cluster::shrink
-  /// renumbering. `work_ms` is the CPU time the rank's own thread consumed
-  /// since it left its previous collective (0 when unknown) -- its own
-  /// burned cycles, not the wall span, so co-scheduled peers on an
-  /// oversubscribed host never inflate the delay; Slowdown events sleep
-  /// (slow_factor - 1) * work_ms, scaled by the deterministic jitter.
+  /// renumbering. `work_ms` is the CPU time spent on the rank's behalf
+  /// since it left its previous collective (0 when unknown; its own thread
+  /// plus the pool workers in its parallel regions) -- burned cycles, not
+  /// the wall span, so co-scheduled peers on an oversubscribed host never
+  /// inflate the delay; Slowdown events sleep (slow_factor - 1) * work_ms,
+  /// scaled by the deterministic jitter.
   void on_collective(std::size_t rank, std::size_t original_rank,
                      std::size_t seq, const char* what,
                      std::span<double> payload,

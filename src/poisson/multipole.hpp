@@ -46,7 +46,7 @@ using BatchDensityFn =
     std::function<void(const Vec3* pts, std::size_t n, double* out)>;
 
 /// The Rho producer's density callback for a density matrix, shared by the
-/// SCF and both CPSCF solvers: each ring goes through the screened batched
+/// SCF and the CPSCF: each ring goes through the screened batched
 /// basis evaluation into thread-local scratch, then the folded contraction
 /// (basis::contract_density_folded). `folded` is basis::fold_density(P).
 /// `basis`, `screen` and `folded` are captured by reference and must
@@ -110,17 +110,18 @@ public:
   /// list; every other row's samples stay exactly 0.0 and no splines are
   /// fitted. Each owned row runs the same arithmetic in the same order as
   /// project(), so summing disjoint partial projections across ranks
-  /// reproduces the replicated projection bit-for-bit (x + 0 is exact in
-  /// IEEE addition). Call finalize_splines on the summed samples before
-  /// solve().
+  /// reproduces project() bit-for-bit (x + 0 is exact in IEEE addition).
+  /// The CPSCF's Rho phase runs it on every rank over the rank's share of
+  /// the rows (core/cpscf.hpp). Call finalize_splines on the summed samples
+  /// before solve().
   [[nodiscard]] MultipoleDensity project_rows(const BatchDensityFn& density,
                                               std::size_t row_begin,
                                               std::size_t row_end) const;
 
   /// Fit rho_multipole_spl from complete samples: SDC probe + finiteness
   /// guard + cubic-spline fit per (atom, lm) channel -- the tail of
-  /// project(), split out so a distributed producer can run it after the
-  /// partial projections have been summed.
+  /// project(), split out so the CPSCF can run it after the ranks' partial
+  /// projections have been summed.
   void finalize_splines(MultipoleDensity& rho) const;
 
   /// Step 2: radial Poisson solve for every (atom, l, m) channel.

@@ -256,15 +256,7 @@ core::ParallelDfptResult solve_recovered(CheckpointStore& store,
     popts.active_ranks = active.size() == world.ranks
                              ? std::vector<std::size_t>{}
                              : active;
-    // A rebalanced world distributes the Poisson producer as well: the
-    // replicated producer runs at the slowest rank's speed no matter how
-    // the grid batches are re-homed, which would cap the rebalance win.
-    // Bit-identical by construction (see ParallelDfptOptions), so flipping
-    // it on mid-recovery never perturbs the trajectory.
-    if (!rebalance_weights.empty()) {
-      popts.rank_speed_weights = rebalance_weights;
-      popts.distribute_rho = true;
-    }
+    if (!rebalance_weights.empty()) popts.rank_speed_weights = rebalance_weights;
     // Graceful degradation: the first retry replays the original trajectory
     // with the saved Pulay history (a transient fault needs no damping, and
     // the replay is bit-identical); repeated faults drop the history and

@@ -157,7 +157,7 @@ ScfResult ScfSolver::run() const {
     // partitioned potential independently, interpolated block by block
     // through the bundled consumer kernel (block size is pure cache tuning
     // and never changes v_h).
-    const std::size_t block = tune::rho_block_size(options_.rho_block_size);
+    const std::size_t block = tune::rho_block_size(0);
     exec::parallel_for_ranges(0, np, block, [&](std::size_t b, std::size_t e) {
       thread_local std::vector<Vec3> ppos;
       ppos.resize(e - b);

@@ -76,8 +76,6 @@ struct ScfOptions {
   /// the Hartree solve; 0 disables (bit-identical to unscreened). See
   /// DfptOptions::screening_threshold and docs/performance.md.
   double screening_threshold = 1e-12;
-  /// Grid points per potential_batch block in the Hartree loop; 0 = tuned.
-  std::size_t rho_block_size = 0;
   bool verbose = false;
   /// Per-iteration hook for health validation and checkpointing; may abort
   /// the cycle. Null = no observation.

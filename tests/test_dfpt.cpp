@@ -6,11 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <string>
 
 #include "common/constants.hpp"
 #include "core/dfpt.hpp"
 #include "core/structures.hpp"
 #include "common/error.hpp"
+#include "obs/trace.hpp"
 #include "scf/scf_solver.hpp"
 
 namespace {
@@ -129,25 +132,25 @@ TEST(Dfpt, OffDiagonalSymmetryForSymmetricMolecule) {
   EXPECT_NEAR(rz.dipole_response.y, 0.0, 1e-5);
 }
 
-TEST(Dfpt, PhaseTimersCoverAllPhases) {
+// The cpscf/* trace spans are the cycle's only phase timing: a traced
+// direction records every phase once per iteration, and Rho once per
+// iteration but the last (the converged iteration skips it).
+TEST(Dfpt, TraceSpansCoverEveryPhaseOfEveryIteration) {
   const scf::ScfResult ground = scf::ScfSolver(h2(), fast_options()).run();
   ASSERT_TRUE(ground.converged);
   const DfptSolver dfpt(ground, {});
+  const obs::TraceMode mode = obs::mode();
+  obs::set_mode(obs::TraceMode::Summary);
+  obs::reset();
   const DfptDirectionResult r = dfpt.solve_direction(2);
-  EXPECT_EQ(r.phase_seconds.size(), 5u);
-  double total = 0.0;
-  for (const auto& [phase, sec] : r.phase_seconds) {
-    EXPECT_GE(sec, 0.0);
-    total += sec;
-  }
-  EXPECT_GT(total, 0.0);
-}
-
-TEST(Dfpt, PhaseNamesMatchPaperFigure) {
-  EXPECT_EQ(phase_name(Phase::DM), "DM");
-  EXPECT_EQ(phase_name(Phase::Sumup), "Sumup");
-  EXPECT_EQ(phase_name(Phase::Rho), "Rho");
-  EXPECT_EQ(phase_name(Phase::H), "H");
+  std::map<std::string, int> count;
+  for (const obs::CompletedSpan& span : obs::completed_spans()) ++count[span.name];
+  obs::set_mode(mode);
+  obs::reset();
+  ASSERT_TRUE(r.converged);
+  for (const char* name : {"cpscf/h", "cpscf/sternheimer", "cpscf/dm", "cpscf/sumup"})
+    EXPECT_EQ(count[name], r.iterations) << name;
+  EXPECT_EQ(count["cpscf/rho"], r.iterations - 1);
 }
 
 TEST(Structures, WaterGeometry) {

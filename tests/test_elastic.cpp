@@ -456,7 +456,7 @@ TEST(ElasticRecovery, PermanentRankLossCompletesOnSurvivors) {
   parallel::FaultEvent ev;
   ev.kind = parallel::FaultKind::Kill;
   ev.rank = 0;
-  ev.collective = 40;  // a few iterations in: checkpoints + replicas exist
+  ev.collective = 44;  // a few iterations in: checkpoints + replicas exist
   ev.transient = false;
   plan.add(ev);
   parallel::FaultInjector injector(std::move(plan));
@@ -497,7 +497,7 @@ TEST(ElasticRecovery, NonElasticDriverSurfacesStructuredRankFailure) {
   parallel::FaultEvent ev;
   ev.kind = parallel::FaultKind::Kill;
   ev.rank = 0;
-  ev.collective = 6;  // iteration 4 of 5 (two collectives per iteration)
+  ev.collective = 9;  // iteration 4 of 5 (H, broadcast, Rho per iteration)
   ev.transient = false;
   plan.add(ev);
   parallel::FaultInjector injector(std::move(plan));
@@ -568,7 +568,7 @@ TEST(ElasticRecovery, BareRunWithPermanentKillRaisesRankFailure) {
   parallel::FaultEvent ev;
   ev.kind = parallel::FaultKind::Kill;
   ev.rank = 2;
-  ev.collective = 2;  // iteration 4 of 5 (one collective per iteration)
+  ev.collective = 5;  // iteration 4 of 5 (an H and a Rho reduce per iteration)
   ev.transient = false;
   plan.add(ev);
   parallel::FaultInjector injector(std::move(plan));

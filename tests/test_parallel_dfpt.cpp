@@ -1,11 +1,14 @@
 // Integration tests for the distributed DFPT driver: the parallel
-// decomposition (distributed Sumup/H, replicated Sternheimer/Poisson,
-// packed hierarchical synthesis) must reproduce the serial DfptSolver.
+// decomposition (distributed Sumup/H and Rho projection, replicated
+// Sternheimer and radial Poisson solves, packed hierarchical synthesis) must
+// reproduce the serial DfptSolver.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -13,6 +16,7 @@
 #include "core/dfpt.hpp"
 #include "core/parallel_dfpt.hpp"
 #include "core/structures.hpp"
+#include "obs/metrics.hpp"
 #include "scf/scf_solver.hpp"
 
 namespace {
@@ -83,10 +87,6 @@ INSTANTIATE_TEST_SUITE_P(
             8, 4, comm::ReduceMode::Hierarchical}));
 
 TEST(ParallelDfpt, DistributedRhoProducerMatchesSerialSolver) {
-  // distribute_rho splits the Poisson producer's projection rows across
-  // ranks and synthesizes them with a packed rho_multipole AllReduce; the
-  // result must match the serial reference exactly like the replicated
-  // producer does, with or without speed-weighted shares.
   const auto& ground = ground_h2();
   ASSERT_TRUE(ground.converged);
   DfptOptions dopt;
@@ -100,7 +100,6 @@ TEST(ParallelDfpt, DistributedRhoProducerMatchesSerialSolver) {
   popt.ranks_per_node = 2;
   popt.reduce_mode = comm::ReduceMode::Hierarchical;
   popt.batch_points = 96;
-  popt.distribute_rho = true;
   const ParallelDfptResult par = solve_direction_parallel(ground, popt, 2);
   EXPECT_TRUE(par.direction.converged);
   EXPECT_EQ(par.direction.iterations, ref.iterations);
@@ -112,6 +111,27 @@ TEST(ParallelDfpt, DistributedRhoProducerMatchesSerialSolver) {
   const ParallelDfptResult wpar = solve_direction_parallel(ground, wopt, 2);
   EXPECT_TRUE(wpar.direction.converged);
   EXPECT_LT(wpar.direction.p1.max_abs_diff(ref.p1), 1e-8);
+}
+
+// Each rank projects only its share of the Rho rows, so a ranked world
+// evaluates exactly the projection points of the one-rank world.
+TEST(ParallelDfpt, RankedWorldProjectsEachRowOnce) {
+  const auto& ground = ground_h2();
+  const obs::Counter& points = obs::counter("rho/batch_points_evaluated");
+  const auto projected = [&](std::size_t ranks) {
+    ParallelDfptOptions popt;
+    popt.dfpt.tolerance = 1e-8;
+    popt.ranks = ranks;
+    const std::uint64_t before = points.value();
+    const DfptDirectionResult dir = solve_direction_parallel(ground, popt, 2).direction;
+    EXPECT_TRUE(dir.converged);
+    return std::make_pair(points.value() - before, dir.iterations);
+  };
+  const auto one = projected(1);
+  const auto four = projected(4);
+  ASSERT_EQ(four.second, one.second);
+  EXPECT_GT(one.first, 0u);
+  EXPECT_EQ(four.first, one.first);
 }
 
 TEST(ParallelDfpt, StatsReportLoadAndCommunication) {

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/log.hpp"
 #include "core/dfpt.hpp"
 #include "core/parallel_dfpt.hpp"
 #include "comm/packed.hpp"
@@ -512,7 +513,7 @@ TEST(DfptResilience, RecoveredParallelRunMatchesFaultFreeReference) {
   ASSERT_TRUE(ref.converged);
 
   parallel::FaultPlan plan;
-  plan.add({parallel::FaultKind::NanPayload, /*rank=*/1, /*collective=*/4,
+  plan.add({parallel::FaultKind::NanPayload, /*rank=*/1, /*collective=*/8,
             /*element=*/2});
   parallel::FaultInjector injector(std::move(plan));
 
@@ -558,10 +559,11 @@ TEST(DfptResilience, FirstRetryReplaysTheTrajectoryBitForBit) {
       core::solve_direction_parallel(ground, popt, 2);
   ASSERT_TRUE(clean.direction.converged);
 
-  // Collective 6 is iteration 4's abort broadcast: the poisoned decision
-  // rolls the run back to iteration 3, whose history holds three pairs.
+  // Rank 1's abort broadcasts carry no payload, so the NaN lands in its
+  // collective 11, iteration 5's packed H-phase reduce: the poisoned H^(1)
+  // rolls the run back to the last checkpoint and its Pulay history.
   parallel::FaultPlan plan;
-  plan.add({parallel::FaultKind::NanPayload, /*rank=*/1, /*collective=*/6,
+  plan.add({parallel::FaultKind::NanPayload, /*rank=*/1, /*collective=*/11,
             /*element=*/0});
   parallel::FaultInjector injector(std::move(plan));
   popt.fault_injector = &injector;
@@ -578,6 +580,54 @@ TEST(DfptResilience, FirstRetryReplaysTheTrajectoryBitForBit) {
   EXPECT_EQ(rec.direction.dipole_response.z, clean.direction.dipole_response.z);
 }
 
+// A NaN in one rank's share of the rho_multipole synthesis reaches every
+// rank through the sum. The finiteness guard before the spline fit raises
+// on all ranks together, and the driver's one retry replays the fault-free
+// trajectory bit for bit.
+TEST(DfptResilience, NanInRhoMultipoleSynthesisIsRecovered) {
+  const auto& ground = ground_h2();
+  core::ParallelDfptOptions popt;
+  popt.dfpt.tolerance = 1e-8;
+  popt.ranks = 2;
+  popt.ranks_per_node = 2;
+  popt.reduce_mode = comm::ReduceMode::Flat;
+  const core::ParallelDfptResult clean =
+      core::solve_direction_parallel(ground, popt, 2);
+  ASSERT_TRUE(clean.direction.converged);
+
+  // Collective 1 of rank 0 is iteration 1's rho_multipole reduce.
+  parallel::FaultPlan plan;
+  plan.add({parallel::FaultKind::NanPayload, /*rank=*/0, /*collective=*/1,
+            /*element=*/0});
+  parallel::FaultInjector injector(std::move(plan));
+  popt.fault_injector = &injector;
+  CheckpointStore store(fresh_dir("recover_rho_multipole"));
+  RecoveryDriver driver(store, RecoveryOptions{});
+  std::vector<std::string> faults;
+  const LogLevel prev = Log::level();
+  Log::set_level(LogLevel::Info);
+  Log::set_sink([&faults](LogLevel, const std::string& line) {
+    if (line.find("fault on attempt") != std::string::npos) faults.push_back(line);
+  });
+  const core::ParallelDfptResult rec =
+      driver.solve_direction_parallel(ground, popt, 2);
+  Log::set_sink({});
+  Log::set_level(prev);
+
+  EXPECT_EQ(injector.stats().corruptions, 1u);
+  ASSERT_EQ(faults.size(), 1u);
+  EXPECT_NE(faults[0].find("poisson/rho_multipole"), std::string::npos)
+      << faults[0];
+  EXPECT_EQ(rec.stats.retries, 1u);
+  EXPECT_EQ(rec.stats.invariant_violations, 1u);
+  ASSERT_TRUE(rec.direction.converged);
+  EXPECT_EQ(rec.direction.iterations, clean.direction.iterations);
+  EXPECT_EQ(rec.direction.p1.max_abs_diff(clean.direction.p1), 0.0);
+  for (int axis = 0; axis < 3; ++axis)
+    EXPECT_EQ(rec.direction.dipole_response[axis],
+              clean.direction.dipole_response[axis]);
+}
+
 // A killed rank inside the distributed solver propagates as a structured
 // RankFailure to the caller (no deadlock, no std::terminate).
 TEST(DfptResilience, KilledRankInParallelSolverRaisesRankFailure) {
@@ -586,7 +636,7 @@ TEST(DfptResilience, KilledRankInParallelSolverRaisesRankFailure) {
   parallel::FaultEvent ev;
   ev.kind = parallel::FaultKind::Kill;
   ev.rank = 1;
-  ev.collective = 2;
+  ev.collective = 9;  // inside iteration 2's hierarchical H-phase reduce
   plan.add(ev);
   parallel::FaultInjector injector(std::move(plan));
 
@@ -651,10 +701,11 @@ TEST(DfptResilience, DriverRejectsCallerHooksItWouldReplace) {
 TEST(DfptResilience, ExhaustedRetryBudgetThrows) {
   const auto& ground = ground_h2();
   parallel::FaultPlan plan;
-  // Collective #3 of rank 0 is a packed H-phase reduce (a data payload --
-  // the corruption poisons an input of the next Sternheimer matmul, where
-  // the ABFT check flags it as uncorrectable, not the control path).
-  plan.add({parallel::FaultKind::NanPayload, /*rank=*/0, /*collective=*/3,
+  // Collective #2 of rank 0 is iteration 2's packed H-phase reduce (a data
+  // payload -- the corruption poisons an input of the next Sternheimer
+  // matmul, where the ABFT check flags it as uncorrectable, not the control
+  // path).
+  plan.add({parallel::FaultKind::NanPayload, /*rank=*/0, /*collective=*/2,
             /*element=*/0});
   parallel::FaultInjector injector(std::move(plan));
 

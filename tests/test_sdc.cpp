@@ -711,7 +711,7 @@ TEST(SdcSolver, ParallelVerifiedCollectiveCorruptionIsRecovered) {
   ASSERT_TRUE(ref.converged);
 
   parallel::FaultPlan plan;
-  plan.add({parallel::FaultKind::BitFlip, /*rank=*/1, /*collective=*/4,
+  plan.add({parallel::FaultKind::BitFlip, /*rank=*/1, /*collective=*/8,
             /*element=*/2, /*bit=*/62});
   parallel::FaultInjector injector(std::move(plan));
 

@@ -367,7 +367,7 @@ TEST(Degradation, PermanentKillWalksLadderToServedResult) {
   parallel::FaultEvent kill;
   kill.kind = parallel::FaultKind::Kill;
   kill.rank = 3;
-  kill.collective = 5;
+  kill.collective = 14;
   kill.transient = false;
   plan.add(kill);
   parallel::FaultInjector injector(std::move(plan));
@@ -392,7 +392,7 @@ TEST(Degradation, PinnedJobFailsInsteadOfDegrading) {
   parallel::FaultEvent kill;
   kill.kind = parallel::FaultKind::Kill;
   kill.rank = 2;
-  kill.collective = 5;
+  kill.collective = 14;
   kill.transient = false;
   plan.add(kill);
   parallel::FaultInjector injector(std::move(plan));
@@ -428,7 +428,7 @@ TEST(Isolation, KilledRankJobLeavesSiblingBitIdentical) {
   parallel::FaultEvent kill;
   kill.kind = parallel::FaultKind::Kill;
   kill.rank = 3;
-  kill.collective = 5;
+  kill.collective = 14;
   kill.transient = false;
   plan.add(kill);
   parallel::FaultInjector injector(std::move(plan));

@@ -548,13 +548,17 @@ TEST(AdaptiveDeadlines, ClusterFeedsAttachedDetectorAtCollectives) {
 // ---------------------------------------------------------------------------
 // End-to-end: the rebalance rung beats the shrink rung for stragglers
 
-// A 4-atom hydrogen chain: its CPSCF runs 9 iterations, long enough for
+// A 6-atom hydrogen chain: its CPSCF runs 11 iterations, long enough for
 // the production ledger's 10 ms windows to close twice after the slowdown
-// starts. H2 converges in 5, before any straggler verdict.
+// starts (an 8x-slow rank is classified around iteration 4-5). A window
+// counts the healthy ranks' work, a few ms of CPU per iteration here, so
+// it can span two iterations: on the H4 chain (9 iterations) the verdict
+// lands at iteration 4-9, and some runs converge first. H2 converges in 5,
+// before any straggler verdict.
 const scf::ScfResult& straggler_ground() {
   static const scf::ScfResult res = [] {
     grid::Structure s;
-    for (int a = 0; a < 4; ++a) s.add_atom(1, {0, 0, -2.1 + 1.4 * a});
+    for (int a = 0; a < 6; ++a) s.add_atom(1, {0, 0, -3.5 + 1.4 * a});
     scf::ScfOptions opt;
     opt.tier = basis::BasisTier::Light;
     opt.grid.radial_points = 30;
@@ -594,7 +598,7 @@ TEST(StragglerE2E, PersistentSlowdownRebalancesAtFullWorld) {
   parallel::FaultEvent ev;
   ev.kind = parallel::FaultKind::Slowdown;
   ev.rank = 1;
-  ev.collective = 10;
+  ev.collective = 11;
   ev.slow_factor = 8.0;
   ev.transient = false;  // stays slow until the ladder rebalances around it
   plan.add(ev);
@@ -638,10 +642,10 @@ TEST(StragglerE2E, RebalanceOffCheckpointCadenceWastesNoIteration) {
   parallel::FaultEvent ev;
   ev.kind = parallel::FaultKind::Slowdown;
   ev.rank = 1;
-  // Without periodic checkpoints an iteration issues about two
-  // collectives: collective 2 is iteration 2, and the verdict lands at
-  // iteration 4-5 of 9.
-  ev.collective = 2;
+  // Without periodic checkpoints an iteration issues about three
+  // collectives: collective 3 is iteration 2, and the verdict lands at
+  // iteration 4-6 of 11.
+  ev.collective = 3;
   ev.slow_factor = 8.0;
   ev.transient = false;
   plan.add(ev);
