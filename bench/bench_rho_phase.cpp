@@ -8,10 +8,7 @@
 // Correctness rails built into the run: at tau = 0 the batched paths must
 // agree with the per-point paths bit for bit (max |diff| printed and
 // asserted 0), and at the default tau the density error bound is printed.
-//
-// `--tune` runs the persistent autotuner (src/tune/) and saves the best
-// configuration to $AEQP_TUNE_FILE (or ./aeqp_tune.json); subsequent solver
-// runs in the same environment pick it up automatically.
+// Blocks are tune::kRhoBlockSize points, the solvers' consumer block.
 
 #include <cmath>
 #include <cstdio>
@@ -81,9 +78,9 @@ Rates run(bool smoke) {
   std::vector<Vec3> pts(np);
   for (std::size_t i = 0; i < np; ++i) pts[i] = grid.point(i).pos;
 
-  const std::vector<double> screen_tau = basis.screening_radii(1e-12);
+  const std::vector<double> screen_tau = basis.screening_radii(basis::kScreeningThreshold);
   const std::vector<double> no_screen;  // empty = unscreened
-  const std::size_t block = tune::rho_block_size(0);
+  const std::size_t block = tune::kRhoBlockSize;
 
   // --- Density contraction: n(p) over the whole grid. ---
   std::vector<double> n_batch(np), n_point(np);
@@ -231,23 +228,9 @@ void write_json(const Rates& r, bool smoke, const char* filename) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false, do_tune = false;
-  for (int i = 1; i < argc; ++i) {
+  bool smoke = false;
+  for (int i = 1; i < argc; ++i)
     if (std::strstr(argv[i], "--benchmark_filter=__none__")) smoke = true;
-    if (std::strcmp(argv[i], "--tune") == 0) do_tune = true;
-  }
-
-  if (do_tune) {
-    const tune::AutotuneResult res = tune::autotune();
-    std::fputs(res.report.c_str(), stdout);
-    const char* env = std::getenv("AEQP_TUNE_FILE");
-    const std::string path = (env && *env) ? env : "aeqp_tune.json";
-    if (tune::save_file(path, res.best))
-      std::printf("Saved tuned configuration to %s\n", path.c_str());
-    else
-      std::fprintf(stderr, "bench_rho_phase: cannot write %s\n", path.c_str());
-    tune::set_config_for_testing(res.best);
-  }
 
   // Single-thread rates: the acceptance criterion is raw kernel speed, and
   // one thread keeps the numbers free of scheduler noise.

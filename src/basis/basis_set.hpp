@@ -63,6 +63,11 @@ struct BatchEval {
   std::vector<double> radial;   ///< one point's radial shell values
 };
 
+/// The solvers' cutoff-screening threshold tau (BasisSet::screening_radii):
+/// it drops contributions of magnitude <= ~1e-12, far below the 1e-6
+/// CPSCF tolerance.
+inline constexpr double kScreeningThreshold = 1e-12;
+
 /// All-electron numeric atomic orbital basis over a structure.
 class BasisSet {
 public:

@@ -24,9 +24,6 @@ namespace aeqp::core::detail {
 using linalg::Matrix;
 
 namespace {
-/// Pulay pairs the CPSCF keeps: 16 nb^2 doubles per rank.
-constexpr std::size_t kPulayHistory = 8;
-
 /// Contiguous shares of `rows` proportional to `weights`: share s is
 /// [begin[s], begin[s + 1]). An 8x-slow rank gets ~1/8 of a healthy share.
 std::vector<std::size_t> split_rows(std::size_t rows, const std::vector<double>& weights) {
@@ -199,6 +196,8 @@ void run_cpscf_rank(parallel::Communicator& comm, CpscfRun& run,
   // This rank's point slots (tile order); ranks own disjoint points.
   std::vector<double> n1(points.size(), 0.0);  // response density
   std::vector<double> v1(points.size(), 0.0);  // v^(1)_es,tot + v^(1)_xc
+  std::vector<Vec3> positions(points.size());  // the Rho consumer's input
+  for (std::size_t k = 0; k < points.size(); ++k) positions[k] = grid.point(points[k]).pos;
   bool have_response = false;
 
   // Packed sum-AllReduce of the rows `add_rows` queues, counted for the
@@ -250,28 +249,14 @@ void run_cpscf_rank(parallel::Communicator& comm, CpscfRun& run,
         for (auto& channel : per_atom) packer.add(channel);
     });
     hartree.finalize_splines(rho_m);
-    const poisson::PartitionedPotential v1_part = hartree.solve(rho_m);
-    // Batched consumer over this rank's points, `block` points per
-    // potential_batch call. Each point's value is independent, so the
-    // block size is pure cache tuning and never changes v1.
-    const std::size_t block = tune::rho_block_size(0);
-    exec::parallel_for_ranges(0, points.size(), block, [&](std::size_t b0, std::size_t e0) {
-      thread_local std::vector<Vec3> ppos;
-      thread_local std::vector<double> vh;
-      for (std::size_t b = b0; b < e0; b += block) {
-        const std::size_t e = std::min(e0, b + block);
-        ppos.resize(e - b);
-        vh.resize(e - b);
-        for (std::size_t k = b; k < e; ++k) ppos[k - b] = grid.point(points[k]).pos;
-        hartree.potential_batch(v1_part, ppos.data(), e - b, vh.data());
-        for (std::size_t k = b; k < e; ++k) v1[k] = vh[k - b] + in.fxc[points[k]] * n1[k];
-      }
-    });
+    // Consumer: v^(1)_H at this rank's points, plus f_xc n^(1) (Eq. 12).
+    hartree.potential_points(hartree.solve(rho_m), positions, v1);
+    for (std::size_t k = 0; k < points.size(); ++k) v1[k] += in.fxc[points[k]] * n1[k];
   };
 
   // Pulay history of (P^(1) + beta r, r) pairs, replicated like P^(1):
   // every rank extrapolates the same pairs to the same next P^(1).
-  scf::DiisMixer mixer(kPulayHistory);
+  scf::DiisMixer mixer(scf::kDiisHistory);
 
   int start_iteration = 0;
   if (opt.warm_start) {

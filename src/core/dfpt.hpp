@@ -93,11 +93,11 @@ struct DfptOptions {
   std::shared_ptr<simt::SimtRuntime> device;
   /// Cutoff-screening threshold tau for the batched Rho-phase evaluation
   /// (BasisSet::screening_radii). 0 disables screening entirely, which is
-  /// bit-identical to the unscreened path; the default drops contributions
-  /// of magnitude <= ~1e-12, far below the 1e-6 CPSCF tolerance. Screening
-  /// decisions derive from geometry and tau only, so any tau preserves the
-  /// thread/rank determinism contract (docs/performance.md).
-  double screening_threshold = 1e-12;
+  /// bit-identical to the unscreened path; the default is the SCF's
+  /// basis::kScreeningThreshold. Screening decisions derive from geometry
+  /// and tau only, so any tau preserves the thread/rank determinism
+  /// contract (docs/performance.md).
+  double screening_threshold = basis::kScreeningThreshold;
   bool verbose = false;
   /// Run the Sternheimer/DM matmuls through the ABFT-checksummed variants
   /// (linalg/abft.hpp): a single corrupted product element is located and

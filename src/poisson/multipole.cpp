@@ -1,5 +1,6 @@
 #include "poisson/multipole.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "basis/basis_set.hpp"
@@ -14,6 +15,7 @@
 #include "poisson/adams_moulton.hpp"
 #include "resilience/guards.hpp"
 #include "resilience/sdc_inject.hpp"
+#include "tune/tune.hpp"
 
 namespace aeqp::poisson {
 
@@ -308,6 +310,18 @@ void HartreeSolver::potential_batch(const PartitionedPotential& v,
       }
     }
   }
+}
+
+void HartreeSolver::potential_points(const PartitionedPotential& v,
+                                     std::span<const Vec3> pts,
+                                     std::span<double> out) const {
+  AEQP_CHECK(out.size() == pts.size(), "HartreeSolver::potential_points: size mismatch");
+  constexpr std::size_t block = tune::kRhoBlockSize;
+  exec::parallel_for(0, (pts.size() + block - 1) / block, [&](std::size_t b) {
+    const std::size_t begin = b * block;
+    potential_batch(v, pts.data() + begin, std::min(block, pts.size() - begin),
+                    out.data() + begin);
+  });
 }
 
 PartitionedPotential HartreeSolver::solve_density(const DensityFn& density) const {

@@ -140,6 +140,15 @@ public:
   void potential_batch(const PartitionedPotential& v, const Vec3* pts,
                        std::size_t n, double* out) const;
 
+  /// Step 3 over a point set, the one Rho consumer of the SCF and the
+  /// CPSCF: out[k] = v at pts[k], through potential_batch over the fixed
+  /// blocks of tune::kRhoBlockSize consecutive points, the blocks spread
+  /// over the pool. The partition depends on the point count alone, so the
+  /// values and the rho/screen/potential_* counters are the same for every
+  /// thread count.
+  void potential_points(const PartitionedPotential& v, std::span<const Vec3> pts,
+                        std::span<double> out) const;
+
   /// Convenience: all three steps.
   [[nodiscard]] PartitionedPotential solve_density(const DensityFn& density) const;
   [[nodiscard]] PartitionedPotential solve_density(const BatchDensityFn& density) const;

@@ -19,11 +19,14 @@
 
 namespace aeqp::scf {
 
+/// (x, e) pairs the SCF and the CPSCF mixers keep: 16 nb^2 doubles each.
+inline constexpr std::size_t kDiisHistory = 8;
+
 /// DIIS history and extrapolation.
 class DiisMixer {
 public:
   /// `max_history`: number of (x, e) pairs retained.
-  explicit DiisMixer(std::size_t max_history = 8);
+  explicit DiisMixer(std::size_t max_history = kDiisHistory);
 
   /// The DIIS residual e = H P S - S P H.
   static linalg::Matrix residual(const linalg::Matrix& h, const linalg::Matrix& p,

@@ -85,9 +85,13 @@ Matrix BatchIntegrator::potential_matrix(std::span<const double> v_samples) cons
   return accumulate_weighted([&](std::size_t p) { return v_samples[p]; });
 }
 
-Matrix BatchIntegrator::dipole_matrix(int axis) const {
+const Matrix& BatchIntegrator::dipole_matrix(int axis) const {
   AEQP_CHECK(axis >= 0 && axis < 3, "dipole_matrix: axis must be 0..2");
-  return accumulate_weighted([&](std::size_t p) { return grid_->point(p).pos[axis]; });
+  const auto a = static_cast<std::size_t>(axis);
+  std::call_once(dipole_once_[a], [&] {
+    dipole_[a] = accumulate_weighted([&](std::size_t p) { return grid_->point(p).pos[axis]; });
+  });
+  return dipole_[a];
 }
 
 std::vector<double> BatchIntegrator::density(const Matrix& p_mat) const {

@@ -7,8 +7,8 @@
 /// synthesis n(r) = sum_{mu,nu} P_mu_nu chi_mu chi_nu (paper Eqs. 3, 8).
 ///
 /// Basis values at grid points are evaluated once and cached as grid tiles
-/// (scf/tiles.hpp): the cut-plane batches of grid::make_batches at the
-/// tuned batch size -- the same tiling the distributed CPSCF solver maps
+/// (scf/tiles.hpp): the cut-plane batches of grid::make_batches at
+/// tune::kGridBatchPoints -- the same tiling the distributed CPSCF solver maps
 /// onto ranks -- each holding its points' values densely against a local
 /// basis block. The SCF and DFPT loops revisit every point dozens of times
 /// with different potentials/density matrices; this cache is exactly the
@@ -19,6 +19,7 @@
 /// pool-parallel tiles, tile-order flush, bit-identical for every thread
 /// count; every accumulated matrix is exactly symmetric.
 
+#include <array>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -59,7 +60,9 @@ public:
       std::span<const double> v_samples) const;
 
   /// Electric dipole operator matrix D_mu_nu = \int chi_mu r_axis chi_nu.
-  [[nodiscard]] linalg::Matrix dipole_matrix(int axis) const;
+  /// Each axis is built on its first use and kept (geometry only, so the
+  /// SCF field runs and every CPSCF direction share the three builds).
+  [[nodiscard]] const linalg::Matrix& dipole_matrix(int axis) const;
 
   /// Density samples on the grid from a density matrix (Eq. 3 / Eq. 8 --
   /// the same contraction serves n and the response n^(1)). P is folded
@@ -88,6 +91,9 @@ private:
   // every SCF and CPSCF iteration).
   mutable std::once_flag vnuc_once_;
   mutable std::vector<double> vnuc_samples_;
+  // Dipole matrices, one per axis, built lazily the same way.
+  mutable std::array<std::once_flag, 3> dipole_once_;
+  mutable std::array<linalg::Matrix, 3> dipole_;
 
   /// M = sum_p w_p f(p) chi chi^T over every tile.
   template <typename Factor>

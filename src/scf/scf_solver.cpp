@@ -11,7 +11,6 @@
 #include "resilience/guards.hpp"
 #include "scf/diis.hpp"
 #include "scf/occupations.hpp"
-#include "tune/tune.hpp"
 #include "xc/lda.hpp"
 
 namespace aeqp::scf {
@@ -89,8 +88,11 @@ ScfResult ScfSolver::run() const {
 
   // Per-atom screening radii for the batched density evaluation (geometry +
   // threshold only, so screening is thread/rank deterministic).
-  const std::vector<double> screen =
-      basis->screening_radii(options_.screening_threshold);
+  const std::vector<double> screen = basis->screening_radii(basis::kScreeningThreshold);
+  // Grid point positions: the input of the initial density and of the Rho
+  // consumer in every iteration.
+  std::vector<Vec3> positions(np);
+  for (std::size_t i = 0; i < np; ++i) positions[i] = grid->point(i).pos;
 
   // Initial density: superposition of spherical free atoms, as a batched
   // callback (the Hartree projection hands whole angular rings at once).
@@ -110,10 +112,7 @@ ScfResult ScfSolver::run() const {
   Matrix p_fold(nb, nb);  // basis::fold_density(p_mat), the projection's operand
   std::vector<double> n_samples(np, 0.0);
   exec::parallel_for_ranges(0, np, 64, [&](std::size_t b, std::size_t e) {
-    thread_local std::vector<Vec3> ppos;
-    ppos.resize(e - b);
-    for (std::size_t i = b; i < e; ++i) ppos[i - b] = grid->point(i).pos;
-    density_fn(ppos.data(), e - b, n_samples.data() + b);
+    density_fn(positions.data() + b, e - b, n_samples.data() + b);
   });
 
   // Density functor bound to the current density matrix; rebuilt after every
@@ -128,7 +127,7 @@ ScfResult ScfSolver::run() const {
   double e_total = 0.0;
   bool converged = false;
   int iter = 0;
-  DiisMixer diis(options_.diis_history);
+  DiisMixer diis(kDiisHistory);
 
   int start_iteration = 0;
   if (options_.warm_start) {
@@ -153,16 +152,10 @@ ScfResult ScfSolver::run() const {
     phase_span.begin("scf/hartree");
     const auto v_part = hartree->solve_density(density_fn);
     std::vector<double> v_eff(np), v_h(np), v_xc(np), exc(np);
-    // The Sumup analogue of the SCF cycle: every point evaluates the
-    // partitioned potential independently, interpolated block by block
-    // through the bundled consumer kernel (block size is pure cache tuning
-    // and never changes v_h).
-    const std::size_t block = tune::rho_block_size(0);
-    exec::parallel_for_ranges(0, np, block, [&](std::size_t b, std::size_t e) {
-      thread_local std::vector<Vec3> ppos;
-      ppos.resize(e - b);
-      for (std::size_t i = b; i < e; ++i) ppos[i - b] = grid->point(i).pos;
-      hartree->potential_batch(v_part, ppos.data(), e - b, v_h.data() + b);
+    // The Sumup analogue of the SCF cycle: the Rho consumer interpolates
+    // the partitioned potential at every grid point.
+    hartree->potential_points(v_part, positions, v_h);
+    exec::parallel_for_ranges(0, np, 256, [&](std::size_t b, std::size_t e) {
       for (std::size_t i = b; i < e; ++i) {
         const xc::LdaPoint ldap = xc::lda_evaluate(std::max(n_samples[i], 0.0));
         v_xc[i] = ldap.vxc;

@@ -68,14 +68,9 @@ struct ScfOptions {
   double density_tolerance = 1e-6;    ///< max |n_out - n_in| convergence test
   double mixing = 0.35;               ///< linear density-matrix mixing factor
   Mixer mixer = Mixer::Linear;        ///< acceleration scheme
-  std::size_t diis_history = 8;       ///< stored Hamiltonians for DIIS
   /// Fermi-Dirac smearing width in hartree (paper Eq. 3); 0 = aufbau.
   double smearing_sigma = 0.0;
   Vec3 external_field{};              ///< homogeneous E-field (FD validation)
-  /// Cutoff-screening threshold for the batched density evaluation feeding
-  /// the Hartree solve; 0 disables (bit-identical to unscreened). See
-  /// DfptOptions::screening_threshold and docs/performance.md.
-  double screening_threshold = 1e-12;
   bool verbose = false;
   /// Per-iteration hook for health validation and checkpointing; may abort
   /// the cycle. Null = no observation.

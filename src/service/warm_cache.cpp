@@ -97,7 +97,6 @@ std::uint64_t scf_options_hash(const scf::ScfOptions& options) {
   fnv_f64(h, options.density_tolerance);
   fnv_f64(h, options.mixing);
   fnv_i64(h, static_cast<std::int64_t>(options.mixer));
-  fnv_i64(h, static_cast<std::int64_t>(options.diis_history));
   fnv_f64(h, options.smearing_sigma);
   fnv_f64(h, options.external_field.x);
   fnv_f64(h, options.external_field.y);

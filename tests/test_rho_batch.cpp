@@ -1,19 +1,21 @@
 // Tests for the Rho-phase batching stack: the raw real_ylm_all overload,
 // SplineBundle::eval_all, ipow, BasisSet::evaluate_batch + contract_density,
 // the folded contraction, cutoff screening, the projection's geometry-once
-// Becke table, HartreeSolver::potential_batch, and the tune/ persistence
-// layer. Most claims are bit-for-bit: the batched kernels must reproduce
-// the per-point call chain exactly, screening at tau = 0 must change
-// nothing, and the Becke table must not move a projection sample. The
-// folded contraction is the exception: it regroups the pair sum, so it is
-// held to the reference contraction within rounding.
+// Becke table, HartreeSolver::potential_batch, the fixed block partition
+// of the one Rho consumer, and the tune/ resolvers. Most claims are
+// bit-for-bit: the batched kernels must reproduce the per-point call chain
+// exactly, screening at tau = 0 must change nothing, the Becke table must
+// not move a projection sample, and the SCF and CPSCF must not move with
+// the thread count. The folded contraction is the exception: it regroups
+// the pair sum, so it is held to the reference contraction within
+// rounding.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
+#include <cstdint>
 #include <span>
 #include <thread>
 #include <vector>
@@ -29,6 +31,7 @@
 #include "grid/angular_grid.hpp"
 #include "grid/molecular_grid.hpp"
 #include "grid/partition.hpp"
+#include "obs/metrics.hpp"
 #include "poisson/multipole.hpp"
 #include "scf/integrator.hpp"
 #include "scf/scf_solver.hpp"
@@ -370,87 +373,67 @@ TEST(RhoBatch, PolarizabilityInsensitiveToScreeningThreshold) {
   EXPECT_NEAR(r_tau.dipole_response.x, r_exact.dipole_response.x, 1e-10);
 }
 
-TEST(RhoBatch, RhoPhaseDeterministicAcrossThreadCounts) {
+/// The consumer's block counters: near, mixed, far.
+std::array<std::uint64_t, 3> potential_blocks() {
+  return {obs::counter("rho/screen/potential_near_blocks").value(),
+          obs::counter("rho/screen/potential_mixed_blocks").value(),
+          obs::counter("rho/screen/potential_far_blocks").value()};
+}
+
+std::array<std::uint64_t, 3> minus(const std::array<std::uint64_t, 3>& a,
+                                   const std::array<std::uint64_t, 3>& b) {
+  return {a[0] - b[0], a[1] - b[1], a[2] - b[2]};
+}
+
+/// One H2 SCF and one CPSCF direction on a pool of `threads`, with the
+/// consumer's block counts of each phase.
+struct RhoPhaseRun {
+  double energy = 0.0;
+  core::DfptDirectionResult direction;
+  std::array<std::uint64_t, 3> scf_blocks{}, cpscf_blocks{};
+};
+
+RhoPhaseRun rho_phase_run(std::size_t threads) {
+  exec::ThreadPool::set_global_threads(threads);
+  RhoPhaseRun run;
+  const auto start = potential_blocks();
   const scf::ScfResult ground = h2_ground();
-  ASSERT_TRUE(ground.converged);
+  const auto scf_done = potential_blocks();
   core::DfptOptions opt;
   opt.tolerance = 1e-8;
-
-  exec::ThreadPool::set_global_threads(1);
-  const auto r1 = core::DfptSolver(ground, opt).solve_direction(2);
-  exec::ThreadPool::set_global_threads(4);
-  const auto r4 = core::DfptSolver(ground, opt).solve_direction(2);
+  run.direction = core::DfptSolver(ground, opt).solve_direction(2);
   exec::ThreadPool::set_global_threads(0);
-  ASSERT_TRUE(r1.converged);
-  ASSERT_TRUE(r4.converged);
-  EXPECT_EQ(r1.dipole_response.x, r4.dipole_response.x);
-  EXPECT_EQ(r1.dipole_response.y, r4.dipole_response.y);
-  EXPECT_EQ(r1.dipole_response.z, r4.dipole_response.z);
-  EXPECT_EQ(r1.iterations, r4.iterations);
+  run.energy = ground.total_energy;
+  run.scf_blocks = minus(scf_done, start);
+  run.cpscf_blocks = minus(potential_blocks(), scf_done);
+  EXPECT_TRUE(ground.converged);
+  EXPECT_TRUE(run.direction.converged);
+  return run;
 }
 
-TEST(TunePersistence, JsonRoundTrip) {
-  tune::TuneConfig c;
-  c.rho_block_size = 96;
-  c.grid_batch_points = 192;
-  c.pack_window_bytes = 12345678;
-  c.poisson_l_max = 6;
-  c.machine = "test-host";
-  tune::TuneConfig back;
-  ASSERT_TRUE(tune::parse_json(tune::to_json(c), back));
-  EXPECT_EQ(back.rho_block_size, c.rho_block_size);
-  EXPECT_EQ(back.grid_batch_points, c.grid_batch_points);
-  EXPECT_EQ(back.pack_window_bytes, c.pack_window_bytes);
-  EXPECT_EQ(back.poisson_l_max, c.poisson_l_max);
-  EXPECT_EQ(back.machine, c.machine);
+TEST(RhoBatch, RhoPhaseDeterministicAcrossThreadCounts) {
+  const RhoPhaseRun r1 = rho_phase_run(1);
+  const RhoPhaseRun r4 = rho_phase_run(4);
+  EXPECT_EQ(r1.energy, r4.energy);
+  EXPECT_EQ(r1.direction.dipole_response.x, r4.direction.dipole_response.x);
+  EXPECT_EQ(r1.direction.dipole_response.y, r4.direction.dipole_response.y);
+  EXPECT_EQ(r1.direction.dipole_response.z, r4.direction.dipole_response.z);
+  EXPECT_EQ(r1.direction.iterations, r4.direction.iterations);
+  // The consumer cuts the same fixed blocks at every thread count, so it
+  // classifies the same blocks.
+  EXPECT_EQ(r1.scf_blocks, r4.scf_blocks);
+  EXPECT_EQ(r1.cpscf_blocks, r4.cpscf_blocks);
+  EXPECT_GT(r1.scf_blocks[0] + r1.scf_blocks[1] + r1.scf_blocks[2], 0u);
+  EXPECT_GT(r1.cpscf_blocks[0] + r1.cpscf_blocks[1] + r1.cpscf_blocks[2], 0u);
 }
 
-TEST(TunePersistence, VersionMismatchLeavesDefaults) {
-  tune::TuneConfig c;
-  c.rho_block_size = 96;
-  std::string text = tune::to_json(c);
-  const auto pos = text.find("\"aeqp_tune_version\"");
-  ASSERT_NE(pos, std::string::npos);
-  const auto colon = text.find(':', pos);
-  text.replace(colon + 1, text.find_first_of(",\n", colon) - colon - 1, " 999");
-  tune::TuneConfig out;
-  const std::size_t before = out.rho_block_size;
-  EXPECT_FALSE(tune::parse_json(text, out));
-  EXPECT_EQ(out.rho_block_size, before);  // untouched on rejection
-  EXPECT_FALSE(tune::parse_json("not json at all", out));
-}
-
-TEST(TunePersistence, EnvFileLoadsIntoResolvers) {
-  tune::TuneConfig c;
-  c.rho_block_size = 208;
-  c.grid_batch_points = 176;
-  c.pack_window_bytes = 4 * 1024 * 1024;
-  const std::string path = "aeqp_tune_test_env.json";
-  ASSERT_TRUE(tune::save_file(path, c));
-
-  ::setenv("AEQP_TUNE_FILE", path.c_str(), 1);
-  tune::reset_config_for_testing();  // force a re-read of the env
-  EXPECT_EQ(tune::rho_block_size(0), 208u);
-  EXPECT_EQ(tune::grid_batch_points(0), 176u);
-  EXPECT_EQ(tune::pack_window_bytes(0), 4u * 1024 * 1024);
-  // Explicit requests always beat the tuned value.
+TEST(TuneConstants, ZeroResolvesToTheConstantAndARequestWins) {
+  EXPECT_EQ(tune::rho_block_size(0), tune::kRhoBlockSize);
+  EXPECT_EQ(tune::grid_batch_points(0), tune::kGridBatchPoints);
+  EXPECT_EQ(tune::pack_window_bytes(0), tune::kPackWindowBytes);
   EXPECT_EQ(tune::rho_block_size(17), 17u);
   EXPECT_EQ(tune::grid_batch_points(33), 33u);
-
-  ::unsetenv("AEQP_TUNE_FILE");
-  tune::reset_config_for_testing();
-  std::remove(path.c_str());
-  const tune::TuneConfig defaults;
-  EXPECT_EQ(tune::rho_block_size(0), defaults.rho_block_size);
-}
-
-TEST(TunePersistence, MissingFileFallsBackToDefaults) {
-  ::setenv("AEQP_TUNE_FILE", "/nonexistent/aeqp_tune.json", 1);
-  tune::reset_config_for_testing();
-  const tune::TuneConfig defaults;
-  EXPECT_EQ(tune::rho_block_size(0), defaults.rho_block_size);
-  ::unsetenv("AEQP_TUNE_FILE");
-  tune::reset_config_for_testing();
+  EXPECT_EQ(tune::pack_window_bytes(4096), 4096u);
 }
 
 }  // namespace
