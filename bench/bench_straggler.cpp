@@ -2,7 +2,7 @@
 // of rebalance-before-shrink.
 //
 // Two promises are priced here. First, the observe-only hot path: every
-// collective entry pays one ring store + two relaxed accumulates into the
+// collective entry pays two relaxed accumulates into the
 // StragglerDetector and (when adaptive deadlines are armed) one relaxed
 // load for the per-class deadline -- nanoseconds, cheap enough to leave on
 // for every governed run. Second, the ladder's rebalance rung: with one
@@ -128,8 +128,8 @@ double governed_seconds(const scf::ScfResult& ground,
 
 void straggler_run() {
   // --- Ledger hot-path cost -------------------------------------------
-  // One record_work per collective entry per rank: a relaxed ring store
-  // plus two relaxed accumulates.
+  // One record_work per collective entry per rank: two relaxed
+  // accumulates.
   parallel::StragglerDetector detector(4);
   constexpr std::size_t kRecords = 10'000'000;
   const auto d0 = Clock::now();

@@ -9,18 +9,24 @@
 
 namespace aeqp {
 
+/// One SplitMix64 step: advance `x` by the golden gamma and finalize. It
+/// seeds Rng and hashes the deterministic jitter draws that must not touch
+/// a plan's Rng.
+[[nodiscard]] constexpr std::uint64_t splitmix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
 /// xoshiro256** by Blackman & Vigna; small, fast, and high quality.
 class Rng {
 public:
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL) {
     // SplitMix64 seeding as recommended by the xoshiro authors.
-    std::uint64_t x = seed;
     for (auto& s : state_) {
-      x += 0x9e3779b97f4a7c15ULL;
-      std::uint64_t z = x;
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-      s = z ^ (z >> 31);
+      s = splitmix64(seed);
+      seed += 0x9e3779b97f4a7c15ULL;
     }
   }
 

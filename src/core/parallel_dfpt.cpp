@@ -107,13 +107,7 @@ ParallelDfptResult solve_direction_parallel(const scf::ScfResult& ground,
   cluster.set_fault_injector(options.fault_injector);
   cluster.set_verify_payloads(options.verify_collectives);
   cluster.set_straggler_detector(options.straggler_detector);
-  // The constructor already armed adaptive deadlines when the env gate is
-  // on (adaptive_deadlines == -1 keeps that); 0/1 force the state.
-  if (options.adaptive_deadlines == 0)
-    cluster.set_adaptive_deadlines(false);
-  else if (options.adaptive_deadlines == 1 ||
-           (cluster.adaptive_deadlines() && options.adaptive_floor_ms > 0.0))
-    cluster.set_adaptive_deadlines(true, options.adaptive_floor_ms);
+  cluster.set_adaptive_deadlines(options.adaptive_deadlines);
   cluster.run([&](parallel::Communicator& comm) {
     // Tag this rank thread: the log sink prefixes its lines, the trace
     // exporter gives it its own lane, and fault plans address it.

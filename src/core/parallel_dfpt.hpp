@@ -66,15 +66,10 @@ struct ParallelDfptOptions {
   /// Collective deadline handed to the cluster; a rank stalled past it
   /// surfaces as CollectiveTimeout on the surviving ranks.
   std::size_t collective_timeout_ms = 120000;
-  /// Adaptive per-collective-class deadlines (parallel::DeadlineEstimator):
-  /// -1 = follow the AEQP_ADAPTIVE_TIMEOUT env gate (default), 0 = force
-  /// off, 1 = force on. The fixed collective_timeout_ms stays the ceiling
-  /// either way -- the smaller deadline always wins.
-  int adaptive_deadlines = -1;
-  /// Optional floor override (ms) for the adaptive deadline; 0 = estimator
-  /// default. Tests drop it so an injected straggler times out in tens of
-  /// milliseconds instead of seconds.
-  double adaptive_floor_ms = 0.0;
+  /// Arm adaptive per-collective-class deadlines
+  /// (parallel::DeadlineEstimator, at its default floor). The fixed
+  /// collective_timeout_ms stays the ceiling -- the smaller deadline wins.
+  bool adaptive_deadlines = false;
   /// Optional straggler detector fed by the runtime with per-rank work
   /// intervals (must outlive the call); null = no arrival-lag ledger and a
   /// bit-identical collective schedule to the un-instrumented baseline.

@@ -28,15 +28,23 @@ struct AbftStatsScope::Slot {
 
 namespace {
 
-std::atomic<std::size_t> g_checks{0};
-std::atomic<std::size_t> g_detections{0};
-std::atomic<std::size_t> g_corrections{0};
-std::atomic<std::size_t> g_uncorrectable{0};
+/// The process-wide "abft/<name>" obs counters abft_stats() reads.
+struct Counters {
+  obs::Counter& checks = obs::counter("abft/checks");
+  obs::Counter& detections = obs::counter("abft/detections");
+  obs::Counter& corrections = obs::counter("abft/corrections");
+  obs::Counter& uncorrectable = obs::counter("abft/uncorrectable");
+};
+
+Counters& counters() {
+  static Counters c;
+  return c;
+}
 
 /// Bump a counter globally and in every scope enclosing the calling thread.
-void bump(std::atomic<std::size_t>& global,
+void bump(obs::Counter& global,
           std::atomic<std::size_t> AbftStatsScope::Slot::*field) {
-  global.fetch_add(1, std::memory_order_relaxed);
+  global.increment();
   for (auto* s = static_cast<AbftStatsScope::Slot*>(task_scope()); s != nullptr;
        s = s->parent)
     (s->*field).fetch_add(1, std::memory_order_relaxed);
@@ -116,15 +124,11 @@ void verify_product(const Matrix& a, const Matrix& b, Matrix& c,
     if (!(std::fabs(r) <= tau)) bad_cols.push_back(j);
   }
 
-  bump(g_checks, &AbftStatsScope::Slot::checks);
-  {
-    static obs::Counter& checks = obs::counter("abft/checks");
-    checks.increment();
-  }
+  Counters& global = counters();
+  bump(global.checks, &AbftStatsScope::Slot::checks);
   if (bad_rows.empty() && bad_cols.empty()) return;
 
-  bump(g_detections, &AbftStatsScope::Slot::detections);
-  obs::counter("abft/detections").increment();
+  bump(global.detections, &AbftStatsScope::Slot::detections);
   obs::trace_instant("sdc/detect");
 
   const bool single = bad_rows.size() == 1 && bad_cols.size() == 1;
@@ -132,14 +136,12 @@ void verify_product(const Matrix& a, const Matrix& b, Matrix& c,
     const std::size_t i0 = bad_rows.front();
     const std::size_t j0 = bad_cols.front();
     c(i0, j0) = recompute_element(a, b, i0, j0, a_transposed);
-    bump(g_corrections, &AbftStatsScope::Slot::corrections);
-    obs::counter("abft/corrections").increment();
+    bump(global.corrections, &AbftStatsScope::Slot::corrections);
     obs::trace_instant("sdc/correct");
     return;
   }
 
-  bump(g_uncorrectable, &AbftStatsScope::Slot::uncorrectable);
-  obs::counter("abft/uncorrectable").increment();
+  bump(global.uncorrectable, &AbftStatsScope::Slot::uncorrectable);
   const std::string what =
       mode == AbftMode::DetectOnly
           ? ("checksum violation detected (" +
@@ -153,19 +155,13 @@ void verify_product(const Matrix& a, const Matrix& b, Matrix& c,
 }  // namespace
 
 AbftStats abft_stats() {
+  const Counters& global = counters();
   AbftStats s;
-  s.checks = g_checks.load(std::memory_order_relaxed);
-  s.detections = g_detections.load(std::memory_order_relaxed);
-  s.corrections = g_corrections.load(std::memory_order_relaxed);
-  s.uncorrectable = g_uncorrectable.load(std::memory_order_relaxed);
+  s.checks = global.checks.value();
+  s.detections = global.detections.value();
+  s.corrections = global.corrections.value();
+  s.uncorrectable = global.uncorrectable.value();
   return s;
-}
-
-void reset_abft_stats() {
-  g_checks.store(0, std::memory_order_relaxed);
-  g_detections.store(0, std::memory_order_relaxed);
-  g_corrections.store(0, std::memory_order_relaxed);
-  g_uncorrectable.store(0, std::memory_order_relaxed);
 }
 
 AbftStatsScope::AbftStatsScope()

@@ -49,8 +49,10 @@ private:
   std::string site_;
 };
 
-/// Counters of what the ABFT layer observed (process-wide, cumulative;
-/// reset with reset_abft_stats). Updated via relaxed atomics internally.
+/// Counters of what the ABFT layer observed: process-wide and cumulative,
+/// the values of the obs counters "abft/checks", "abft/detections",
+/// "abft/corrections" and "abft/uncorrectable" (obs::reset_counters zeroes
+/// them).
 struct AbftStats {
   std::size_t checks = 0;         ///< verified products
   std::size_t detections = 0;     ///< products with a checksum violation
@@ -59,7 +61,6 @@ struct AbftStats {
 };
 
 [[nodiscard]] AbftStats abft_stats();
-void reset_abft_stats();
 
 /// Scoped ABFT accounting for long-lived multi-tenant processes: the
 /// process-wide AbftStats accumulate across every job a solve server runs,

@@ -44,6 +44,80 @@ Assignment least_loaded_mapping(const std::vector<grid::Batch>& batches,
   return a;
 }
 
+namespace {
+
+/// What each rank slot of an assignment owns: grid points, the sum of its
+/// batch centroids and its batch count.
+struct Tally {
+  std::vector<std::size_t> points;
+  std::vector<Vec3> centroid_sum;
+  std::vector<std::size_t> owned;
+
+  Tally(const Assignment& a, const std::vector<grid::Batch>& batches)
+      : points(a.rank_count(), 0),
+        centroid_sum(a.rank_count(), Vec3{}),
+        owned(a.rank_count(), 0) {
+    for (std::size_t r = 0; r < a.rank_count(); ++r)
+      for (const auto b : a.batches_of_rank[r]) add(r, batches[b]);
+  }
+  void add(std::size_t r, const grid::Batch& batch) {
+    points[r] += batch.size();
+    centroid_sum[r] += batch.centroid;
+    ++owned[r];
+  }
+  void remove(std::size_t r, const grid::Batch& batch) {
+    points[r] -= batch.size();
+    centroid_sum[r] -= batch.centroid;
+    --owned[r];
+  }
+  [[nodiscard]] Vec3 mean(std::size_t r) const {
+    return centroid_sum[r] / static_cast<double>(owned[r]);
+  }
+  [[nodiscard]] std::size_t total_points() const {
+    return std::accumulate(points.begin(), points.end(), std::size_t{0});
+  }
+};
+
+/// Re-home `orphans` onto the slots of `out.assignment`, largest first (the
+/// classic bin-packing order) with deterministic id tie-breaks. Each goes
+/// to the slot minimizing Algorithm 1's locality-vs-balance objective:
+/// (1 + distance to the slot's mean centroid) x (points after accepting) /
+/// target[slot]. The tally updates after every placement.
+void place_orphans(std::vector<std::uint32_t> orphans,
+                   const std::vector<grid::Batch>& batches,
+                   const std::vector<double>& target, Tally& tally,
+                   RemapResult& out) {
+  std::sort(orphans.begin(), orphans.end(),
+            [&](std::uint32_t a, std::uint32_t b) {
+              if (batches[a].size() != batches[b].size())
+                return batches[a].size() > batches[b].size();
+              return a < b;
+            });
+  for (const auto b : orphans) {
+    std::size_t best = 0;
+    double best_score = 0.0;
+    for (std::size_t r = 0; r < target.size(); ++r) {
+      // A slot with no batches yet attracts work from anywhere.
+      double dist = 0.0;
+      if (tally.owned[r] > 0)
+        dist = (batches[b].centroid - tally.mean(r)).norm();
+      const double load =
+          static_cast<double>(tally.points[r] + batches[b].size()) / target[r];
+      const double score = (1.0 + dist) * load;
+      if (r == 0 || score < best_score) {
+        best = r;
+        best_score = score;
+      }
+    }
+    out.assignment.batches_of_rank[best].push_back(b);
+    tally.add(best, batches[b]);
+    ++out.moved_batches;
+    out.moved_points += batches[b].size();
+  }
+}
+
+}  // namespace
+
 RemapResult remap_for_survivors(const Assignment& previous,
                                 const std::vector<grid::Batch>& batches,
                                 const std::vector<std::size_t>& survivors) {
@@ -58,72 +132,30 @@ RemapResult remap_for_survivors(const Assignment& previous,
                "remap_for_survivors: survivors must be strictly increasing");
   }
 
+  // Survivors keep their batches; the dead ranks' batches are orphaned.
   RemapResult out;
-  out.assignment.batches_of_rank.resize(survivors.size());
-
-  // Survivors keep their batches; track their load and mean centroid.
   std::vector<bool> surviving(n_prev, false);
-  std::vector<std::size_t> points(survivors.size(), 0);
-  std::vector<Vec3> centroid_sum(survivors.size(), Vec3{});
-  std::vector<std::size_t> owned(survivors.size(), 0);
-  std::size_t total_points = 0;
-  for (std::size_t s = 0; s < survivors.size(); ++s) {
-    surviving[survivors[s]] = true;
-    out.assignment.batches_of_rank[s] = previous.batches_of_rank[survivors[s]];
-    for (const auto b : out.assignment.batches_of_rank[s]) {
-      points[s] += batches[b].size();
-      centroid_sum[s] += batches[b].centroid;
-      ++owned[s];
-    }
-    total_points += points[s];
+  for (const std::size_t r : survivors) {
+    surviving[r] = true;
+    out.assignment.batches_of_rank.push_back(previous.batches_of_rank[r]);
   }
-
-  // Orphans of the dead ranks, placed largest first (the classic bin-
-  // packing order) with deterministic id tie-breaks.
+  Tally tally(out.assignment, batches);
+  std::size_t total_points = tally.total_points();
   std::vector<std::uint32_t> orphans;
   for (std::size_t r = 0; r < n_prev; ++r) {
     if (surviving[r]) continue;
-    orphans.insert(orphans.end(), previous.batches_of_rank[r].begin(),
-                   previous.batches_of_rank[r].end());
-  }
-  for (const auto b : orphans) total_points += batches[b].size();
-  std::sort(orphans.begin(), orphans.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              if (batches[a].size() != batches[b].size())
-                return batches[a].size() > batches[b].size();
-              return a < b;
-            });
-
-  const double mean_points = static_cast<double>(total_points) /
-                             static_cast<double>(survivors.size());
-  for (const auto b : orphans) {
-    std::size_t best = 0;
-    double best_score = 0.0;
-    for (std::size_t s = 0; s < survivors.size(); ++s) {
-      // Locality term: distance to the survivor's current mean centroid
-      // (a survivor with no batches yet attracts work from anywhere).
-      double dist = 0.0;
-      if (owned[s] > 0) {
-        const Vec3 mean = centroid_sum[s] / static_cast<double>(owned[s]);
-        dist = (batches[b].centroid - mean).norm();
-      }
-      // Balance term: relative load after accepting the batch.
-      const double load =
-          static_cast<double>(points[s] + batches[b].size()) /
-          std::max(mean_points, 1.0);
-      const double score = (1.0 + dist) * load;
-      if (s == 0 || score < best_score) {
-        best = s;
-        best_score = score;
-      }
+    for (const auto b : previous.batches_of_rank[r]) {
+      orphans.push_back(b);
+      total_points += batches[b].size();
     }
-    out.assignment.batches_of_rank[best].push_back(b);
-    points[best] += batches[b].size();
-    centroid_sum[best] += batches[b].centroid;
-    ++owned[best];
-    ++out.moved_batches;
-    out.moved_points += batches[b].size();
   }
+
+  // Every survivor is targeted at an equal share.
+  const double share = std::max(static_cast<double>(total_points) /
+                                    static_cast<double>(survivors.size()),
+                                1.0);
+  place_orphans(std::move(orphans), batches,
+                std::vector<double>(survivors.size(), share), tally, out);
   return out;
 }
 
@@ -143,24 +175,13 @@ RemapResult rebalance_for_slow_ranks(const Assignment& previous,
   }
 
   RemapResult out;
-  out.assignment.batches_of_rank.resize(n_ranks);
-
-  std::vector<std::size_t> points(n_ranks, 0);
-  std::vector<Vec3> centroid_sum(n_ranks, Vec3{});
-  std::vector<std::size_t> owned(n_ranks, 0);
-  std::size_t total_points = 0;
-  for (std::size_t r = 0; r < n_ranks; ++r) {
-    out.assignment.batches_of_rank[r] = previous.batches_of_rank[r];
-    for (const auto b : out.assignment.batches_of_rank[r]) {
-      points[r] += batches[b].size();
-      centroid_sum[r] += batches[b].centroid;
-      ++owned[r];
-    }
-    total_points += points[r];
-  }
+  out.assignment = previous;
+  Tally tally(out.assignment, batches);
+  const std::size_t total_points = tally.total_points();
 
   // Per-rank point target proportional to measured speed; a floor of one
-  // point keeps the balance term below finite.
+  // point keeps the balance term below finite. A slow rank's small target
+  // repels work exactly in proportion to its measured speed.
   std::vector<double> target(n_ranks);
   for (std::size_t r = 0; r < n_ranks; ++r)
     target[r] = std::max(static_cast<double>(total_points) * weights[r] /
@@ -172,9 +193,11 @@ RemapResult rebalance_for_slow_ranks(const Assignment& previous,
   // stays put, the fringe moves.
   std::vector<std::uint32_t> orphans;
   for (std::size_t r = 0; r < n_ranks; ++r) {
-    if (static_cast<double>(points[r]) <= target[r] || owned[r] == 0) continue;
+    if (static_cast<double>(tally.points[r]) <= target[r] ||
+        tally.owned[r] == 0)
+      continue;
     auto& ids = out.assignment.batches_of_rank[r];
-    const Vec3 mean = centroid_sum[r] / static_cast<double>(owned[r]);
+    const Vec3 mean = tally.mean(r);
     std::sort(ids.begin(), ids.end(), [&](std::uint32_t a, std::uint32_t b) {
       const double da = (batches[a].centroid - mean).norm2();
       const double db = (batches[b].centroid - mean).norm2();
@@ -184,51 +207,14 @@ RemapResult rebalance_for_slow_ranks(const Assignment& previous,
     // Pop from the far end until the target is met (keep at least one
     // batch so the rank still participates in every distributed phase).
     while (ids.size() > 1 &&
-           static_cast<double>(points[r]) > target[r]) {
+           static_cast<double>(tally.points[r]) > target[r]) {
       const std::uint32_t b = ids.back();
       ids.pop_back();
-      points[r] -= batches[b].size();
-      centroid_sum[r] -= batches[b].centroid;
-      --owned[r];
+      tally.remove(r, batches[b]);
       orphans.push_back(b);
     }
   }
-
-  std::sort(orphans.begin(), orphans.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              if (batches[a].size() != batches[b].size())
-                return batches[a].size() > batches[b].size();
-              return a < b;
-            });
-
-  for (const auto b : orphans) {
-    std::size_t best = 0;
-    double best_score = 0.0;
-    bool found = false;
-    for (std::size_t r = 0; r < n_ranks; ++r) {
-      double dist = 0.0;
-      if (owned[r] > 0) {
-        const Vec3 mean = centroid_sum[r] / static_cast<double>(owned[r]);
-        dist = (batches[b].centroid - mean).norm();
-      }
-      // Balance term against the *weighted* target: a slow rank's small
-      // target repels work exactly in proportion to its measured speed.
-      const double load =
-          static_cast<double>(points[r] + batches[b].size()) / target[r];
-      const double score = (1.0 + dist) * load;
-      if (!found || score < best_score) {
-        best = r;
-        best_score = score;
-        found = true;
-      }
-    }
-    out.assignment.batches_of_rank[best].push_back(b);
-    points[best] += batches[b].size();
-    centroid_sum[best] += batches[b].centroid;
-    ++owned[best];
-    ++out.moved_batches;
-    out.moved_points += batches[b].size();
-  }
+  place_orphans(std::move(orphans), batches, target, tally, out);
 
   // Batch order within a rank feeds downstream loops; keep it sorted so the
   // result is independent of shedding/placement order.

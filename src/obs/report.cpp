@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
 #include <iomanip>
 #include <iostream>
 #include <map>
-#include <mutex>
 #include <ostream>
 #include <sstream>
 #include <utility>
@@ -49,63 +47,7 @@ std::string format_number(double v) {
   return buf;
 }
 
-/// Registry of extra report sections (ScopedReportSection). Guarded by its
-/// own mutex; sections are appended in registration order.
-struct SectionRegistry {
-  std::mutex mutex;
-  std::uint64_t next_id = 1;
-  std::vector<std::pair<std::uint64_t, std::function<void(std::ostream&)>>>
-      writers;
-};
-
-SectionRegistry& sections() {
-  static SectionRegistry* r = new SectionRegistry;
-  return *r;
-}
-
-void write_extra_sections(std::ostream& os) {
-  SectionRegistry& r = sections();
-  const std::lock_guard<std::mutex> lock(r.mutex);
-  for (const auto& [id, writer] : r.writers)
-    if (writer) writer(os);
-}
-
 }  // namespace
-
-ScopedReportSection::ScopedReportSection(
-    std::function<void(std::ostream&)> writer) {
-  SectionRegistry& r = sections();
-  const std::lock_guard<std::mutex> lock(r.mutex);
-  id_ = r.next_id++;
-  r.writers.emplace_back(id_, std::move(writer));
-}
-
-ScopedReportSection::~ScopedReportSection() {
-  if (id_ == 0) return;
-  SectionRegistry& r = sections();
-  const std::lock_guard<std::mutex> lock(r.mutex);
-  std::erase_if(r.writers, [this](const auto& w) { return w.first == id_; });
-}
-
-ScopedReportSection::ScopedReportSection(ScopedReportSection&& o) noexcept
-    : id_(o.id_) {
-  o.id_ = 0;
-}
-
-ScopedReportSection& ScopedReportSection::operator=(
-    ScopedReportSection&& o) noexcept {
-  if (this != &o) {
-    if (id_ != 0) {
-      SectionRegistry& r = sections();
-      const std::lock_guard<std::mutex> lock(r.mutex);
-      std::erase_if(r.writers,
-                    [this](const auto& w) { return w.first == id_; });
-    }
-    id_ = o.id_;
-    o.id_ = 0;
-  }
-  return *this;
-}
 
 std::vector<SpanAggregate> aggregate_spans() {
   const auto spans = completed_spans();
@@ -274,7 +216,6 @@ void write_phase_report(std::ostream& os, const std::string& label) {
   }
   if (const std::string comm = comm_matrix_summary(); !comm.empty())
     os << comm << "\n";
-  write_extra_sections(os);
   os.unsetf(std::ios::fixed);
   os << std::setprecision(6);
 }

@@ -20,33 +20,11 @@
 ///     "trace.json"). Does nothing when tracing is off.
 
 #include <cstddef>
-#include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <string>
 #include <vector>
 
 namespace aeqp::obs {
-
-/// RAII registration of an extra phase-report section: the writer is called
-/// at the end of every write_phase_report() while this object lives, so
-/// subsystems with richer state than a counter (the straggler lag table, for
-/// instance) can append their own table without the report layer knowing
-/// about them. Writers run under the registry lock -- keep them quick and
-/// never call back into report/metrics exporters from inside one.
-class ScopedReportSection {
-public:
-  ScopedReportSection() = default;
-  explicit ScopedReportSection(std::function<void(std::ostream&)> writer);
-  ~ScopedReportSection();
-  ScopedReportSection(ScopedReportSection&& o) noexcept;
-  ScopedReportSection& operator=(ScopedReportSection&& o) noexcept;
-  ScopedReportSection(const ScopedReportSection&) = delete;
-  ScopedReportSection& operator=(const ScopedReportSection&) = delete;
-
-private:
-  std::uint64_t id_ = 0;  ///< 0 = empty (moved-from or default)
-};
 
 /// Aggregate of all completed spans sharing one name.
 struct SpanAggregate {

@@ -79,9 +79,6 @@ Cluster::Cluster(std::size_t n_ranks, std::size_t ranks_per_node,
     const std::size_t count = std::min(ranks_per_node_, n_ranks_ - first);
     nodes_[nd].barrier = std::make_unique<FtBarrier>(count);
   }
-  // AEQP_ADAPTIVE_TIMEOUT arms adaptive deadlines process-wide;
-  // set_adaptive_deadlines overrides per cluster.
-  if (adaptive_timeout_enabled()) set_adaptive_deadlines(true);
 }
 
 std::unique_ptr<Cluster> Cluster::shrink(

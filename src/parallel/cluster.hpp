@@ -283,7 +283,6 @@ public:
   /// deadline clamp still wins). `floor_ms` > 0 overrides the estimator's
   /// default floor (tests and benches trade the spurious-timeout margin
   /// for detection latency explicitly; production keeps the safe default).
-  /// Constructors arm automatically when AEQP_ADAPTIVE_TIMEOUT is on.
   void set_adaptive_deadlines(bool on, double floor_ms = 0.0);
   [[nodiscard]] bool adaptive_deadlines() const { return adaptive_; }
 

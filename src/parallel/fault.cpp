@@ -26,19 +26,6 @@ const char* fault_kind_name(FaultKind kind) {
   return "?";
 }
 
-namespace {
-
-/// splitmix64 finalizer: deterministic per-(rank, seq) jitter draw without
-/// touching the injector's plan RNG (which must stay replayable).
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
-
 FaultPlan& FaultPlan::add(const FaultEvent& event) {
   AEQP_CHECK(event.bit >= 0 && event.bit <= 63,
              "FaultPlan: bit " + std::to_string(event.bit) +
@@ -184,8 +171,8 @@ void FaultInjector::on_collective(std::size_t rank, std::size_t original_rank,
           // index), so replays are bit-identical.
           double scale = 1.0;
           if (armed.event.slow_jitter > 0.0) {
-            const std::uint64_t h =
-                mix64((static_cast<std::uint64_t>(original_rank) << 32) ^ seq);
+            const std::uint64_t h = splitmix64(
+                (static_cast<std::uint64_t>(original_rank) << 32) ^ seq);
             const double u =
                 static_cast<double>(h >> 11) * (1.0 / 9007199254740992.0);
             scale = 1.0 + armed.event.slow_jitter * (2.0 * u - 1.0);

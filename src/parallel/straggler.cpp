@@ -2,54 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
-#include <iomanip>
-#include <ostream>
-#include <sstream>
+#include <string>
+#include <utility>
 
 #include "common/error.hpp"
 #include "obs/trace.hpp"
 
 namespace aeqp::parallel {
-
-namespace detail {
-
-std::atomic<int> g_adaptive_timeout{-1};
-
-bool init_adaptive_timeout_from_env() {
-  const char* env = std::getenv("AEQP_ADAPTIVE_TIMEOUT");
-  int on = 0;
-  if (env != nullptr &&
-      (std::strcmp(env, "on") == 0 || std::strcmp(env, "1") == 0)) {
-    on = 1;
-  }
-  // First initializer wins; a concurrent set_adaptive_timeout sticks.
-  int expected = -1;
-  if (!g_adaptive_timeout.compare_exchange_strong(expected, on,
-                                                  std::memory_order_relaxed)) {
-    on = expected;
-  }
-  return on != 0;
-}
-
-}  // namespace detail
-
-void set_adaptive_timeout(bool on) {
-  detail::g_adaptive_timeout.store(on ? 1 : 0, std::memory_order_relaxed);
-}
-
-const char* collective_class_name(CollectiveClass c) {
-  switch (c) {
-    case CollectiveClass::Barrier: return "barrier";
-    case CollectiveClass::NodeBarrier: return "node_barrier";
-    case CollectiveClass::AllreduceSum: return "allreduce_sum";
-    case CollectiveClass::AllreduceMax: return "allreduce_max";
-    case CollectiveClass::AllreduceSumLeaders: return "allreduce_sum_leaders";
-    case CollectiveClass::Broadcast: return "broadcast";
-  }
-  return "?";
-}
 
 namespace {
 
@@ -162,7 +121,6 @@ void DeadlineEstimator::reset() {
 StragglerDetector::StragglerDetector(std::size_t n_ranks, Options options)
     : options_(options) {
   AEQP_CHECK(n_ranks >= 1, "StragglerDetector: need at least one rank");
-  AEQP_CHECK(options_.ring >= 1, "StragglerDetector: ring must be >= 1");
   AEQP_CHECK(options_.mad_k >= 0.0, "StragglerDetector: mad_k must be >= 0");
   AEQP_CHECK(options_.min_relative >= 1.0,
              "StragglerDetector: min_relative must be >= 1");
@@ -171,19 +129,14 @@ StragglerDetector::StragglerDetector(std::size_t n_ranks, Options options)
   AEQP_CHECK(options_.weight_floor > 0.0 && options_.weight_floor <= 1.0,
              "StragglerDetector: weight_floor must be in (0, 1]");
   ranks_.reserve(n_ranks);
-  for (std::size_t r = 0; r < n_ranks; ++r) {
-    auto state = std::make_unique<RankState>();
-    state->ring = std::vector<std::atomic<double>>(options_.ring);
-    ranks_.push_back(std::move(state));
-  }
+  for (std::size_t r = 0; r < n_ranks; ++r)
+    ranks_.push_back(std::make_unique<RankState>());
 }
 
 void StragglerDetector::record_work(std::size_t original_rank,
                                     double work_ms) {
   if (original_rank >= ranks_.size()) return;
   RankState& s = *ranks_[original_rank];
-  const std::size_t i = s.ring_n.fetch_add(1, std::memory_order_relaxed);
-  s.ring[i % options_.ring].store(work_ms, std::memory_order_relaxed);
   s.window_ms.fetch_add(work_ms, std::memory_order_relaxed);
   s.window_samples.fetch_add(1, std::memory_order_relaxed);
 }
@@ -310,24 +263,6 @@ void StragglerDetector::retain(
   }
 }
 
-void StragglerDetector::reset() {
-  const std::lock_guard<std::mutex> lock(classify_mutex_);
-  for (auto& rank : ranks_) {
-    RankState& s = *rank;
-    s.ring_n.store(0, std::memory_order_relaxed);
-    for (auto& slot : s.ring) slot.store(0.0, std::memory_order_relaxed);
-    s.window_ms.store(0.0, std::memory_order_relaxed);
-    s.window_samples.store(0, std::memory_order_relaxed);
-    s.last_window_ms = 0.0;
-    s.weight = 1.0;
-    s.over_streak = s.under_streak = 0;
-    s.degraded = false;
-    s.active = true;
-    s.samples_total = 0;
-  }
-  n_degraded_.store(0, std::memory_order_relaxed);
-}
-
 StragglerStats StragglerDetector::stats() const {
   const std::lock_guard<std::mutex> lock(classify_mutex_);
   return stats_;
@@ -344,66 +279,12 @@ std::vector<StragglerRankSnapshot> StragglerDetector::snapshot() const {
     row.samples =
         s.samples_total + s.window_samples.load(std::memory_order_relaxed);
     row.last_window_ms = s.last_window_ms;
-    const std::size_t n = std::min(s.ring_n.load(std::memory_order_relaxed),
-                                   options_.ring);
-    double sum = 0.0;
-    for (std::size_t i = 0; i < n; ++i)
-      sum += s.ring[i].load(std::memory_order_relaxed);
-    row.mean_recent_ms = n > 0 ? sum / static_cast<double>(n) : 0.0;
     row.weight = s.degraded ? s.weight : 1.0;
     row.degraded = s.degraded;
     row.active = s.active;
     out.push_back(row);
   }
   return out;
-}
-
-obs::ScopedMetricsSource register_metrics(const StragglerDetector& detector,
-                                          std::string prefix) {
-  return obs::ScopedMetricsSource(
-      [&detector,
-       prefix = std::move(prefix)](std::vector<obs::MetricSample>& out) {
-        const StragglerStats s = detector.stats();
-        std::size_t degraded = 0;
-        for (const auto& row : detector.snapshot())
-          if (row.active && row.degraded) ++degraded;
-        out.push_back(
-            {prefix + "/degraded_ranks", static_cast<double>(degraded)});
-        out.push_back({prefix + "/degrade_events",
-                       static_cast<double>(s.degrade_events)});
-        out.push_back({prefix + "/recover_events",
-                       static_cast<double>(s.recover_events)});
-        out.push_back({prefix + "/windows", static_cast<double>(s.windows)});
-        out.push_back({prefix + "/samples", static_cast<double>(s.samples)});
-      });
-}
-
-obs::ScopedReportSection register_report_section(
-    const StragglerDetector& detector) {
-  return obs::ScopedReportSection([&detector](std::ostream& os) {
-    const auto rows = detector.snapshot();
-    bool any = false;
-    for (const auto& row : rows) any = any || row.samples > 0;
-    if (!any) return;  // never fed -- keep the report clean
-    os << "straggler lag ledger (per original rank):\n";
-    os << "  " << std::left << std::setw(6) << "rank" << std::right
-       << std::setw(10) << "samples" << std::setw(14) << "window(ms)"
-       << std::setw(14) << "recent(ms)" << std::setw(9) << "weight"
-       << std::setw(11) << "state" << "\n";
-    for (const auto& row : rows) {
-      std::ostringstream win, recent, weight;
-      win << std::fixed << std::setprecision(2) << row.last_window_ms;
-      recent << std::fixed << std::setprecision(3) << row.mean_recent_ms;
-      weight << std::fixed << std::setprecision(3) << row.weight;
-      os << "  " << std::left << std::setw(6) << row.original_rank
-         << std::right << std::setw(10) << row.samples << std::setw(14)
-         << win.str() << std::setw(14) << recent.str() << std::setw(9)
-         << weight.str() << std::setw(11)
-         << (!row.active ? "dropped"
-                         : (row.degraded ? "DEGRADED" : "healthy"))
-         << "\n";
-    }
-  });
 }
 
 }  // namespace aeqp::parallel

@@ -11,7 +11,8 @@
 ///   - DeadlineEstimator: a rolling robust estimate (median + k*MAD) of
 ///     how long each collective *class* takes, fed by the runtime at every
 ///     collective completion. Cluster::effective_timeout() consults it when
-///     adaptive deadlines are armed (AEQP_ADAPTIVE_TIMEOUT, or
+///     adaptive deadlines are armed for a run
+///     (ParallelDfptOptions::adaptive_deadlines, or
 ///     Cluster::set_adaptive_deadlines), replacing the fixed 120 s
 ///     collective_timeout_ with a deadline a few robust deviations above
 ///     typical -- so a merely-slow rank is *detected* in seconds instead of
@@ -23,8 +24,8 @@
 ///     cannot chase a slowdown upward.
 ///
 ///   - StragglerDetector: a per-rank arrival-lag ledger. The hot path is
-///     one relaxed ring store + one relaxed accumulate per collective (the
-///     memaudit discipline); classification happens off the hot path, at
+///     two relaxed accumulates per collective (the memaudit discipline);
+///     classification happens off the hot path, at
 ///     iteration boundaries: a rank whose accumulated work-window total
 ///     stays beyond median + k*MAD (and beyond min_relative x median) of
 ///     its peers for `degrade_after` consecutive windows is classified
@@ -39,34 +40,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <vector>
 
-#include "obs/metrics.hpp"
-#include "obs/report.hpp"
-
 namespace aeqp::parallel {
-
-namespace detail {
-/// -1 = not yet initialized from AEQP_ADAPTIVE_TIMEOUT.
-extern std::atomic<int> g_adaptive_timeout;
-bool init_adaptive_timeout_from_env();
-}  // namespace detail
-
-/// Whether adaptive collective deadlines are armed process-wide. One
-/// relaxed atomic load after first use (the memaudit gating discipline).
-[[nodiscard]] inline bool adaptive_timeout_enabled() {
-  const int m = detail::g_adaptive_timeout.load(std::memory_order_relaxed);
-  if (m >= 0) return m != 0;
-  return detail::init_adaptive_timeout_from_env();
-}
-
-/// Programmatic override (tests, benches). Takes effect for clusters
-/// constructed afterwards; existing clusters keep their armed state.
-void set_adaptive_timeout(bool on);
 
 /// Collective classes with distinct latency profiles: each learns its own
 /// deadline (a barrier completes in microseconds; a packed allreduce of a
@@ -80,8 +58,6 @@ enum class CollectiveClass : int {
   Broadcast,
 };
 inline constexpr std::size_t kCollectiveClassCount = 6;
-
-[[nodiscard]] const char* collective_class_name(CollectiveClass c);
 
 /// Rolling per-class robust deadline estimator. All recording paths are
 /// lock-free (relaxed ring stores); the median + MAD recomputation runs
@@ -150,12 +126,11 @@ struct StragglerStats {
   std::size_t recover_events = 0;  ///< degraded -> healthy transitions
 };
 
-/// One rank's row in the arrival-lag ledger, for reports and tests.
+/// One rank's row in the arrival-lag ledger, for tests.
 struct StragglerRankSnapshot {
   std::size_t original_rank = 0;
   std::size_t samples = 0;        ///< work samples recorded so far
   double last_window_ms = 0.0;    ///< work total of the last classified window
-  double mean_recent_ms = 0.0;    ///< mean of the last-K per-collective ring
   double weight = 1.0;            ///< measured speed weight (healthy = 1)
   bool degraded = false;
   bool active = true;             ///< false once retain() dropped the rank
@@ -169,7 +144,6 @@ struct StragglerRankSnapshot {
 class StragglerDetector {
 public:
   struct Options {
-    std::size_t ring = 16;        ///< last-K per-collective samples kept
     double mad_k = 4.0;           ///< degraded beyond median + mad_k * MAD
     double min_relative = 2.0;    ///< ... and beyond min_relative * median
     int degrade_after = 2;        ///< consecutive over-windows to degrade
@@ -188,8 +162,8 @@ public:
 
   /// Hot path: record `work_ms` of compute the rank did since it left its
   /// previous collective (injected slowdown included -- that is the point).
-  /// One relaxed ring store + two relaxed accumulates; safe from all rank
-  /// threads concurrently (one writer per rank).
+  /// Two relaxed accumulates; safe from all rank threads concurrently (one
+  /// writer per rank).
   void record_work(std::size_t original_rank, double work_ms);
 
   /// Close the current window and reclassify every active rank: snapshot +
@@ -219,17 +193,12 @@ public:
   /// "degraded" verdict) and stop counting toward the cross-rank median.
   void retain(const std::vector<std::size_t>& survivor_original_ids);
 
-  /// Forget everything (classifications, ledgers, counters stay monotonic).
-  void reset();
-
   [[nodiscard]] StragglerStats stats() const;
   [[nodiscard]] std::vector<StragglerRankSnapshot> snapshot() const;
   [[nodiscard]] const Options& options() const { return options_; }
 
 private:
   struct RankState {
-    std::vector<std::atomic<double>> ring;     ///< last-K work samples
-    std::atomic<std::size_t> ring_n{0};
     std::atomic<double> window_ms{0.0};        ///< accumulating window total
     std::atomic<std::size_t> window_samples{0};
     // Classification state, written only under classify_mutex_.
@@ -248,17 +217,5 @@ private:
   std::atomic<std::size_t> n_degraded_{0};
   StragglerStats stats_;
 };
-
-/// Register the detector's counters as an obs metrics source
-/// ("<prefix>/degraded_ranks", "<prefix>/degrade_events",
-/// "<prefix>/recover_events", "<prefix>/windows", "<prefix>/samples").
-/// The detector must outlive the registration.
-[[nodiscard]] obs::ScopedMetricsSource register_metrics(
-    const StragglerDetector& detector, std::string prefix = "straggler");
-
-/// Register the per-rank lag table as an extra phase-report section. The
-/// detector must outlive the registration.
-[[nodiscard]] obs::ScopedReportSection register_report_section(
-    const StragglerDetector& detector);
 
 }  // namespace aeqp::parallel

@@ -163,24 +163,4 @@ BuddyReplicatorStats BuddyReplicator::stats() const {
   return stats_;
 }
 
-obs::ScopedMetricsSource register_metrics(const BuddyReplicator& replicator,
-                                          std::string prefix) {
-  return obs::ScopedMetricsSource(
-      [&replicator,
-       prefix = std::move(prefix)](std::vector<obs::MetricSample>& out) {
-        const BuddyReplicatorStats s = replicator.stats();
-        out.push_back({prefix + "/rounds", static_cast<double>(s.rounds)});
-        out.push_back(
-            {prefix + "/blobs_mirrored", static_cast<double>(s.blobs_mirrored)});
-        out.push_back(
-            {prefix + "/bytes_mirrored", static_cast<double>(s.bytes_mirrored)});
-        out.push_back(
-            {prefix + "/slots_skipped", static_cast<double>(s.slots_skipped)});
-        out.push_back(
-            {prefix + "/blobs_spilled", static_cast<double>(s.blobs_spilled)});
-        out.push_back(
-            {prefix + "/bytes_spilled", static_cast<double>(s.bytes_spilled)});
-      });
-}
-
 }  // namespace aeqp::resilience

@@ -22,9 +22,9 @@
 #include <mutex>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "parallel/cluster.hpp"
 #include "resilience/checkpoint.hpp"
 
@@ -101,10 +101,5 @@ private:
   const CheckpointStore* spill_store_ = nullptr;
   BuddyReplicatorStats stats_;
 };
-
-/// Register `replicator`'s counters as an obs metrics source
-/// ("<prefix>/rounds", "<prefix>/blobs_mirrored", "<prefix>/bytes_mirrored").
-[[nodiscard]] obs::ScopedMetricsSource register_metrics(
-    const BuddyReplicator& replicator, std::string prefix = "buddy");
 
 }  // namespace aeqp::resilience

@@ -12,6 +12,7 @@
 
 #include "common/error.hpp"
 #include "common/log.hpp"
+#include "common/rng.hpp"
 #include "linalg/abft.hpp"
 #include "obs/flight.hpp"
 #include "obs/trace.hpp"
@@ -76,14 +77,6 @@ std::string rank_list(const std::vector<std::size_t>& ranks) {
   return who;
 }
 
-/// splitmix64 -- the deterministic hash behind backoff jitter.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
 /// Exponential backoff with deterministic jitter: attempt k sleeps
 /// base * 2^(k-1), scaled by a factor in [1 - j, 1 + j] hashed from
 /// (key, attempt). Reproducible per scenario, de-synchronized across jobs.
@@ -94,8 +87,8 @@ void backoff_sleep(const RecoveryOptions& ropt, const std::string& key,
   double ms = static_cast<double>(ropt.backoff_base_ms << shift);
   if (ropt.backoff_jitter > 0.0) {
     const std::uint64_t h =
-        mix64(std::hash<std::string>{}(key) +
-              static_cast<std::uint64_t>(attempt) * 0x9E3779B97F4A7C15ull);
+        splitmix64(std::hash<std::string>{}(key) +
+                   static_cast<std::uint64_t>(attempt) * 0x9E3779B97F4A7C15ull);
     const double u = static_cast<double>(h >> 11) * 0x1.0p-53;  // [0, 1)
     ms *= 1.0 + ropt.backoff_jitter * (2.0 * u - 1.0);
   }
@@ -587,33 +580,6 @@ core::ParallelDfptResult RecoveryDriver::solve_direction_parallel(
   return solve_recovered(
       store_, options_, stats_, ground, std::move(options), direction,
       options_.elastic ? "RecoveryDriver[elastic]" : "RecoveryDriver[parallel]");
-}
-
-obs::ScopedMetricsSource register_metrics(const RecoveryStats& stats,
-                                          std::string prefix) {
-  return obs::ScopedMetricsSource(
-      [&stats, prefix = std::move(prefix)](std::vector<obs::MetricSample>& out) {
-        const auto push = [&](const char* name, double v) {
-          out.push_back({prefix + "/" + name, v});
-        };
-        push("faults_detected", static_cast<double>(stats.faults_detected));
-        push("restores", static_cast<double>(stats.restores));
-        push("retries", static_cast<double>(stats.retries));
-        push("wasted_iterations", static_cast<double>(stats.wasted_iterations));
-        push("shrinks", static_cast<double>(stats.shrinks));
-        push("lost_ranks", static_cast<double>(stats.lost_ranks));
-        push("buddy_restores", static_cast<double>(stats.buddy_restores));
-        push("remap_seconds", stats.remap_seconds);
-        push("abft_corrections", static_cast<double>(stats.abft_corrections));
-        push("invariant_violations",
-             static_cast<double>(stats.invariant_violations));
-        push("payload_corruptions",
-             static_cast<double>(stats.payload_corruptions));
-        push("oom_events", static_cast<double>(stats.oom_events));
-        push("relief_actions", static_cast<double>(stats.relief_actions));
-        push("rebalances", static_cast<double>(stats.rebalances));
-        push("degraded_ranks", static_cast<double>(stats.degraded_ranks));
-      });
 }
 
 void attach_scf_checkpointing(scf::ScfOptions& options, CheckpointStore& store,

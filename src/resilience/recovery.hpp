@@ -56,7 +56,6 @@
 
 #include "core/dfpt.hpp"
 #include "core/parallel_dfpt.hpp"
-#include "obs/metrics.hpp"
 #include "resilience/checkpoint.hpp"
 #include "resilience/health.hpp"
 #include "scf/scf_solver.hpp"
@@ -164,12 +163,6 @@ private:
   RecoveryOptions options_;
   RecoveryStats stats_;
 };
-
-/// Register `stats` as an obs metrics source ("<prefix>/faults_detected",
-/// "<prefix>/restores", ...). `stats` must outlive the registration; pass
-/// a RecoveryDriver's last_stats() reference to track a live driver.
-[[nodiscard]] obs::ScopedMetricsSource register_metrics(
-    const RecoveryStats& stats, std::string prefix = "recovery");
 
 /// Install an observer on `options` that saves an ScfCheckpoint under `key`
 /// every `every` iterations (replacing any previous observer).

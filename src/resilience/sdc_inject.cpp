@@ -114,22 +114,4 @@ std::size_t SdcInjector::invocations(const std::string& site) const {
   return it == invocations_.end() ? 0 : it->second;
 }
 
-obs::ScopedMetricsSource register_metrics(const SdcInjector& injector,
-                                          std::string prefix) {
-  return obs::ScopedMetricsSource(
-      [&injector,
-       prefix = std::move(prefix)](std::vector<obs::MetricSample>& out) {
-        const SdcInjectorStats s = injector.stats();
-        out.push_back({prefix + "/corruptions",
-                       static_cast<double>(s.corruptions)});
-        out.push_back({prefix + "/bit_flips",
-                       static_cast<double>(s.bit_flips)});
-        out.push_back({prefix + "/nans_planted",
-                       static_cast<double>(s.nans_planted)});
-        out.push_back({prefix + "/infs_planted",
-                       static_cast<double>(s.infs_planted)});
-        out.push_back({prefix + "/probes", static_cast<double>(s.probes)});
-      });
-}
-
 }  // namespace aeqp::resilience

@@ -27,7 +27,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "obs/metrics.hpp"
 
 namespace aeqp::resilience {
 
@@ -165,11 +164,5 @@ public:
   ScopedSdcInjector(const ScopedSdcInjector&) = delete;
   ScopedSdcInjector& operator=(const ScopedSdcInjector&) = delete;
 };
-
-/// Register `injector`'s counters as an obs metrics source
-/// ("<prefix>/corruptions", "<prefix>/bit_flips", ...). The injector must
-/// outlive the returned registration.
-[[nodiscard]] obs::ScopedMetricsSource register_metrics(
-    const SdcInjector& injector, std::string prefix = "sdc");
 
 }  // namespace aeqp::resilience

@@ -15,6 +15,7 @@
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "comm/packed.hpp"
@@ -164,6 +165,18 @@ TEST_F(MemObsTest, FlightDisabledDumpsNothing) {
   obs::flight_metric("test/never_recorded", 1.0);
   obs::flight_on_error("RankFailure", "synthetic error with recorder off");
   EXPECT_EQ(obs::flight_dump_count(), dumps_before);
+
+  // With tracing and the recorder off, a fresh thread recording spans,
+  // instants and metric deltas must not register a ring.
+  const std::size_t lanes_before = obs::flight_lane_count();
+  std::thread([] {
+    for (int i = 0; i < 1000; ++i) {
+      AEQP_TRACE_SCOPE("never/recorded");
+    }
+    obs::trace_instant("never/instant");
+    obs::flight_metric("test/never_recorded", 1.0);
+  }).join();
+  EXPECT_EQ(obs::flight_lane_count(), lanes_before);
 }
 
 TEST_F(MemObsTest, FlightRingCapturesMetricDeltas) {
