@@ -205,10 +205,10 @@ void sdc_injected_run() {
 
   // The injected run, wrapped in the recovery ladder.
   resilience::SdcPlan plan;
-  plan.add({resilience::SdcKind::BitFlip, "cpscf/dm_matmul",
+  plan.add({parallel::FaultKind::BitFlip, "cpscf/dm_matmul",
             /*invocation=*/2, /*element=*/1, /*bit=*/62});
   resilience::SdcEvent nan_ev;
-  nan_ev.kind = resilience::SdcKind::NanPayload;
+  nan_ev.kind = parallel::FaultKind::NanPayload;
   nan_ev.site = "poisson/rho_multipole";
   nan_ev.invocation = 40;
   nan_ev.element = 3;

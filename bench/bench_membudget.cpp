@@ -132,7 +132,6 @@ void governor_run() {
   CheckpointStore store(dir);
   RecoveryOptions ropt;
   ropt.max_retries = 3;
-  ropt.backoff_base_ms = 0;
   RecoveryDriver driver(store, ropt);
 
   const auto r0 = Clock::now();

@@ -85,8 +85,6 @@ void traffic_run() {
   sopt.max_atoms = 8;
   sopt.checkpoint_dir = dir;
   sopt.recovery.max_retries = 3;
-  sopt.recovery.backoff_base_ms = 0;   // simulation: no real sleeping
-  sopt.recovery.backoff_jitter = 0.25; // still exercises the jitter path
   service::SolveServer server(sopt);
   const auto server_metrics = service::register_metrics(server);
   const auto cache_metrics = service::register_metrics(server.cache());

@@ -97,7 +97,6 @@ double governed_seconds(const scf::ScfResult& ground,
   ropt.elastic = true;
   ropt.max_retries = 6;
   ropt.mixing_damping = 1.0;
-  ropt.backoff_base_ms = 0;
   // Per-iteration checkpointing serializes a buddy exchange against the
   // straggler's delayed arrivals; every 4th iteration bounds the rollback
   // at 3 iterations while keeping the steady-state sync cost off the

@@ -22,6 +22,6 @@ cmake --build build-tsan -j --target test_exec test_parallel_comm test_obs test_
 
 echo "== tier 1: exec + simmpi + obs + memobs + elastic + sdc + service + membudget + rho-batch + straggler + CPSCF body + recovery driver tests under TSan =="
 TSAN_OPTIONS=halt_on_error=1 \
-  ctest --test-dir build-tsan --output-on-failure -R 'test_exec|test_parallel_comm|test_obs|test_memobs|test_elastic|test_sdc|test_service|test_membudget|test_rho_batch|test_straggler|test_parallel_dfpt|test_device_dfpt|test_resilience'
+  ctest --test-dir build-tsan --output-on-failure -L tsan
 
 echo "tier1: OK"

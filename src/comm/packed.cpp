@@ -122,8 +122,4 @@ void PackedAllReducer::flush() {
   flush_seconds_ += flush_timer.seconds();
 }
 
-void flat_allreduce_sum(parallel::Communicator& comm, std::span<double> data) {
-  comm.allreduce_sum(data);
-}
-
 }  // namespace aeqp::comm

@@ -109,7 +109,4 @@ private:
   obs::MemScope buf_mem_{"comm/packed_buffer"};
 };
 
-/// One-shot convenience: flat sum-AllReduce of `data` (baseline of Fig. 10).
-void flat_allreduce_sum(parallel::Communicator& comm, std::span<double> data);
-
 }  // namespace aeqp::comm

@@ -13,8 +13,6 @@ namespace aeqp {
 std::mutex Log::mutex_;
 LogLevel Log::level_ = LogLevel::Warn;
 LogSink Log::sink_;
-bool Log::timestamps_ = false;
-bool Log::ts_env_checked_ = false;
 
 void Log::set_level(LogLevel lvl) {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -31,25 +29,18 @@ void Log::set_sink(LogSink sink) {
   sink_ = std::move(sink);
 }
 
-void Log::enable_timestamps(bool on) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  timestamps_ = on;
-  ts_env_checked_ = true;  // explicit choice wins over the environment
-}
-
 void Log::write(LogLevel lvl, const std::string& msg) {
   static const char* names[] = {"DEBUG", "INFO", "WARN", "ERROR"};
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (!ts_env_checked_) {
-    ts_env_checked_ = true;
+  static const bool timestamps = [] {
     const char* env = std::getenv("AEQP_LOG_TS");
-    timestamps_ = env != nullptr && *env != '\0' && std::strcmp(env, "0") != 0;
-  }
+    return env != nullptr && *env != '\0' && std::strcmp(env, "0") != 0;
+  }();
+  std::lock_guard<std::mutex> lock(mutex_);
   if (static_cast<int>(lvl) < static_cast<int>(level_)) return;
 
   std::string line = "[aeqp ";
   line += names[static_cast<int>(lvl)];
-  if (timestamps_) {
+  if (timestamps) {
     // Seconds since the first logged line (steady clock).
     static const auto epoch = std::chrono::steady_clock::now();
     const double t = std::chrono::duration<double>(

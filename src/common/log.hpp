@@ -5,10 +5,10 @@
 /// single line ("[aeqp LEVEL t=SECONDS r<rank>] message") and routed
 /// through one sink. The default sink writes to stderr; set_sink redirects
 /// the stream (test capture, file logging) without touching call sites.
-/// Timestamps (seconds since the first logged line) are off by default;
-/// enable with enable_timestamps(true) or the AEQP_LOG_TS environment
-/// variable. Lines emitted from a simmpi rank thread (common/thread_ident.hpp)
-/// carry an "r<rank>" prefix so interleaved rank output stays attributable.
+/// Timestamps (seconds since the first logged line) are off unless the
+/// AEQP_LOG_TS environment variable is set (and not "0"). Lines emitted
+/// from a simmpi rank thread (common/thread_ident.hpp) carry an "r<rank>"
+/// prefix so interleaved rank output stays attributable.
 /// Benchmarks and examples raise the level to keep figure output clean.
 
 #include <functional>
@@ -33,17 +33,12 @@ public:
   /// Replace the output sink; an empty function restores the stderr default.
   static void set_sink(LogSink sink);
 
-  /// Prefix lines with "t=<seconds since first line>".
-  static void enable_timestamps(bool on);
-
   static void write(LogLevel lvl, const std::string& msg);
 
 private:
   static std::mutex mutex_;
   static LogLevel level_;
   static LogSink sink_;
-  static bool timestamps_;
-  static bool ts_env_checked_;
 };
 
 namespace detail {

@@ -104,8 +104,35 @@ struct ParallelDfptOptions {
       rank_hook;
 };
 
-/// Communication statistics of one distributed run.
-struct ParallelDfptStats {
+/// What fault recovery cost (resilience::RecoveryDriver counts it; the
+/// name is also resilience::RecoveryStats). Zero for bare runs, except the
+/// four fields the solver measures on every run: lost_ranks,
+/// remap_seconds, rebalances and degraded_ranks.
+struct RecoveryStats {
+  std::size_t faults_detected = 0;   ///< health violations + rank failures
+  std::size_t restores = 0;          ///< checkpoint restorations
+  std::size_t retries = 0;           ///< solver re-executions
+  std::size_t wasted_iterations = 0; ///< iterations lost to rollbacks
+  std::size_t shrinks = 0;           ///< world-shrink escalations
+  std::size_t lost_ranks = 0;        ///< original ranks excluded from the world
+  std::size_t buddy_restores = 0;    ///< restores served from a buddy replica
+  double remap_seconds = 0.0;        ///< survivor re-mapping wall time
+  // Silent-data-corruption rungs (docs/sdc.md). ABFT corrections are healed
+  // in place and never reach the rollback path; the other two escalate.
+  std::size_t abft_corrections = 0;     ///< matmul elements fixed in place
+  std::size_t invariant_violations = 0; ///< physics guards tripped
+  std::size_t payload_corruptions = 0;  ///< CRC/checksum collective failures
+  // Memory-budget governor rungs (docs/resilience.md "Memory budget").
+  std::size_t oom_events = 0;     ///< OutOfMemoryBudget faults caught
+  std::size_t relief_actions = 0; ///< pressure-relief rungs applied
+  // Straggler-defense rung (docs/resilience.md "Straggler defense").
+  std::size_t rebalances = 0;     ///< weighted re-mappings around slow ranks
+  std::size_t degraded_ranks = 0; ///< peak ranks rebalanced around
+};
+
+/// Statistics of one distributed run: the recovery counters plus what the
+/// solver measures of its world and its collectives.
+struct ParallelDfptStats : RecoveryStats {
   /// Packed AllReduce invocations: the H^(1) and rho_multipole syntheses.
   std::size_t collectives = 0;
   /// Rows synthesized: H^(1) matrix rows plus rho_multipole (atom, l, m)
@@ -113,28 +140,10 @@ struct ParallelDfptStats {
   std::size_t rows_reduced = 0;
   std::size_t batches = 0;          ///< total grid batches
   double max_rank_points_share = 0; ///< load balance: max/mean points
-  // Elastic-world shape of this run (filled by the solver).
   std::size_t survivor_ranks = 0;   ///< ranks the run actually executed on
-  std::size_t lost_ranks = 0;       ///< original ranks excluded by shrinks
-  std::size_t remap_batches_moved = 0; ///< orphaned batches re-homed
-  double remap_seconds = 0.0;       ///< wall time of the survivor re-mapping
-  // Straggler-rebalance shape of this run (filled by the solver).
-  std::size_t rebalances = 0;           ///< weighted re-mappings applied
+  std::size_t remap_batches_moved = 0;     ///< orphaned batches re-homed
   std::size_t rebalance_batches_moved = 0; ///< batches moved off slow ranks
-  double rebalance_seconds = 0.0;       ///< wall time of weighted re-mapping
-  std::size_t degraded_ranks = 0;       ///< ranks rebalanced around
-  // Recovery counters, filled by resilience::RecoveryDriver when a run is
-  // wrapped in fault recovery (zero for bare runs).
-  std::size_t faults_detected = 0;  ///< health violations + rank failures
-  std::size_t restores = 0;         ///< checkpoint restorations
-  std::size_t retries = 0;          ///< solver re-executions
-  std::size_t wasted_iterations = 0;///< iterations discarded by rollbacks
-  std::size_t shrinks = 0;          ///< world-shrink escalations
-  std::size_t buddy_restores = 0;   ///< restores served from a buddy replica
-  // SDC-defense counters (see docs/sdc.md), filled by the RecoveryDriver.
-  std::size_t abft_corrections = 0;     ///< matmul elements fixed in place
-  std::size_t invariant_violations = 0; ///< physics guards tripped
-  std::size_t payload_corruptions = 0;  ///< CRC/checksum collective failures
+  double rebalance_seconds = 0.0;          ///< wall time of weighted re-mapping
 };
 
 /// Result plus run statistics.

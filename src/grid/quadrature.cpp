@@ -7,17 +7,6 @@
 
 namespace aeqp::grid {
 
-double legendre_p(std::size_t n, double x) {
-  if (n == 0) return 1.0;
-  double pm1 = 1.0, p = x;
-  for (std::size_t k = 2; k <= n; ++k) {
-    const double pk = ((2.0 * k - 1.0) * x * p - (k - 1.0) * pm1) / k;
-    pm1 = p;
-    p = pk;
-  }
-  return p;
-}
-
 GaussLegendreRule gauss_legendre(std::size_t n) {
   AEQP_CHECK(n >= 1, "gauss_legendre needs n >= 1");
   GaussLegendreRule rule;

@@ -19,7 +19,4 @@ struct GaussLegendreRule {
 /// Compute the n-point Gauss-Legendre rule by Newton iteration on P_n.
 GaussLegendreRule gauss_legendre(std::size_t n);
 
-/// Evaluate Legendre polynomial P_n(x) by upward recurrence.
-double legendre_p(std::size_t n, double x);
-
 }  // namespace aeqp::grid

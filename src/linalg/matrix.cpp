@@ -28,8 +28,6 @@ Matrix Matrix::identity(std::size_t n) {
   return m;
 }
 
-void Matrix::fill(double v) { std::fill(data_.begin(), data_.end(), v); }
-
 void Matrix::axpy(double alpha, const Matrix& other) {
   AEQP_CHECK(rows_ == other.rows_ && cols_ == other.cols_, "axpy shape mismatch");
   for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += alpha * other.data_[i];
@@ -68,12 +66,6 @@ double Matrix::max_abs() const {
   double m = 0.0;
   for (double v : data_) m = std::max(m, std::fabs(v));
   return m;
-}
-
-double Matrix::frobenius_norm() const {
-  double s = 0.0;
-  for (double v : data_) s += v * v;
-  return std::sqrt(s);
 }
 
 double Matrix::trace() const {
@@ -167,8 +159,6 @@ double dot(std::span<const double> a, std::span<const double> b) {
   for (std::size_t i = 0; i < a.size(); ++i) s += a[i] * b[i];
   return s;
 }
-
-double norm2(std::span<const double> a) { return std::sqrt(dot(a, a)); }
 
 double trace_product(const Matrix& a, const Matrix& b) {
   AEQP_CHECK(a.rows() == b.cols() && a.cols() == b.rows(), "trace_product shape");

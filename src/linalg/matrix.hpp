@@ -41,9 +41,6 @@ public:
     return {data_.data() + i * cols_, cols_};
   }
 
-  /// Set every element to v.
-  void fill(double v);
-
   /// this += alpha * other (same shape required).
   void axpy(double alpha, const Matrix& other);
 
@@ -61,9 +58,6 @@ public:
 
   /// Max |a_ij|.
   [[nodiscard]] double max_abs() const;
-
-  /// Frobenius norm.
-  [[nodiscard]] double frobenius_norm() const;
 
   /// Sum_i a_ii (square only).
   [[nodiscard]] double trace() const;
@@ -93,9 +87,6 @@ Vector matvec_t(const Matrix& a, const Vector& x);
 
 /// Dot product of equally sized vectors.
 double dot(std::span<const double> a, std::span<const double> b);
-
-/// Euclidean norm.
-double norm2(std::span<const double> a);
 
 /// tr(A * B) for equally-shaped square matrices (uses A_ij * B_ji).
 double trace_product(const Matrix& a, const Matrix& b);

@@ -336,7 +336,6 @@ std::size_t Communicator::node_size() const {
   const std::size_t first = node() * cluster_->ranks_per_node_;
   return std::min(cluster_->ranks_per_node_, cluster_->n_ranks_ - first);
 }
-std::size_t Communicator::node_count() const { return cluster_->node_count(); }
 
 std::chrono::steady_clock::time_point Communicator::enter_collective(
     const char* what, std::span<double> payload) {

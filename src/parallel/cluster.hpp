@@ -115,7 +115,6 @@ public:
   [[nodiscard]] std::size_t node() const;       ///< node index of this rank
   [[nodiscard]] std::size_t node_rank() const;  ///< rank within the node
   [[nodiscard]] std::size_t node_size() const;  ///< ranks on this node
-  [[nodiscard]] std::size_t node_count() const;
 
   /// Number of collectives this rank has entered so far -- the sequence
   /// axis fault plans are addressed against.

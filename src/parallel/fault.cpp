@@ -14,16 +14,19 @@
 
 namespace aeqp::parallel {
 
-const char* fault_kind_name(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::BitFlip: return "bit-flip";
-    case FaultKind::NanPayload: return "nan-payload";
-    case FaultKind::InfPayload: return "inf-payload";
-    case FaultKind::Stall: return "stall";
-    case FaultKind::Kill: return "kill";
-    case FaultKind::Slowdown: return "slowdown";
+void corrupt_element(FaultKind kind, std::span<double> payload,
+                     std::size_t element, int bit) {
+  double& slot = payload[element % payload.size()];
+  if (kind == FaultKind::BitFlip) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &slot, sizeof(bits));
+    bits ^= std::uint64_t{1} << (bit & 63);
+    std::memcpy(&slot, &bits, sizeof(bits));
+  } else if (kind == FaultKind::NanPayload) {
+    slot = std::numeric_limits<double>::quiet_NaN();
+  } else {
+    slot = std::numeric_limits<double>::infinity();
   }
-  return "?";
 }
 
 FaultPlan& FaultPlan::add(const FaultEvent& event) {
@@ -134,17 +137,8 @@ void FaultInjector::on_collective(std::size_t rank, std::size_t original_rank,
         case FaultKind::NanPayload:
         case FaultKind::InfPayload: {
           if (payload.empty()) continue;  // wait for a payload collective
-          double& slot = payload[armed.event.element % payload.size()];
-          if (armed.event.kind == FaultKind::BitFlip) {
-            std::uint64_t bits;
-            std::memcpy(&bits, &slot, sizeof(bits));
-            bits ^= std::uint64_t{1} << (armed.event.bit & 63);
-            std::memcpy(&slot, &bits, sizeof(bits));
-          } else if (armed.event.kind == FaultKind::NanPayload) {
-            slot = std::numeric_limits<double>::quiet_NaN();
-          } else {
-            slot = std::numeric_limits<double>::infinity();
-          }
+          corrupt_element(armed.event.kind, payload, armed.event.element,
+                          armed.event.bit);
           ++armed.fired;
           if (armed.event.transient) armed.done = true;
           ++stats_.corruptions;

@@ -40,7 +40,13 @@ enum class FaultKind {
   Slowdown,    ///< multiply the rank's compute time by `slow_factor`
 };
 
-[[nodiscard]] const char* fault_kind_name(FaultKind kind);
+/// Plant a corruption of `kind` (BitFlip, NanPayload or InfPayload) in
+/// `payload[element % payload.size()]`: flip bit `bit` (0..63), or write a
+/// quiet NaN or +infinity. `payload` must be non-empty. The one routine
+/// both injectors corrupt with: this one at collectives, the compute-site
+/// SdcInjector (resilience/sdc_inject.hpp) inside kernel outputs.
+void corrupt_element(FaultKind kind, std::span<double> payload,
+                     std::size_t element, int bit);
 
 /// One planned fault. Corruption kinds fire at the first collective with a
 /// non-empty payload at or after `collective`; Stall/Kill fire at the first

@@ -39,13 +39,6 @@ std::size_t MultipoleDensity::spline_bytes() const {
   return b;
 }
 
-std::size_t PartitionedPotential::spline_bytes() const {
-  std::size_t b = 0;
-  for (const auto& per_atom : splines)
-    for (const auto& s : per_atom) b += s.bytes();
-  return b;
-}
-
 HartreeSolver::HartreeSolver(const grid::Structure& structure,
                              const PoissonSpec& spec)
     : structure_(structure),

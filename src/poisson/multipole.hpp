@@ -86,8 +86,6 @@ struct PartitionedPotential {
   std::vector<basis::SplineBundle> bundles;              // [a]
   int l_max = 0;
   double r_max = 0.0;
-
-  [[nodiscard]] std::size_t spline_bytes() const;
 };
 
 /// Multipole-expansion Hartree solver over a fixed structure.

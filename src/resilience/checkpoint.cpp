@@ -29,10 +29,6 @@ public:
   void put_u64(std::uint64_t v) { put_raw(&v, sizeof(v)); }
   void put_i32(std::int32_t v) { put_raw(&v, sizeof(v)); }
   void put_f64(double v) { put_raw(&v, sizeof(v)); }
-  void put_doubles(const double* p, std::size_t n) {
-    put_u64(n);
-    put_raw(p, n * sizeof(double));
-  }
   void put_matrix(const linalg::Matrix& m) {
     put_u64(m.rows());
     put_u64(m.cols());
@@ -64,12 +60,6 @@ public:
   std::uint64_t get_u64() { return get<std::uint64_t>(); }
   std::int32_t get_i32() { return get<std::int32_t>(); }
   double get_f64() { return get<double>(); }
-  std::vector<double> get_doubles() {
-    const std::uint64_t n = get_u64();
-    std::vector<double> v(n);
-    get_raw(v.data(), n * sizeof(double));
-    return v;
-  }
   linalg::Matrix get_matrix() {
     const std::uint64_t rows = get_u64();
     const std::uint64_t cols = get_u64();

@@ -2,10 +2,10 @@
 
 #include <cmath>
 #include <map>
+#include <mutex>
 #include <utility>
 
 #include "common/error.hpp"
-#include "common/thread_ident.hpp"
 #include "obs/trace.hpp"
 
 namespace aeqp::resilience {
@@ -15,50 +15,14 @@ void OomPlan::add(const OomEvent& event) {
   events_.push_back(event);
 }
 
-OomInjector::OomInjector(OomPlan plan) {
-  for (const auto& e : plan.events()) events_.push_back(Armed{e, 0, false});
-}
-
 bool OomInjector::should_fail(const char* site, std::size_t /*request_bytes*/) {
-  const int rank = thread_rank();
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.probes;
-  const std::size_t invocation = invocations_[site]++;
-  for (auto& armed : events_) {
-    if (armed.done || armed.event.site != site) continue;
-    if (armed.event.rank >= 0 && armed.event.rank != rank) continue;
-    // Transient events (and the first firing of permanent ones) wait for
-    // their exact planned invocation; a permanent event that already fired
-    // strikes at every later matching probe, like a rank whose heap is
-    // genuinely full staying full.
-    if (invocation != armed.event.invocation &&
-        (armed.event.transient || armed.fired == 0))
-      continue;
-    ++armed.fired;
-    if (armed.event.transient) armed.done = true;
-    ++stats_.failures_injected;
-    return true;
-  }
-  return false;
-}
-
-OomInjectorStats OomInjector::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
-}
-
-std::size_t OomInjector::pending() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::size_t n = 0;
-  for (const auto& armed : events_)
-    if (armed.fired == 0) ++n;
-  return n;
-}
-
-std::size_t OomInjector::invocations(const std::string& site) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = invocations_.find(site);
-  return it == invocations_.end() ? 0 : it->second;
+  // Every event due at this probe fires; the probe fails once.
+  bool fail = false;
+  replay_.probe(site, true, [&fail](const OomEvent&, OomInjectorStats& stats) {
+    if (!fail) ++stats.failures_injected;
+    fail = true;
+  });
+  return fail;
 }
 
 obs::ScopedMetricsSource register_metrics(const OomInjector& injector,

@@ -33,10 +33,10 @@
 /// iterations and call relieve_pressure() to shed reclaimable state before
 /// the hard ceiling is ever reached.
 ///
-/// OomPlan/OomInjector mirror SdcPlan/SdcInjector: deterministic
-/// allocation-failure injection addressed by (site, invocation, rank) so
-/// tests and the chaos bench can force the bad_alloc paths without
-/// actually exhausting memory.
+/// OomPlan/OomInjector replay a plan with SdcInjector's SiteReplay:
+/// deterministic allocation-failure injection addressed by (site,
+/// invocation, rank) so tests and the chaos bench can force the bad_alloc
+/// paths without actually exhausting memory.
 ///
 /// Header-only probe machinery by design: oom_probe sites live in core and
 /// comm, which do not link the resilience archive -- exactly like
@@ -49,15 +49,14 @@
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/error.hpp"
 #include "obs/memaudit.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "resilience/sdc_inject.hpp"
 
 namespace aeqp::resilience {
 
@@ -256,7 +255,7 @@ inline void oom_probe(const char* site, std::size_t request_bytes) {
 }
 
 // ---------------------------------------------------------------------------
-// Deterministic allocation-failure injection (mirrors SdcPlan/SdcInjector)
+// Deterministic allocation-failure injection (SdcInjector's SiteReplay)
 
 /// One planned allocation failure, addressed by (site, invocation, rank).
 struct OomEvent {
@@ -282,30 +281,25 @@ struct OomInjectorStats {
   std::size_t failures_injected = 0;  ///< probes forced to throw
 };
 
-/// Deterministic OomHook: counts probe invocations per site and fails the
-/// planned ones. Thread-safe; install via ScopedOomInjector.
+/// Deterministic OomHook: replays an OomPlan over the probes (SiteReplay,
+/// the same replay as SdcInjector's) and fails a probe when any event is
+/// due at it. Thread-safe; install via ScopedOomInjector.
 class OomInjector final : public OomHook {
 public:
-  explicit OomInjector(OomPlan plan);
+  explicit OomInjector(const OomPlan& plan) : replay_(plan.events()) {}
 
   bool should_fail(const char* site, std::size_t request_bytes) override;
 
-  [[nodiscard]] OomInjectorStats stats() const;
+  [[nodiscard]] OomInjectorStats stats() const { return replay_.stats(); }
   /// Planned failures that have not fired yet.
-  [[nodiscard]] std::size_t pending() const;
+  [[nodiscard]] std::size_t pending() const { return replay_.pending(); }
   /// How many probes have been seen at `site` so far.
-  [[nodiscard]] std::size_t invocations(const std::string& site) const;
+  [[nodiscard]] std::size_t invocations(const std::string& site) const {
+    return replay_.invocations(site);
+  }
 
 private:
-  struct Armed {
-    OomEvent event;
-    std::size_t fired = 0;
-    bool done = false;
-  };
-  mutable std::mutex mutex_;
-  std::vector<Armed> events_;
-  std::unordered_map<std::string, std::size_t> invocations_;
-  OomInjectorStats stats_;
+  SiteReplay<OomEvent, OomInjectorStats> replay_;
 };
 
 /// RAII installation: arms the probes on construction, restores the idle

@@ -1,24 +1,22 @@
 #include "resilience/recovery.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <memory>
 #include <numeric>
 #include <optional>
 #include <sstream>
-#include <thread>
 #include <utility>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
-#include "common/rng.hpp"
 #include "linalg/abft.hpp"
 #include "obs/flight.hpp"
 #include "obs/trace.hpp"
 #include "parallel/cluster.hpp"
 #include "parallel/straggler.hpp"
 #include "resilience/buddy.hpp"
+#include "resilience/health.hpp"
 #include "resilience/membudget.hpp"
 #include "scf/diis.hpp"
 #include "tune/tune.hpp"
@@ -75,25 +73,6 @@ std::string rank_list(const std::vector<std::size_t>& ranks) {
   std::string who;
   for (const auto r : ranks) who += (who.empty() ? "" : ",") + std::to_string(r);
   return who;
-}
-
-/// Exponential backoff with deterministic jitter: attempt k sleeps
-/// base * 2^(k-1), scaled by a factor in [1 - j, 1 + j] hashed from
-/// (key, attempt). Reproducible per scenario, de-synchronized across jobs.
-void backoff_sleep(const RecoveryOptions& ropt, const std::string& key,
-                   int attempt) {
-  if (ropt.backoff_base_ms == 0) return;
-  const int shift = std::min(attempt - 1, 20);
-  double ms = static_cast<double>(ropt.backoff_base_ms << shift);
-  if (ropt.backoff_jitter > 0.0) {
-    const std::uint64_t h =
-        splitmix64(std::hash<std::string>{}(key) +
-                   static_cast<std::uint64_t>(attempt) * 0x9E3779B97F4A7C15ull);
-    const double u = static_cast<double>(h >> 11) * 0x1.0p-53;  // [0, 1)
-    ms *= 1.0 + ropt.backoff_jitter * (2.0 * u - 1.0);
-  }
-  std::this_thread::sleep_for(
-      std::chrono::milliseconds(static_cast<std::size_t>(ms)));
 }
 
 /// Structured cancellation error naming where the budget ran out.
@@ -155,23 +134,6 @@ std::size_t relieve(core::ParallelDfptOptions& world, int rung) {
     }
   }
   return actions;
-}
-
-/// Mirror the recovery counters into the statistics of the solved run.
-void mirror(const RecoveryStats& from, core::ParallelDfptStats& into) {
-  into.faults_detected = from.faults_detected;
-  into.restores = from.restores;
-  into.retries = from.retries;
-  into.wasted_iterations = from.wasted_iterations;
-  into.shrinks = from.shrinks;
-  into.buddy_restores = from.buddy_restores;
-  into.abft_corrections = from.abft_corrections;
-  into.invariant_violations = from.invariant_violations;
-  into.payload_corruptions = from.payload_corruptions;
-  // The solver counts the re-mapping of a run entered with speed weights
-  // (the rung's, or a caller's); the driver counts rung firings.
-  into.rebalances = std::max(into.rebalances, from.rebalances);
-  into.degraded_ranks = std::max(into.degraded_ranks, from.degraded_ranks);
 }
 
 /// The one retry loop behind both front-ends. Every attempt runs
@@ -295,7 +257,6 @@ core::ParallelDfptResult solve_recovered(CheckpointStore& store,
         ++stats.restores;
         obs::trace_instant("recovery/rollback");
       }
-      backoff_sleep(ropt, key, attempt);
       throw_if_cancelled(ropt, what, direction, attempt, ctx.checkpoint_iteration);
     }
 
@@ -306,7 +267,7 @@ core::ParallelDfptResult solve_recovered(CheckpointStore& store,
         return core::CpscfAction::Abort;
       }
       const HealthReport hr =
-          check_iteration_health(*s.p1, s.delta, ctx.prev_delta, ropt.health);
+          check_iteration_health(*s.p1, s.delta, ctx.prev_delta);
       if (!hr.healthy) {
         ctx.fault = true;
         ctx.reason =
@@ -368,8 +329,14 @@ core::ParallelDfptResult solve_recovered(CheckpointStore& store,
       if (ctx.cancelled)
         throw_cancelled(what, direction, attempt, ctx.last_iteration);
       if (!ctx.fault && !result.direction.aborted) {  // healthy
-        stats.remap_seconds = result.stats.remap_seconds;
-        mirror(stats, result.stats);
+        // The solver measured the world this attempt ran on; where the
+        // driver's rungs counted the same thing, the larger count stands.
+        RecoveryStats& run = result.stats;
+        stats.lost_ranks = std::max(stats.lost_ranks, run.lost_ranks);
+        stats.remap_seconds = run.remap_seconds;
+        stats.rebalances = std::max(stats.rebalances, run.rebalances);
+        stats.degraded_ranks = std::max(stats.degraded_ranks, run.degraded_ranks);
+        run = stats;
         return result;
       }
       // An abort this driver never requested means the abort decision
@@ -557,8 +524,6 @@ RecoveryDriver::RecoveryDriver(CheckpointStore& store, RecoveryOptions options)
              "RecoveryDriver: checkpoint_every must be >= 1");
   AEQP_CHECK(options_.mixing_damping > 0.0 && options_.mixing_damping <= 1.0,
              "RecoveryDriver: mixing_damping must be in (0, 1]");
-  AEQP_CHECK(options_.backoff_jitter >= 0.0 && options_.backoff_jitter < 1.0,
-             "RecoveryDriver: backoff_jitter must be in [0, 1)");
 }
 
 core::DfptDirectionResult RecoveryDriver::solve_direction(

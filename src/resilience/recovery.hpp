@@ -57,7 +57,6 @@
 #include "core/dfpt.hpp"
 #include "core/parallel_dfpt.hpp"
 #include "resilience/checkpoint.hpp"
-#include "resilience/health.hpp"
 #include "scf/scf_solver.hpp"
 
 namespace aeqp::resilience {
@@ -72,22 +71,12 @@ struct RecoveryOptions {
   /// original trajectory and history unchanged -- a transient fault needs
   /// no damping).
   double mixing_damping = 0.5;
-  /// Exponential backoff between retries: attempt k sleeps
-  /// backoff_base_ms * 2^(k-1). 0 disables sleeping (tests, simulation).
-  std::size_t backoff_base_ms = 0;
-  /// Deterministic jitter on the backoff: each sleep is scaled by a factor
-  /// in [1 - j, 1 + j] hashed from (checkpoint key, attempt), so retries of
-  /// concurrent jobs de-synchronize (no retry stampede on a shared
-  /// resource) while any single scenario stays bit-reproducible. Must be in
-  /// [0, 1); 0 = pure exponential backoff.
-  double backoff_jitter = 0.0;
   /// Cooperative deadline/cancellation hook, polled at every CPSCF
   /// iteration (via the driver's observer) and before every retry. When it
   /// returns true the driver stops immediately with a structured
   /// DeadlineExceeded instead of burning more of a budget the caller
   /// already knows is gone. Null = never cancelled.
   std::function<bool()> cancel;
-  HealthPolicy health;            ///< per-iteration validation bounds
   std::string checkpoint_key = "cpscf";  ///< prefix; "-dir<j>" is appended
   int checkpoint_every = 1;       ///< save every N healthy iterations
   /// Elastic recovery: buddy-replicate every checkpoint, rebalance the
@@ -110,28 +99,9 @@ struct RecoveryOptions {
   bool memory_relief = true;
 };
 
-/// What recovery cost: mirrored into ParallelDfptStats for parallel runs.
-struct RecoveryStats {
-  std::size_t faults_detected = 0;   ///< health violations + rank failures
-  std::size_t restores = 0;          ///< checkpoint restorations
-  std::size_t retries = 0;           ///< solver re-executions
-  std::size_t wasted_iterations = 0; ///< iterations lost to rollbacks
-  std::size_t shrinks = 0;           ///< world-shrink escalations
-  std::size_t lost_ranks = 0;        ///< original ranks excluded by shrinks
-  std::size_t buddy_restores = 0;    ///< restores served from a buddy replica
-  double remap_seconds = 0.0;        ///< survivor re-mapping wall time
-  // Silent-data-corruption rungs (docs/sdc.md). ABFT corrections are healed
-  // in place and never reach the rollback path; the other two escalate here.
-  std::size_t abft_corrections = 0;     ///< matmul elements fixed in place
-  std::size_t invariant_violations = 0; ///< physics guards tripped
-  std::size_t payload_corruptions = 0;  ///< CRC/checksum collective failures
-  // Memory-budget governor rungs (docs/resilience.md "Memory budget").
-  std::size_t oom_events = 0;     ///< OutOfMemoryBudget faults caught
-  std::size_t relief_actions = 0; ///< pressure-relief rungs applied
-  // Straggler-defense rung (docs/resilience.md "Straggler defense").
-  std::size_t rebalances = 0;     ///< weighted re-mappings around slow ranks
-  std::size_t degraded_ranks = 0; ///< peak simultaneously degraded ranks
-};
+/// What recovery cost; declared once, in core, as the base of
+/// ParallelDfptStats.
+using core::RecoveryStats;
 
 /// Wraps the CPSCF solvers in checkpointed retry.
 class RecoveryDriver {
@@ -150,12 +120,13 @@ public:
   /// recovered from. With RecoveryOptions::elastic, stragglers are
   /// rebalanced around and permanent rank failures escalate to shrink +
   /// buddy-restore + re-map + resume on the survivors (see the file
-  /// comment). Recovery counters are mirrored into result.stats.
+  /// comment). result.stats carries the recovery counters.
   [[nodiscard]] core::ParallelDfptResult solve_direction_parallel(
       const scf::ScfResult& ground, core::ParallelDfptOptions options,
       int direction);
 
-  /// Counters of the most recent solve_direction* call.
+  /// Counters of the most recent solve_direction* call (after a parallel
+  /// solve, the recovery counters its result carries).
   [[nodiscard]] const RecoveryStats& last_stats() const { return stats_; }
 
 private:

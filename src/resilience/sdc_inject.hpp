@@ -27,6 +27,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/thread_ident.hpp"
+#include "parallel/fault.hpp"  // FaultKind only: the probe stays link-free
 
 namespace aeqp::resilience {
 
@@ -64,20 +66,13 @@ inline void sdc_probe(const char* site, std::span<double> data) {
   if (hook != nullptr) hook->corrupt(site, data);
 }
 
-/// Kinds of corruption the compute-site injector can plant.
-enum class SdcKind {
-  BitFlip,     ///< flip one bit of one output element
-  NanPayload,  ///< overwrite one output element with quiet NaN
-  InfPayload,  ///< overwrite one output element with +infinity
-};
-
-[[nodiscard]] const char* sdc_kind_name(SdcKind kind);
-
 /// One planned compute-site corruption. Fires at the `invocation`-th probe
 /// of `site` (per-site counter, starting at 0), optionally filtered to one
 /// simmpi rank via `rank` (original world ids; -1 = any thread).
 struct SdcEvent {
-  SdcKind kind = SdcKind::BitFlip;
+  /// BitFlip, NanPayload or InfPayload (parallel::corrupt_element plants
+  /// it); SdcPlan::add rejects the rank-level kinds.
+  parallel::FaultKind kind = parallel::FaultKind::BitFlip;
   std::string site = "linalg/matmul";  ///< probe site the event targets
   std::size_t invocation = 0;  ///< which probe of the site (per-site index)
   std::size_t element = 0;     ///< output element (taken modulo size)
@@ -94,8 +89,8 @@ class SdcPlan {
 public:
   SdcPlan() = default;
 
-  /// Validates the event (site non-empty, bit in 0..63) and appends it;
-  /// throws aeqp::Error on out-of-range fields.
+  /// Validates the event (a corruption kind, site non-empty, bit in 0..63)
+  /// and appends it; throws aeqp::Error on out-of-range fields.
   SdcPlan& add(const SdcEvent& event);
 
   /// Draw `n_events` events from a seeded RNG: site uniform from `sites`
@@ -123,35 +118,93 @@ struct SdcInjectorStats {
   std::size_t probes = 0;        ///< total probes observed
 };
 
-/// Replays an SdcPlan against instrumented kernels. Thread-safe; install
-/// with install_corruption_hook (or the ScopedSdcInjector RAII wrapper) and
-/// keep alive until the hook is removed.
-class SdcInjector final : public CorruptionHook {
+/// One plan replay for the site-addressed injectors (SdcInjector here,
+/// OomInjector in membudget.hpp): the armed events, the per-site invocation
+/// counters, the rank filter and the transient/permanent rule. `Event`
+/// carries `site`, `invocation`, `rank` and `transient`; `Stats` counts
+/// `probes` beside whatever the injector's effect adds. Thread-safe: probes
+/// from concurrent rank threads serialize on one mutex.
+template <class Event, class Stats>
+class SiteReplay {
 public:
-  explicit SdcInjector(SdcPlan plan);
+  explicit SiteReplay(const std::vector<Event>& events) {
+    for (const Event& e : events) armed_.push_back(Armed{e});
+  }
 
-  void corrupt(const char* site, std::span<double> data) override;
+  /// Count one probe of `site` and hand every event due at it to
+  /// `fire(event, stats)`, under the lock. An event is due at its planned
+  /// invocation of the site on its rank (thread_rank(); -1 = any thread);
+  /// a fired transient event is spent, while a fired permanent one strikes
+  /// every later probe of its site, like a stuck compute unit or a heap
+  /// that stays full. `can_fire` false (an empty payload) counts the
+  /// invocation and fires nothing.
+  template <class Fire>
+  void probe(const char* site, bool can_fire, Fire&& fire) {
+    const int rank = thread_rank();
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++stats_.probes;
+    const std::size_t invocation = invocations_[site]++;
+    if (!can_fire) return;
+    for (Armed& armed : armed_) {
+      const Event& e = armed.event;
+      if (e.site != site || (e.rank >= 0 && e.rank != rank)) continue;
+      if (armed.fired > 0 ? e.transient : invocation != e.invocation) continue;
+      fire(e, stats_);
+      ++armed.fired;
+    }
+  }
 
-  [[nodiscard]] SdcInjectorStats stats() const;
+  [[nodiscard]] Stats stats() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return stats_;
+  }
 
   /// Events that have never fired (a permanent event that fired at least
   /// once no longer counts as pending, even though it stays armed).
-  [[nodiscard]] std::size_t pending() const;
+  [[nodiscard]] std::size_t pending() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    std::size_t n = 0;
+    for (const Armed& armed : armed_) n += armed.fired == 0 ? 1 : 0;
+    return n;
+  }
 
-  /// Probe invocations seen so far at `site` (for addressing follow-up
-  /// plans deterministically).
-  [[nodiscard]] std::size_t invocations(const std::string& site) const;
+  /// Probes seen so far at `site` (for addressing follow-up plans
+  /// deterministically).
+  [[nodiscard]] std::size_t invocations(const std::string& site) const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = invocations_.find(site);
+    return it == invocations_.end() ? 0 : it->second;
+  }
 
 private:
   struct Armed {
-    SdcEvent event;
+    Event event;
     std::size_t fired = 0;
-    bool done = false;
   };
   mutable std::mutex mutex_;
-  std::vector<Armed> events_;
+  std::vector<Armed> armed_;
   std::unordered_map<std::string, std::size_t> invocations_;
-  SdcInjectorStats stats_;
+  Stats stats_;
+};
+
+/// Replays an SdcPlan against instrumented kernels: every due event
+/// corrupts one element of the probing kernel's output. Thread-safe;
+/// install with install_corruption_hook (or the ScopedSdcInjector RAII
+/// wrapper) and keep alive until the hook is removed.
+class SdcInjector final : public CorruptionHook {
+public:
+  explicit SdcInjector(const SdcPlan& plan) : replay_(plan.events()) {}
+
+  void corrupt(const char* site, std::span<double> data) override;
+
+  [[nodiscard]] SdcInjectorStats stats() const { return replay_.stats(); }
+  [[nodiscard]] std::size_t pending() const { return replay_.pending(); }
+  [[nodiscard]] std::size_t invocations(const std::string& site) const {
+    return replay_.invocations(site);
+  }
+
+private:
+  SiteReplay<SdcEvent, SdcInjectorStats> replay_;
 };
 
 /// RAII installation of an injector as the process-wide corruption hook.

@@ -23,11 +23,6 @@ Matrix DiisMixer::residual(const Matrix& h, const Matrix& p, const Matrix& s) {
   return e;
 }
 
-void DiisMixer::reset() {
-  history_.clear();
-  last_residual_norm_ = 0.0;
-}
-
 std::vector<std::pair<Matrix, Matrix>> DiisMixer::export_history() const {
   std::vector<std::pair<Matrix, Matrix>> out;
   out.reserve(history_.size());

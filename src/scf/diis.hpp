@@ -49,8 +49,6 @@ public:
 
   [[nodiscard]] std::size_t history_size() const { return history_.size(); }
 
-  void reset();
-
   /// Serialize the stored (x, e) pairs, oldest first, for checkpointing.
   [[nodiscard]] std::vector<std::pair<linalg::Matrix, linalg::Matrix>>
   export_history() const;

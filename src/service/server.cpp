@@ -228,15 +228,6 @@ JobOutcome SolveServer::wait(std::uint64_t id) {
   return out;
 }
 
-std::optional<JobOutcome> SolveServer::try_outcome(std::uint64_t id) {
-  const std::lock_guard<std::mutex> lk(mutex_);
-  const auto it = jobs_.find(id);
-  AEQP_CHECK(it != jobs_.end(),
-             "SolveServer::try_outcome: unknown or already-collected job id");
-  if (!it->second->terminal) return std::nullopt;
-  return it->second->outcome;
-}
-
 void SolveServer::shutdown() {
   std::vector<std::thread> workers;
   {

@@ -18,8 +18,8 @@
 ///    admission, so queue wait spends the same budget as compute.
 ///
 ///  - **Deadlines + degradation ladder.** Each job runs under a
-///    deadline-aware RecoveryDriver (retry with exponential backoff +
-///    jitter, RecoveryOptions::cancel polled every CPSCF iteration). When
+///    deadline-aware RecoveryDriver (checkpointed retry,
+///    RecoveryOptions::cancel polled every CPSCF iteration). When
 ///    retries keep failing, the server degrades instead of spinning:
 ///    damped retry (inside the driver) -> reduced simmpi ranks -> a
 ///    reduced-accuracy serial tier -> structured DeadlineExceeded/Failed.
@@ -46,7 +46,6 @@
 #include <filesystem>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -73,8 +72,7 @@ struct ServerOptions {
   /// removed when the job reaches a terminal state).
   std::filesystem::path checkpoint_dir;
   /// Per-attempt retry policy handed to every job's RecoveryDriver; the
-  /// server owns checkpoint_key and cancel. backoff_jitter de-synchronizes
-  /// concurrent jobs' retries.
+  /// server owns checkpoint_key and cancel.
   resilience::RecoveryOptions recovery;
   WarmCacheOptions cache;
   /// Accuracy cost of the ReducedAccuracy rung: the CPSCF tolerance is
@@ -137,10 +135,6 @@ public:
   /// releases the server's record of it (a second wait on the same id
   /// throws). Every admitted job terminates, so wait() always returns.
   [[nodiscard]] JobOutcome wait(std::uint64_t id);
-
-  /// Non-blocking probe: the outcome if `id` is terminal (record retained),
-  /// nullopt while queued/running. Throws on an unknown id.
-  [[nodiscard]] std::optional<JobOutcome> try_outcome(std::uint64_t id);
 
   /// Stop admitting, shed still-queued jobs with a structured shutdown
   /// error, let running jobs finish, join workers. Idempotent.

@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <numeric>
 #include <set>
@@ -26,6 +27,7 @@
 #include "comm/packed.hpp"
 #include "grid/batch.hpp"
 #include "mapping/task_mapping.hpp"
+#include "obs/metrics.hpp"
 #include "parallel/cluster.hpp"
 #include "parallel/fault.hpp"
 #include "parallel/straggler.hpp"
@@ -486,6 +488,20 @@ TEST(ElasticRecovery, PermanentRankLossCompletesOnSurvivors) {
   EXPECT_EQ(s.shrinks, 1u);
   EXPECT_EQ(s.lost_ranks, 1u);
   EXPECT_GE(s.buddy_restores, 1u);
+
+  // The metrics source publishes the same counters under cpscf/*.
+  const auto source = core::register_metrics(rec.stats);
+  std::map<std::string, double> published;
+  for (const auto& m : obs::metrics_snapshot()) published[m.name] = m.value;
+  for (const char* name : {"shrinks", "lost_ranks", "survivor_ranks",
+                           "faults_detected", "buddy_restores", "rebalances",
+                           "degraded_ranks"})
+    EXPECT_EQ(published.count(std::string("cpscf/") + name), 1u) << name;
+  EXPECT_EQ(published["cpscf/shrinks"], 1.0);
+  EXPECT_EQ(published["cpscf/survivor_ranks"], 3.0);
+  EXPECT_EQ(published["cpscf/lost_ranks"], 1.0);
+  EXPECT_GE(published["cpscf/buddy_restores"], 1.0);
+  EXPECT_GE(published["cpscf/faults_detected"], 2.0);
 }
 
 // The same dead node WITHOUT elastic recovery: the retry budget burns down

@@ -224,6 +224,21 @@ TEST_F(MembudgetTest, RankFilterOnlyStrikesTheAddressedRank) {
   EXPECT_EQ(injector2.stats().failures_injected, 1u);
 }
 
+TEST_F(MembudgetTest, EveryEventDueAtOneProbeFires) {
+  OomPlan plan;
+  plan.add({"test/both", /*invocation=*/0, /*rank=*/-1, /*transient=*/true});
+  plan.add({"test/both", /*invocation=*/0, /*rank=*/3, /*transient=*/true});
+  OomInjector injector(std::move(plan));
+  ScopedOomInjector scoped(injector);
+  {
+    ScopedThreadRank as_rank(3);
+    EXPECT_THROW(oom_probe("test/both", 1), OutOfMemoryBudget);
+  }
+  EXPECT_EQ(injector.pending(), 0u);  // neither event is left waiting
+  EXPECT_EQ(injector.stats().failures_injected, 1u);  // one probe failed
+  EXPECT_NO_THROW(oom_probe("test/both", 1));
+}
+
 TEST_F(MembudgetTest, PlanRejectsEmptySiteAndMetricsSourceReports) {
   OomPlan plan;
   EXPECT_THROW(plan.add({"", 0, -1, true}), Error);

@@ -20,6 +20,7 @@
 
 #include "comm/packed.hpp"
 #include "common/error.hpp"
+#include "common/thread_ident.hpp"
 #include "core/dfpt.hpp"
 #include "core/parallel_dfpt.hpp"
 #include "linalg/abft.hpp"
@@ -80,7 +81,7 @@ TEST(Abft, FaultFreeProductIsBitIdentical) {
 TEST(Abft, SingleBitFlipIsLocatedAndCorrectedExactly) {
   const auto before = linalg::abft_stats();
   SdcPlan plan;
-  plan.add({SdcKind::BitFlip, "test/abft_flip", /*invocation=*/0,
+  plan.add({parallel::FaultKind::BitFlip, "test/abft_flip", /*invocation=*/0,
             /*element=*/9, /*bit=*/62});
   SdcInjector injector(std::move(plan));
   ScopedSdcInjector scoped(injector);
@@ -101,7 +102,7 @@ TEST(Abft, SingleBitFlipIsLocatedAndCorrectedExactly) {
 
 TEST(Abft, NanPayloadIsCorrected) {
   SdcPlan plan;
-  plan.add({SdcKind::NanPayload, "test/abft_nan", /*invocation=*/0,
+  plan.add({parallel::FaultKind::NanPayload, "test/abft_nan", /*invocation=*/0,
             /*element=*/3, /*bit=*/62});
   SdcInjector injector(std::move(plan));
   ScopedSdcInjector scoped(injector);
@@ -116,7 +117,7 @@ TEST(Abft, NanPayloadIsCorrected) {
 
 TEST(Abft, TransposedVariantCorrectsToo) {
   SdcPlan plan;
-  plan.add({SdcKind::BitFlip, "test/abft_tn", /*invocation=*/0,
+  plan.add({parallel::FaultKind::BitFlip, "test/abft_tn", /*invocation=*/0,
             /*element=*/5, /*bit=*/62});
   SdcInjector injector(std::move(plan));
   ScopedSdcInjector scoped(injector);
@@ -131,7 +132,7 @@ TEST(Abft, TransposedVariantCorrectsToo) {
 
 TEST(Abft, DetectOnlyModeThrowsInsteadOfCorrecting) {
   SdcPlan plan;
-  plan.add({SdcKind::BitFlip, "test/abft_detect", /*invocation=*/0,
+  plan.add({parallel::FaultKind::BitFlip, "test/abft_detect", /*invocation=*/0,
             /*element=*/2, /*bit=*/62});
   SdcInjector injector(std::move(plan));
   ScopedSdcInjector scoped(injector);
@@ -153,9 +154,9 @@ TEST(Abft, MultiElementCorruptionIsUncorrectable) {
   SdcPlan plan;
   // Two corrupted elements in distinct rows AND columns: the row/column
   // residual intersection is ambiguous, so correction must refuse.
-  plan.add({SdcKind::BitFlip, "test/abft_multi", /*invocation=*/0,
+  plan.add({parallel::FaultKind::BitFlip, "test/abft_multi", /*invocation=*/0,
             /*element=*/0, /*bit=*/62});
-  plan.add({SdcKind::BitFlip, "test/abft_multi", /*invocation=*/0,
+  plan.add({parallel::FaultKind::BitFlip, "test/abft_multi", /*invocation=*/0,
             /*element=*/9, /*bit=*/62});
   SdcInjector injector(std::move(plan));
   ScopedSdcInjector scoped(injector);
@@ -210,7 +211,7 @@ TEST(SdcInjector, ProbeWithoutHookIsInert) {
 
 TEST(SdcInjector, TransientEventFiresExactlyOnceAtItsInvocation) {
   SdcPlan plan;
-  plan.add({SdcKind::NanPayload, "test/site", /*invocation=*/1,
+  plan.add({parallel::FaultKind::NanPayload, "test/site", /*invocation=*/1,
             /*element=*/0, /*bit=*/62});
   SdcInjector injector(std::move(plan));
   ScopedSdcInjector scoped(injector);
@@ -228,6 +229,65 @@ TEST(SdcInjector, TransientEventFiresExactlyOnceAtItsInvocation) {
   EXPECT_EQ(injector.stats().corruptions, 1u);
   EXPECT_EQ(injector.pending(), 0u);
   EXPECT_EQ(injector.invocations("test/site"), 3u);
+}
+
+TEST(SdcInjector, PermanentEventFiresAtItsInvocationAndEveryLaterProbe) {
+  SdcPlan plan;
+  SdcEvent ev;
+  ev.kind = parallel::FaultKind::InfPayload;
+  ev.site = "test/perm";
+  ev.invocation = 1;
+  ev.transient = false;
+  plan.add(ev);
+  SdcInjector injector(std::move(plan));
+  ScopedSdcInjector scoped(injector);
+
+  std::vector<double> data{1.0};
+  sdc_probe("test/perm", data);  // invocation 0: before its invocation
+  EXPECT_EQ(data[0], 1.0);
+  sdc_probe("test/other", data);  // another site never fires it
+  EXPECT_EQ(data[0], 1.0);
+  for (int k = 0; k < 3; ++k) {  // invocations 1, 2, 3: a stuck unit
+    data[0] = 1.0;
+    sdc_probe("test/perm", data);
+    EXPECT_TRUE(std::isinf(data[0])) << "probe " << k + 1;
+  }
+  EXPECT_EQ(injector.stats().corruptions, 3u);
+  EXPECT_EQ(injector.stats().infs_planted, 3u);
+  EXPECT_EQ(injector.pending(), 0u);
+  EXPECT_EQ(injector.invocations("test/perm"), 4u);
+}
+
+TEST(SdcInjector, RankFilteredEventFiresOnlyOnItsRank) {
+  SdcPlan plan;
+  SdcEvent ev;
+  ev.kind = parallel::FaultKind::NanPayload;
+  ev.site = "test/rank";
+  ev.rank = 2;
+  ev.invocation = 0;  // probed by rank 1: filtered out, never fires
+  plan.add(ev);
+  ev.invocation = 1;  // probed by rank 2: fires
+  plan.add(ev);
+  SdcInjector injector(std::move(plan));
+  ScopedSdcInjector scoped(injector);
+
+  std::vector<double> data{1.0};
+  {
+    ScopedThreadRank as_rank(1);
+    sdc_probe("test/rank", data);
+  }
+  EXPECT_TRUE(std::isfinite(data[0]));
+  {
+    ScopedThreadRank as_rank(2);
+    sdc_probe("test/rank", data);
+  }
+  EXPECT_TRUE(std::isnan(data[0]));
+  data[0] = 1.0;
+  sdc_probe("test/rank", data);  // invocation 2 on the host thread
+  EXPECT_TRUE(std::isfinite(data[0]));
+  EXPECT_EQ(injector.stats().corruptions, 1u);
+  EXPECT_EQ(injector.pending(), 1u);  // the event rank 1's probe passed by
+  EXPECT_EQ(injector.invocations("test/rank"), 3u);
 }
 
 // ---------------------------------------------------------------------------
@@ -535,7 +595,7 @@ TEST(SdcSolver, DmMatmulBitFlipIsCorrectedAndMatchesReference) {
 
   const auto before = linalg::abft_stats();
   SdcPlan plan;
-  plan.add({SdcKind::BitFlip, "cpscf/dm_matmul", /*invocation=*/2,
+  plan.add({parallel::FaultKind::BitFlip, "cpscf/dm_matmul", /*invocation=*/2,
             /*element=*/1, /*bit=*/62});
   SdcInjector injector(std::move(plan));
   ScopedSdcInjector scoped(injector);
@@ -567,7 +627,7 @@ TEST(SdcSolver, RhoBatchNanTriggersSameIterationLocalRecompute) {
   const std::uint64_t recomputes_before =
       obs::counter("sdc/local_recomputes").value();
   SdcPlan plan;
-  plan.add({SdcKind::NanPayload, "cpscf/rho_batch", /*invocation=*/2,
+  plan.add({parallel::FaultKind::NanPayload, "cpscf/rho_batch", /*invocation=*/2,
             /*element=*/7, /*bit=*/62});
   SdcInjector injector(std::move(plan));
   ScopedSdcInjector scoped(injector);
@@ -596,7 +656,7 @@ TEST(SdcSolver, MultipoleNanEscalatesThroughRecoveryDriver) {
 
   SdcPlan plan;
   SdcEvent ev;
-  ev.kind = SdcKind::NanPayload;
+  ev.kind = parallel::FaultKind::NanPayload;
   ev.site = "poisson/rho_multipole";
   // Fire well into the CPSCF cycle so at least one checkpoint exists. Each
   // Hartree solve projects atoms * nlm channels; a late invocation lands in
@@ -628,7 +688,7 @@ class SdcFinalSumup : public ::testing::TestWithParam<int> {};
 
 SdcPlan final_sumup_flip(int iterations, int bit) {
   SdcPlan plan;
-  plan.add({SdcKind::BitFlip, "cpscf/rho_batch",
+  plan.add({parallel::FaultKind::BitFlip, "cpscf/rho_batch",
             /*invocation=*/static_cast<std::size_t>(iterations - 1),
             /*element=*/300, bit});
   return plan;

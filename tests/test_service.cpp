@@ -493,13 +493,6 @@ TEST(Shutdown, ShedsQueuedJobsWithStructuredErrors) {
 // Config validation
 
 TEST(Config, JitterAndServerOptionsValidated) {
-  resilience::CheckpointStore store(fresh_dir("svc_cfg"));
-  resilience::RecoveryOptions bad;
-  bad.backoff_jitter = 1.5;
-  EXPECT_THROW(resilience::RecoveryDriver(store, bad), Error);
-  bad.backoff_jitter = -0.1;
-  EXPECT_THROW(resilience::RecoveryDriver(store, bad), Error);
-
   service::ServerOptions opt;
   opt.workers = 0;
   opt.checkpoint_dir = fresh_dir("svc_cfg_srv");
@@ -525,7 +518,6 @@ TEST(Metrics, ServiceSourcesAppearInSnapshot) {
 TEST(ServiceChaosSoak, EveryAdmittedJobTerminalZeroCrashes) {
   service::ServerOptions sopt = small_server("svc_soak", /*workers=*/2,
                                              /*capacity=*/6);
-  sopt.recovery.backoff_jitter = 0.25;
   service::SolveServer server(sopt);
 
   parallel::FaultPlan plan_a = parallel::FaultPlan::random(

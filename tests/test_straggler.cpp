@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cstddef>
 #include <filesystem>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -26,6 +27,7 @@
 #include "comm/packed.hpp"
 #include "grid/batch.hpp"
 #include "mapping/task_mapping.hpp"
+#include "obs/metrics.hpp"
 #include "parallel/cluster.hpp"
 #include "parallel/fault.hpp"
 #include "parallel/straggler.hpp"
@@ -619,6 +621,20 @@ TEST(StragglerE2E, PersistentSlowdownRebalancesAtFullWorld) {
 
   EXPECT_EQ(driver.last_stats().shrinks, 0u);
   EXPECT_GE(driver.last_stats().rebalances, 1u);
+
+  // The metrics source publishes the same counters under cpscf/*.
+  const auto source = core::register_metrics(rec.stats);
+  std::map<std::string, double> published;
+  for (const auto& m : obs::metrics_snapshot()) published[m.name] = m.value;
+  for (const char* name : {"shrinks", "lost_ranks", "survivor_ranks",
+                           "faults_detected", "buddy_restores", "rebalances",
+                           "degraded_ranks"})
+    EXPECT_EQ(published.count(std::string("cpscf/") + name), 1u) << name;
+  EXPECT_EQ(published["cpscf/shrinks"], 0.0);
+  EXPECT_EQ(published["cpscf/survivor_ranks"], 4.0);
+  EXPECT_GE(published["cpscf/rebalances"], 1.0);
+  EXPECT_GE(published["cpscf/degraded_ranks"], 1.0);
+  EXPECT_EQ(published["cpscf/faults_detected"], 0.0);
 }
 
 // Off the checkpoint cadence the verdict iteration is checkpointed on the
