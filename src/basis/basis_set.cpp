@@ -158,6 +158,12 @@ std::vector<double> BasisSet::screening_radii(double tau) const {
   return radii;
 }
 
+void DenseBlock::reset(std::size_t n) {
+  ld = (basis_ids.size() + 3) & ~std::size_t{3};
+  n_points = n;
+  phi.assign(n * ld, 0.0);
+}
+
 void BasisSet::evaluate_batch(const Vec3* pts, std::size_t n,
                               std::span<const double> screen,
                               BatchEval& out) const {
@@ -167,10 +173,6 @@ void BasisSet::evaluate_batch(const Vec3* pts, std::size_t n,
   static obs::Counter& c_kept = obs::counter("rho/screen/atom_blocks_evaluated");
   static obs::Counter& c_points = obs::counter("rho/batch_points_evaluated");
 
-  out.offsets.assign(1, 0);
-  out.indices.clear();
-  out.values.clear();
-  out.offsets.reserve(n + 1);
   out.ylm.resize(lm_count(l_max_));
   out.radial.resize(radials_.size());
   c_points.add(n);
@@ -196,10 +198,11 @@ void BasisSet::evaluate_batch(const Vec3* pts, std::size_t n,
   // Active-atom list for the whole block: skip atom a when every block
   // point is at least `reach` away (min distance from the atom to the
   // shell). Skipping at tau = 0 only drops points with r >= r_cut --
-  // exactly the entries the per-point path skips -- so the batched CSR
-  // matches it entry for entry.
-  thread_local std::vector<std::uint32_t> active;
-  active.clear();
+  // exactly the entries the per-point path skips -- so the block's rows
+  // match it entry for entry. The active atoms' functions are the columns.
+  out.active.clear();
+  out.first_col.clear();
+  out.basis_ids.clear();
   for (std::size_t a = 0; a < structure_.size(); ++a) {
     const double reach = screen.empty() ? r_cut_ : screen[a];
     const double dist = (structure_.atom(a).pos - centroid).norm();
@@ -209,13 +212,19 @@ void BasisSet::evaluate_batch(const Vec3* pts, std::size_t n,
       continue;
     }
     c_kept.increment();
-    active.push_back(static_cast<std::uint32_t>(a));
+    out.active.push_back(static_cast<std::uint32_t>(a));
+    out.first_col.push_back(static_cast<std::uint32_t>(out.basis_ids.size()));
+    for (std::size_t mu = atom_first_[a]; mu < atom_first_[a + 1]; ++mu)
+      out.basis_ids.push_back(static_cast<std::uint32_t>(mu));
   }
+  out.reset(n);
 
   const double* screen_radii = screen.empty() ? nullptr : screen.data();
   for (std::size_t k = 0; k < n; ++k) {
     const Vec3 p = pts[k];
-    for (const std::uint32_t a : active) {
+    double* row = out.phi.data() + k * out.ld;
+    for (std::size_t q = 0; q < out.active.size(); ++q) {
+      const std::uint32_t a = out.active[q];
       const Vec3 d = p - structure_.atom(a).pos;
       const double r2 = d.norm2();
       if (r2 >= r_cut_ * r_cut_) continue;
@@ -231,19 +240,13 @@ void BasisSet::evaluate_batch(const Vec3* pts, std::size_t n,
       // to NumericRadialFunction::value per shell (r < r_cut here).
       entry.radial_bundle.eval_all(r, out.radial.data());
 
-      std::size_t mu = atom_first_[a];
+      double* col = row + out.first_col[q];
       for (std::size_t s = 0; s < entry.def.shells.size(); ++s) {
         const int l = entry.def.shells[s].l;
         const double rv = out.radial[s];
-        for (int m = -l; m <= l; ++m, ++mu) {
-          const double v = rv * out.ylm[lm_index(l, m)];
-          if (v == 0.0) continue;
-          out.indices.push_back(static_cast<std::uint32_t>(mu));
-          out.values.push_back(v);
-        }
+        for (int m = -l; m <= l; ++m) *col++ = rv * out.ylm[lm_index(l, m)];
       }
     }
-    out.offsets.push_back(static_cast<std::uint32_t>(out.indices.size()));
   }
 }
 
@@ -262,15 +265,22 @@ double BasisSet::free_atom_density(int z, double r) const {
 
 void contract_density(const linalg::Matrix& p, const BatchEval& ev, double* out) {
   const std::size_t nb = p.cols();
+  thread_local std::vector<std::uint32_t> idx;  // one row's nonzeros, column order
+  thread_local std::vector<double> val;
   for (std::size_t k = 0; k < ev.points(); ++k) {
-    const std::uint32_t* idx = ev.indices.data() + ev.offsets[k];
-    const double* val = ev.values.data() + ev.offsets[k];
-    const std::size_t ne = ev.offsets[k + 1] - ev.offsets[k];
+    const double* row = ev.phi.data() + k * ev.ld;
+    idx.clear();
+    val.clear();
+    for (std::size_t i = 0; i < ev.basis_ids.size(); ++i) {
+      if (row[i] == 0.0) continue;
+      idx.push_back(ev.basis_ids[i]);
+      val.push_back(row[i]);
+    }
     double n = 0.0;
-    for (std::size_t a = 0; a < ne; ++a) {
+    for (std::size_t a = 0; a < idx.size(); ++a) {
       const double* prow = p.data() + static_cast<std::size_t>(idx[a]) * nb;
       const double va = val[a];
-      for (std::size_t b = 0; b < ne; ++b) n += prow[idx[b]] * va * val[b];
+      for (std::size_t b = 0; b < idx.size(); ++b) n += prow[idx[b]] * va * val[b];
     }
     out[k] = n;
   }
@@ -286,72 +296,75 @@ void fold_density(const linalg::Matrix& p, linalg::Matrix& f) {
   }
 }
 
-namespace {
-
-/// One point of the folded half-pair kernel: sum_{a<=b} F(idx_a, idx_b)
-/// val_a val_b over the rows of a row-major `f` with leading dimension
-/// `ld`, for global (uint32) or tile-local (uint16) indices.
-template <typename Index>
-double folded_point(const double* f, std::size_t ld, const Index* idx,
-                    const double* val, std::size_t ne) {
-  const auto row = [&](Index mu) { return f + static_cast<std::size_t>(mu) * ld; };
-  // Rows a and a+1 of the upper triangle run together: they share every
-  // idx/val load, and their four partial sums (two per row) split the
-  // point's pair updates into independent add chains.
-  double n0 = 0.0, n1 = 0.0;
-  std::size_t a = 0;
-  for (; a + 1 < ne; a += 2) {
-    const double* f0 = row(idx[a]);
-    const double* f1 = row(idx[a + 1]);
-    double s0 = f0[idx[a]] * val[a] + f0[idx[a + 1]] * val[a + 1], s1 = 0.0;
-    double t0 = f1[idx[a + 1]] * val[a + 1], t1 = 0.0;
-    std::size_t b = a + 2;
-    for (; b + 1 < ne; b += 2) {
-      s0 += f0[idx[b]] * val[b];
-      s1 += f0[idx[b + 1]] * val[b + 1];
-      t0 += f1[idx[b]] * val[b];
-      t1 += f1[idx[b + 1]] * val[b + 1];
-    }
-    if (b < ne) {
-      s0 += f0[idx[b]] * val[b];
-      t0 += f1[idx[b]] * val[b];
-    }
-    n0 += val[a] * (s0 + s1);
-    n1 += val[a + 1] * (t0 + t1);
-  }
-  if (a < ne) n0 += val[a] * (row(idx[a])[idx[a]] * val[a]);
-  return n0 + n1;
-}
-
-}  // namespace
-
-void contract_density_folded(const linalg::Matrix& f, const std::uint32_t* offsets,
-                             std::size_t n_points, const std::uint32_t* indices,
-                             const double* values, double* out) {
-  for (std::size_t k = 0; k < n_points; ++k)
-    out[k] = folded_point(f.data(), f.cols(), indices + offsets[k], values + offsets[k],
-                          offsets[k + 1] - offsets[k]);
-}
-
-void contract_density_folded(const double* f, std::size_t ld,
-                             const std::uint32_t* offsets, std::size_t n_points,
-                             const std::uint16_t* indices, const double* phi,
-                             std::size_t phi_ld, double* out) {
-  thread_local std::vector<double> val;  // one point's entry values
-  val.resize(phi_ld);
-  for (std::size_t k = 0; k < n_points; ++k) {
-    const std::uint16_t* idx = indices + offsets[k];
-    const std::size_t ne = offsets[k + 1] - offsets[k];
-    const double* phik = phi + k * phi_ld;
-    for (std::size_t e = 0; e < ne; ++e) val[e] = phik[idx[e]];
-    out[k] = folded_point(f, ld, idx, val.data(), ne);
+void gather_upper(const linalg::Matrix& f, const DenseBlock& block, double* u) {
+  const std::size_t nloc = block.basis_ids.size(), ld = block.ld;
+  std::fill(u, u + nloc * ld, 0.0);
+  for (std::size_t i = 0; i < nloc; ++i) {
+    const double* frow = f.data() + std::size_t{block.basis_ids[i]} * f.cols();
+    for (std::size_t j = i; j < nloc; ++j) u[i * ld + j] = frow[block.basis_ids[j]];
   }
 }
 
-void contract_density_folded(const linalg::Matrix& f, const BatchEval& ev,
-                             double* out) {
-  contract_density_folded(f, ev.offsets.data(), ev.points(), ev.indices.data(),
-                          ev.values.data(), out);
+void contract_upper(const double* u, const DenseBlock& block, double* out) {
+  const std::size_t nloc = block.basis_ids.size(), ld = block.ld, n = block.points();
+  const double* phi = block.phi.data();
+  thread_local std::vector<double> quad;  // four rows interleaved: quad[4 i + q]
+  quad.resize(4 * ld);
+  for (std::size_t k = 0; k < n; k += 4) {
+    // Four points per pass; a short last pass repeats its last point and
+    // stores only the real ones.
+    const double* x0 = phi + k * ld;
+    const double* x1 = phi + std::min(k + 1, n - 1) * ld;
+    const double* x2 = phi + std::min(k + 2, n - 1) * ld;
+    const double* x3 = phi + std::min(k + 3, n - 1) * ld;
+    // Interleaved, the four values of a column are one contiguous load, so
+    // the compiler can keep the accumulators in vector registers.
+    for (std::size_t i = 0; i < ld; ++i) {
+      quad[4 * i] = x0[i];
+      quad[4 * i + 1] = x1[i];
+      quad[4 * i + 2] = x2[i];
+      quad[4 * i + 3] = x3[i];
+    }
+    double n0 = 0.0, n1 = 0.0, n2 = 0.0, n3 = 0.0;
+    for (std::size_t jb = 0; jb < ld; jb += 4) {
+      // Sixteen named accumulators, c<point><column> = G over the column
+      // block, kept in registers (an indexed array would live on the
+      // stack). U is 0 below its diagonal, so rows i in [jb, jb + 4) add
+      // only their upper entries.
+      double c00 = 0, c01 = 0, c02 = 0, c03 = 0, c10 = 0, c11 = 0, c12 = 0, c13 = 0;
+      double c20 = 0, c21 = 0, c22 = 0, c23 = 0, c30 = 0, c31 = 0, c32 = 0, c33 = 0;
+      const double* xr = quad.data();
+      for (std::size_t i = 0, ie = std::min(jb + 4, nloc); i < ie; ++i, xr += 4) {
+        const double* ur = u + i * ld + jb;
+        const double u0 = ur[0], u1 = ur[1], u2 = ur[2], u3 = ur[3];
+        const double p0 = xr[0], p1 = xr[1], p2 = xr[2], p3 = xr[3];
+        c00 += p0 * u0, c01 += p0 * u1, c02 += p0 * u2, c03 += p0 * u3;
+        c10 += p1 * u0, c11 += p1 * u1, c12 += p1 * u2, c13 += p1 * u3;
+        c20 += p2 * u0, c21 += p2 * u1, c22 += p2 * u2, c23 += p2 * u3;
+        c30 += p3 * u0, c31 += p3 * u1, c32 += p3 * u2, c33 += p3 * u3;
+      }
+      n0 += x0[jb] * c00, n0 += x0[jb + 1] * c01, n0 += x0[jb + 2] * c02, n0 += x0[jb + 3] * c03;
+      n1 += x1[jb] * c10, n1 += x1[jb + 1] * c11, n1 += x1[jb + 2] * c12, n1 += x1[jb + 3] * c13;
+      n2 += x2[jb] * c20, n2 += x2[jb + 1] * c21, n2 += x2[jb + 2] * c22, n2 += x2[jb + 3] * c23;
+      n3 += x3[jb] * c30, n3 += x3[jb + 1] * c31, n3 += x3[jb + 2] * c32, n3 += x3[jb + 3] * c33;
+    }
+    const double nk[4] = {n0, n1, n2, n3};
+    for (std::size_t q = 0; q < 4 && k + q < n; ++q) out[k + q] = nk[q];
+  }
+}
+
+void block_density(const linalg::Matrix& folded, const DenseBlock& block, double* out) {
+  thread_local std::vector<double> u;
+  u.resize(block.basis_ids.size() * block.ld);
+  gather_upper(folded, block, u.data());
+  contract_upper(u.data(), block, out);
+}
+
+std::size_t upper_pairs(const DenseBlock& block) {
+  std::size_t pairs = block.ld;
+  for (std::size_t jb = 0; jb < block.ld; jb += 4)
+    pairs += 4 * std::min(jb + 4, block.basis_ids.size());
+  return pairs;
 }
 
 }  // namespace aeqp::basis

@@ -43,24 +43,33 @@ struct PointEval {
   }
 };
 
-/// Result + scratch of one batched basis evaluation: the nonzero basis
-/// values of a whole block of points in one CSR-like SoA layout
-/// (offsets/indices/values), plus the per-point working buffers the batch
-/// kernel reuses across calls. Keeping the container alive across batches
-/// eliminates the per-point heap traffic (ylm vector, PointEval push_back
-/// growth) of the per-point path.
-struct BatchEval {
-  std::vector<std::uint32_t> offsets;  ///< size n_points + 1
-  std::vector<std::uint32_t> indices;  ///< global basis index per entry
-  std::vector<double> values;          ///< chi values per entry
+/// Basis values of a block of points held densely against the block's
+/// columns: the per-batch "small dense block" of paper Fig. 3(b). The
+/// projection rings (BatchEval) and the grid tiles (scf::GridTile) share
+/// this layout, and every density contraction runs on it (block_density).
+struct DenseBlock {
+  std::vector<std::uint32_t> basis_ids;  ///< column -> global basis index, ascending
+  /// Point-major chi: phi[k * ld + i] = chi_{basis_ids[i]}(point k),
+  /// exactly 0 where chi vanishes and in the padding columns.
+  std::vector<double> phi;
+  std::size_t ld = 0;        ///< row stride of phi: basis_ids.size() rounded up to 4
+  std::size_t n_points = 0;  ///< rows of phi
 
-  [[nodiscard]] std::size_t points() const {
-    return offsets.empty() ? 0 : offsets.size() - 1;
-  }
+  [[nodiscard]] std::size_t points() const { return n_points; }
+  /// Shape phi as `n` rows against the current basis_ids, every value 0.
+  void reset(std::size_t n);
+};
 
+/// Result + scratch of one batched basis evaluation (BasisSet::
+/// evaluate_batch): the block's dense values, plus the working buffers the
+/// batch kernel reuses across calls, so a thread-local BatchEval evaluates
+/// ring after ring without heap traffic.
+struct BatchEval : DenseBlock {
   // Internal scratch (sized by the batch kernel; contents transient).
   std::vector<double> ylm;      ///< one point's Y_lm values
   std::vector<double> radial;   ///< one point's radial shell values
+  std::vector<std::uint32_t> active;     ///< the block's active atoms
+  std::vector<std::uint32_t> first_col;  ///< each active atom's first column
 };
 
 /// The solvers' cutoff-screening threshold tau (BasisSet::screening_radii):
@@ -109,9 +118,10 @@ public:
   [[nodiscard]] std::vector<double> screening_radii(double tau) const;
 
   /// Evaluate a block of points at once into `out` (values only, the Rho
-  /// hot path). Per point, the emitted (index, value) entries and their
-  /// order are identical to evaluate(p, false, ev) -- same atom/shell/m
-  /// order, same v == 0 skip -- so per-point consumers are bit-identical.
+  /// hot path). The columns are the functions of the block's active atoms,
+  /// in global order; row k holds point k's values, and its nonzeros, in
+  /// column order, are exactly the entries of evaluate(p, false, ev) -- same
+  /// values, same order -- so per-point consumers stay bit-identical.
   /// `screen` is either empty (no screening) or one radius per atom from
   /// screening_radii(). Screening decisions are made per (atom, block)
   /// from geometry alone; obs counters rho/screen/* record them.
@@ -157,10 +167,11 @@ private:
 
 /// Density contraction n(p) = sum_{mu,nu} P_mu_nu chi_mu(p) chi_nu(p) for
 /// every point of a batched evaluation (Eq. 8 -- serves both n and the
-/// response n^(1)). The per-point accumulation runs over the point's entry
-/// pairs in ascending order with the exact multiply order of the per-point
-/// path, so results are bit-identical to it. The bitwise reference the
-/// solvers' folded kernel (contract_density_folded) is tested against.
+/// response n^(1)). Each row's nonzeros are read in column order -- the
+/// per-point evaluation order -- and accumulated over their pairs with the
+/// exact multiply order of the per-point path, so results are bit-identical
+/// to it. The bitwise reference the solvers' kernel (block_density) is
+/// tested against.
 void contract_density(const linalg::Matrix& p, const BatchEval& ev, double* out);
 
 /// Fold a density matrix for the half-pair contraction: F_ab = P_ab + P_ba
@@ -170,32 +181,27 @@ void contract_density(const linalg::Matrix& p, const BatchEval& ev, double* out)
 /// shape: callers allocate it once and refold every iteration.
 void fold_density(const linalg::Matrix& p, linalg::Matrix& f);
 
-/// Folded density contraction over a CSR basis evaluation:
-/// out[k] = sum_{a<=b} F(idx_a, idx_b) chi_a chi_b, with F = fold_density(P),
-/// over the half of the entry pairs with a <= b (entry order within a point
-/// is free: F is symmetric off the diagonal). Rows run in pairs on split
-/// partial sums, so a point's pair updates no longer form one dependent
-/// chain of adds. The result depends only on F and the point's
-/// own entries -- identical for every thread and rank count -- but rounds
-/// differently from contract_density's single chain. `offsets[0..n_points]`
-/// index `indices`/`values` absolutely, so a caller contracts a sub-range
-/// of a larger CSR by advancing `offsets`.
-void contract_density_folded(const linalg::Matrix& f, const std::uint32_t* offsets,
-                             std::size_t n_points, const std::uint32_t* indices,
-                             const double* values, double* out);
+/// The block's gathered upper triangle of F = fold_density(P), nloc rows
+/// of stride ld: u[i * ld + j] = F(basis_ids[i], basis_ids[j]) for i <= j <
+/// nloc, exactly 0 below the diagonal and in the padding columns.
+void gather_upper(const linalg::Matrix& f, const DenseBlock& block, double* u);
 
-/// The same folded kernel against a dense row-major block `f` of leading
-/// dimension `ld`, addressed by 16-bit local indices, with point k's values
-/// read from row k (stride `phi_ld`) of a dense point-major array at the
-/// same local indices: the grid-tile form (scf/tiles.hpp). Rounds exactly
-/// like the global-index form over the same entries and the same F values.
-void contract_density_folded(const double* f, std::size_t ld,
-                             const std::uint32_t* offsets, std::size_t n_points,
-                             const std::uint16_t* indices, const double* phi,
-                             std::size_t phi_ld, double* out);
+/// The one density kernel: out[k] = sum_{i<=j} U_ij phi_ki phi_kj for every
+/// point k of the block, against U = gather_upper(F). Register blocks of 4
+/// points x 4 columns form G_kj = sum_{i<=j} phi_ki U_ij, i ascending, and
+/// each point then adds phi_kj G_kj in column order. A zero phi or U term
+/// adds an exact 0, so a point's value depends only on F and its own
+/// nonzero entries: identical in every block that holds the point, for
+/// every thread and rank count. It rounds differently from
+/// contract_density's single chain. Exact for non-symmetric P.
+void contract_upper(const double* u, const DenseBlock& block, double* out);
 
-/// contract_density_folded over every point of a batched evaluation.
-void contract_density_folded(const linalg::Matrix& f, const BatchEval& ev,
-                             double* out);
+/// gather_upper + contract_upper through a per-thread scratch U: the
+/// density of every point of a ring or a tile from the folded matrix.
+void block_density(const linalg::Matrix& folded, const DenseBlock& block, double* out);
+
+/// Multiply-adds contract_upper spends on each point: column block jb costs
+/// min(jb + 4, nloc) rows of 4 products, and the final sum ld products.
+[[nodiscard]] std::size_t upper_pairs(const DenseBlock& block);
 
 }  // namespace aeqp::basis

@@ -87,8 +87,8 @@ RankTiles::RankTiles(const basis::BasisSet& basis, const grid::MolecularGrid& gr
     // Governor probe before the dominant per-rank allocation is committed:
     // an over-budget rank raises the structured OutOfMemoryBudget here,
     // where the recovery ladder can catch it, instead of dying in
-    // std::bad_alloc mid-build. The estimate covers the point ids and CSR
-    // offsets; the commit probe audits the measured bytes.
+    // std::bad_alloc mid-build. The estimate is a floor, two words per
+    // point; the commit probe audits the measured bytes.
     resilience::oom_probe("dfpt/point_cache", 2 * points_.size() * sizeof(std::uint32_t));
     cache_.resize(size());
     exec::parallel_for(0, size(), [&](std::size_t t) {
@@ -220,14 +220,14 @@ void run_cpscf_rank(parallel::Communicator& comm, CpscfRun& run,
   const auto compute_sumup = [&] {
     basis::fold_density(p1, p1_fold);
     if (opt.device) {
-      // One work-group per tile, through the same tile contraction.
+      // One work-group per tile, through the same density kernel.
       std::vector<double> n_grid(grid.size(), 0.0);
       kernels::sumup_kernel(*opt.device, grid, *tiles.cached(), p1, n_grid);
       for (std::size_t k = 0; k < points.size(); ++k) n1[k] = n_grid[points[k]];
     } else {
       exec::parallel_for(0, tiles.size(), [&](std::size_t tt) {
         thread_local scf::GridTile scratch;
-        scf::tile_density(p1_fold, tiles.tile(tt, scratch), n1.data() + tiles.begin(tt));
+        basis::block_density(p1_fold, tiles.tile(tt, scratch), n1.data() + tiles.begin(tt));
       });
     }
     // Compute-site probe: a planted fault corrupts this rank's freshly
@@ -258,17 +258,44 @@ void run_cpscf_rank(parallel::Communicator& comm, CpscfRun& run,
   // every rank extrapolates the same pairs to the same next P^(1).
   scf::DiisMixer mixer(scf::kDiisHistory);
 
+  // Sumup phase: n^(1)(r) on this rank's points (Eq. 8). Second rung of
+  // the SDC ladder: the batch is a pure function of the replicated P^(1),
+  // so a transient corruption is repaired by one local recompute, without
+  // any collective traffic. A second violation escalates (peers see
+  // RankFailure and the RecoveryDriver takes over).
+  const auto sumup_phase = [&] {
+    AEQP_TRACE_SCOPE("cpscf/sumup");
+    compute_sumup();
+    try {
+      resilience::guard_finite({n1.data(), n1.size()}, "cpscf/n1");
+    } catch (const InvariantViolation&) {
+      obs::counter("sdc/local_recomputes").increment();
+      obs::trace_instant("sdc/recompute");
+      compute_sumup();
+      resilience::guard_finite({n1.data(), n1.size()}, "cpscf/n1");
+    }
+  };
+
   int start_iteration = 0;
+  bool converged = false;
   if (opt.warm_start) {
     p1 = opt.warm_start->p1;
     mixer.import_history(opt.warm_start->diis_history);
     have_response = true;
     start_iteration = opt.warm_start->iteration;
-    compute_sumup();
-    compute_rho();
+    sumup_phase();
+    // A resume point at the converged iteration finishes there, as the
+    // uninterrupted run did: P^(1) and n^(1) are final, and no Rho runs.
+    converged = opt.warm_start->last_delta < opt.tolerance && start_iteration > 1;
+    if (converged && lead) {
+      result.iterations = start_iteration;
+      result.converged = true;
+      run.last_delta = opt.warm_start->last_delta;
+    }
+    if (!converged) compute_rho();
   }
 
-  for (int iter = start_iteration + 1; iter <= opt.max_iterations; ++iter) {
+  for (int iter = start_iteration + 1; !converged && iter <= opt.max_iterations; ++iter) {
     // --- H phase: response Hamiltonian H^(1) (Eqs. 10-12). Partial
     //     integrals over this rank's tiles (a SIMT launch on a device),
     //     synthesized by packed AllReduce. ---
@@ -363,24 +390,7 @@ void run_cpscf_rank(parallel::Communicator& comm, CpscfRun& run,
       world.rank_hook(comm, state);
     }
 
-    // --- Sumup phase: n^(1)(r) on this rank's points (Eq. 8). ---
-    {
-      AEQP_TRACE_SCOPE("cpscf/sumup");
-      compute_sumup();
-      // Second rung of the SDC ladder: the batch is a pure function of
-      // the replicated P^(1), so a transient corruption is repaired by one
-      // local recompute, without any collective traffic. A second
-      // violation escalates (peers see RankFailure and the RecoveryDriver
-      // takes over).
-      try {
-        resilience::guard_finite({n1.data(), n1.size()}, "cpscf/n1");
-      } catch (const InvariantViolation&) {
-        obs::counter("sdc/local_recomputes").increment();
-        obs::trace_instant("sdc/recompute");
-        compute_sumup();
-        resilience::guard_finite({n1.data(), n1.size()}, "cpscf/n1");
-      }
-    }
+    sumup_phase();
 
     if (opt.verbose && lead)
       AEQP_LOG_INFO << "DFPT dir " << run.direction << " iter " << iter

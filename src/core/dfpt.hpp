@@ -18,6 +18,7 @@
 
 #include <array>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -58,10 +59,14 @@ using CpscfObserver = std::function<CpscfAction(const CpscfIterationState&)>;
 /// `iteration` completed iterations plus the Pulay history. The response
 /// potential is recomputed from P^(1) on resume, which reproduces the
 /// uninterrupted trajectory bit-for-bit; an empty history restarts the
-/// extrapolation with a plain mixing step.
+/// extrapolation with a plain mixing step. A resume point whose residual
+/// already met the tolerance finishes converged at `iteration`, as the
+/// uninterrupted run did.
 struct CpscfWarmStart {
   int iteration = 0;
   linalg::Matrix p1;
+  /// max |F(P^(1)) - P^(1)| of `iteration`; the default never converges.
+  double last_delta = std::numeric_limits<double>::infinity();
   /// (P^(1) + beta r, r) pairs, oldest first, as exported by
   /// scf::DiisMixer::export_history().
   std::vector<std::pair<linalg::Matrix, linalg::Matrix>> diis_history;

@@ -1,5 +1,6 @@
 #include "core/parallel_dfpt.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <sstream>
 #include <utility>
@@ -16,6 +17,25 @@
 namespace aeqp::core {
 
 using linalg::Matrix;
+
+RecoveryStats& RecoveryStats::operator+=(const RecoveryStats& o) {
+  faults_detected += o.faults_detected;
+  restores += o.restores;
+  retries += o.retries;
+  wasted_iterations += o.wasted_iterations;
+  shrinks += o.shrinks;
+  lost_ranks += o.lost_ranks;
+  buddy_restores += o.buddy_restores;
+  remap_seconds += o.remap_seconds;
+  abft_corrections += o.abft_corrections;
+  invariant_violations += o.invariant_violations;
+  payload_corruptions += o.payload_corruptions;
+  oom_events += o.oom_events;
+  relief_actions += o.relief_actions;
+  rebalances += o.rebalances;
+  degraded_ranks = std::max(degraded_ranks, o.degraded_ranks);
+  return *this;
+}
 
 ParallelDfptResult solve_direction_parallel(const scf::ScfResult& ground,
                                             const ParallelDfptOptions& options,

@@ -128,7 +128,14 @@ struct RecoveryStats {
   // Straggler-defense rung (docs/resilience.md "Straggler defense").
   std::size_t rebalances = 0;     ///< weighted re-mappings around slow ranks
   std::size_t degraded_ranks = 0; ///< peak ranks rebalanced around
+
+  /// Combine the counters of another run (a job's successive attempts):
+  /// every field sums, except degraded_ranks, a peak, which takes the max.
+  RecoveryStats& operator+=(const RecoveryStats& o);
 };
+// A new field changes the size: cover it in operator+= and update this.
+static_assert(sizeof(RecoveryStats) == 14 * sizeof(std::size_t) + sizeof(double),
+              "RecoveryStats changed: cover the new field in operator+=");
 
 /// Statistics of one distributed run: the recovery counters plus what the
 /// solver measures of its world and its collectives.

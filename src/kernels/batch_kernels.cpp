@@ -20,24 +20,23 @@ void sumup_kernel(simt::SimtRuntime& rt, const grid::MolecularGrid& grid,
     const scf::GridTile& tile = tiles[wg.group_id()];
     const std::size_t nloc = tile.basis_ids.size();
 
-    // Stage the tile's dense block of fold(P) in __local memory (the small
-    // dense matrix of Fig. 3(b)); a block beyond on-chip capacity spills.
-    const bool fits = nloc * nloc * sizeof(double) <= rt.model().onchip_bytes;
-    std::vector<double> spill(fits ? 0 : nloc * nloc);
-    const std::span<double> block = fits ? wg.local_mem(nloc * nloc) : std::span<double>(spill);
-    scf::gather_block(folded, tile, block.data());
-    rt.stats().offchip_read_bytes += nloc * nloc * sizeof(double);
+    // Stage the tile's upper triangle of fold(P) in __local memory (the
+    // small dense matrix of Fig. 3(b)); a block beyond on-chip capacity
+    // spills.
+    const std::size_t u_size = nloc * tile.ld;
+    const bool fits = u_size * sizeof(double) <= rt.model().onchip_bytes;
+    std::vector<double> spill(fits ? 0 : u_size);
+    const std::span<double> u = fits ? wg.local_mem(u_size) : std::span<double>(spill);
+    basis::gather_upper(folded, tile, u.data());
+    rt.stats().offchip_read_bytes += nloc * (nloc + 1) / 2 * sizeof(double);
     wg.barrier();
 
-    // One work-item per grid point: the folded contraction over half the
-    // point's entry pairs.
+    // One work-item per grid point: the blocked density kernel, whose
+    // dense pairs every point pays.
     std::vector<double> n(tile.size());
-    scf::contract_tile(block.data(), tile, n.data());
-    for (std::size_t k = 0; k < tile.size(); ++k) {
-      out.store(tile.point_ids[k], n[k]);
-      const std::size_t ne = tile.offsets[k + 1] - tile.offsets[k];
-      wg.flops(ne * (ne + 1));
-    }
+    basis::contract_upper(u.data(), tile, n.data());
+    for (std::size_t k = 0; k < tile.size(); ++k) out.store(tile.point_ids[k], n[k]);
+    wg.flops(2 * basis::upper_pairs(tile) * tile.size());
     wg.issue_simt(tile.size(), 8);
   });
 }

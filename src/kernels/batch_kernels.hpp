@@ -7,12 +7,12 @@
 /// in __local memory; producing the response density and the
 /// response-Hamiltonian contribution of the tile.
 ///
-/// The group bodies are the tile engine's own operations (scf/tiles.hpp):
-/// the folded tile contraction and the tile's symmetric rank-k update with
-/// a tile-order flush. The kernels therefore compute bit-for-bit what the
-/// host integrator computes over the same tiles, while counting the
-/// device-model events the portability analysis consumes (the H kernel
-/// counts the dense update's flops).
+/// The group bodies are the host's own operations: the blocked density
+/// kernel (basis::block_density's two halves) and the tile's symmetric
+/// rank-k update with a tile-order flush (scf/tiles.hpp). The kernels
+/// therefore compute bit-for-bit what the host integrator computes over
+/// the same tiles, while counting the device-model events the portability
+/// analysis consumes (both kernels count their dense flops).
 
 #include <span>
 #include <vector>
@@ -25,7 +25,8 @@
 namespace aeqp::kernels {
 
 /// Sumup kernel: density sum_{mu,nu} P_mu_nu chi_mu chi_nu at every point
-/// of the given tiles, through the tile's __local block of fold(P).
+/// of the given tiles, through the tile's __local upper triangle of
+/// fold(P).
 /// Output is indexed by global grid-point id (only covered points written).
 void sumup_kernel(simt::SimtRuntime& rt, const grid::MolecularGrid& grid,
                   const std::vector<scf::GridTile>& tiles, const linalg::Matrix& p,

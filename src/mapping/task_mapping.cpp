@@ -80,9 +80,14 @@ struct Tally {
 
 /// Re-home `orphans` onto the slots of `out.assignment`, largest first (the
 /// classic bin-packing order) with deterministic id tie-breaks. Each goes
-/// to the slot minimizing Algorithm 1's locality-vs-balance objective:
+/// to the slot minimizing Algorithm 1's locality-vs-balance objective,
 /// (1 + distance to the slot's mean centroid) x (points after accepting) /
-/// target[slot]. The tally updates after every placement.
+/// target[slot], among the slots it still fits under their target; an
+/// orphan that fits under none goes to the slot it overloads least. Without
+/// that cap locality outbids any load (the distance is in bohr and
+/// unbounded): rebalancing a 4-rank H6 chain around one 8x-slow rank left
+/// its neighbour at 1.32x its target, and that rank set the pace of every
+/// later iteration. The tally updates after every placement.
 void place_orphans(std::vector<std::uint32_t> orphans,
                    const std::vector<grid::Batch>& batches,
                    const std::vector<double>& target, Tally& tally,
@@ -96,17 +101,19 @@ void place_orphans(std::vector<std::uint32_t> orphans,
   for (const auto b : orphans) {
     std::size_t best = 0;
     double best_score = 0.0;
+    bool best_fits = false;
     for (std::size_t r = 0; r < target.size(); ++r) {
-      // A slot with no batches yet attracts work from anywhere.
-      double dist = 0.0;
-      if (tally.owned[r] > 0)
-        dist = (batches[b].centroid - tally.mean(r)).norm();
       const double load =
           static_cast<double>(tally.points[r] + batches[b].size()) / target[r];
-      const double score = (1.0 + dist) * load;
-      if (r == 0 || score < best_score) {
+      const bool fits = load <= 1.0;
+      double score = load;
+      if (fits && tally.owned[r] > 0)  // an empty slot attracts work from anywhere
+        score *= 1.0 + (batches[b].centroid - tally.mean(r)).norm();
+      if (r == 0 || (fits && !best_fits) ||
+          (fits == best_fits && score < best_score)) {
         best = r;
         best_score = score;
+        best_fits = fits;
       }
     }
     out.assignment.batches_of_rank[best].push_back(b);

@@ -61,7 +61,9 @@ struct RemapResult {
 /// basis evaluations stay valid -- and each orphaned batch of a dead rank
 /// is re-homed to the survivor minimizing the same locality-vs-balance
 /// objective Algorithm 1 optimizes: distance from the batch centroid to the
-/// survivor's mean centroid, scaled by the survivor's relative point load.
+/// survivor's mean centroid, scaled by the survivor's relative point load,
+/// over the survivors the batch still fits under an equal share (one that
+/// fits under none goes to the survivor it overloads least).
 /// Orphans are placed largest-first and the survivor centroid/load are
 /// updated incrementally, so the result is deterministic. `survivors` lists
 /// surviving rank ids of `previous` in strictly increasing order.
@@ -77,8 +79,8 @@ RemapResult remap_for_survivors(const Assignment& previous,
 /// slow (weight 1/8) keeps ~1/8 of a fair share. Overloaded ranks shed
 /// their farthest-from-centroid batches first (their locality core stays
 /// intact), and the orphans are re-homed with the same locality-vs-balance
-/// objective remap_for_survivors uses, with the balance term measured
-/// against the weighted target. Deterministic: results depend only on the
+/// objective and target cap remap_for_survivors uses, both measured against
+/// the weighted target. Deterministic: results depend only on the
 /// inputs, so every rank computing its own copy agrees bit-for-bit.
 /// `weights` has previous.rank_count() entries, each > 0.
 RemapResult rebalance_for_slow_ranks(const Assignment& previous,

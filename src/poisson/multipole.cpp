@@ -28,7 +28,7 @@ BatchDensityFn basis_density(const basis::BasisSet& basis,
   return [&basis, screen, &folded](const Vec3* pts, std::size_t n, double* out) {
     thread_local basis::BatchEval ev;
     basis.evaluate_batch(pts, n, screen, ev);
-    basis::contract_density_folded(folded, ev, out);
+    basis::block_density(folded, ev, out);
   };
 }
 
@@ -154,17 +154,18 @@ void HartreeSolver::finalize_splines(MultipoleDensity& rho) const {
              "structure");
   const std::size_t nlm = lm_count(spec_.l_max);
   rho.splines.resize(rho.samples.size());
-  for (std::size_t a = 0; a < rho.samples.size(); ++a) {
-    rho.splines[a].resize(nlm);
-    exec::parallel_for(0, nlm, [&](std::size_t lm) {
-      // SDC probe + finiteness guard before the spline fit: a struck sample
-      // would otherwise be smeared over the whole radial channel by the
-      // spline's tridiagonal solve and surface only as slow divergence.
-      resilience::sdc_probe("poisson/rho_multipole", rho.samples[a][lm]);
-      resilience::guard_finite(rho.samples[a][lm], "poisson/rho_multipole");
-      rho.splines[a][lm] = basis::CubicSpline(mesh_.points(), rho.samples[a][lm]);
-    });
-  }
+  for (auto& per_atom : rho.splines) per_atom.resize(nlm);
+  // One pool region over every (atom, lm) channel, as in solve(): each
+  // channel owns its spline slot.
+  exec::parallel_for(0, rho.samples.size() * nlm, [&](std::size_t task) {
+    std::vector<double>& samples = rho.samples[task / nlm][task % nlm];
+    // SDC probe + finiteness guard before the spline fit: a struck sample
+    // would otherwise be smeared over the whole radial channel by the
+    // spline's tridiagonal solve and surface only as slow divergence.
+    resilience::sdc_probe("poisson/rho_multipole", samples);
+    resilience::guard_finite(samples, "poisson/rho_multipole");
+    rho.splines[task / nlm][task % nlm] = basis::CubicSpline(mesh_.points(), samples);
+  });
 }
 
 PartitionedPotential HartreeSolver::solve(const MultipoleDensity& rho) const {

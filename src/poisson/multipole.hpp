@@ -46,9 +46,10 @@ using BatchDensityFn =
     std::function<void(const Vec3* pts, std::size_t n, double* out)>;
 
 /// The Rho producer's density callback for a density matrix, shared by the
-/// SCF and the CPSCF: each ring goes through the screened batched
-/// basis evaluation into thread-local scratch, then the folded contraction
-/// (basis::contract_density_folded). `folded` is basis::fold_density(P).
+/// SCF and the CPSCF: each ring is evaluated into its dense block in
+/// thread-local scratch (the screened BasisSet::evaluate_batch), then
+/// contracted by the one blocked density kernel (basis::block_density).
+/// `folded` is basis::fold_density(P).
 /// `basis`, `screen` and `folded` are captured by reference and must
 /// outlive the callback; refolding `folded` in place retargets it.
 [[nodiscard]] BatchDensityFn basis_density(const basis::BasisSet& basis,

@@ -35,9 +35,15 @@ constexpr int kPermanentFailureThreshold = 2;
 /// compute and collective waiting interleave, and the loss is asymmetric --
 /// leaving too much work on a sick rank stalls the whole world at its pace,
 /// while shedding too much merely adds share/(N-1) to each healthy rank. So
-/// the rung sheds to a token share (the detector's weight floor), the same
-/// call speculative-execution schedulers make once a task is flagged slow.
-constexpr double kRebalanceShedWeight = 1.0 / 16.0;
+/// the rung sheds to a token share, the same call speculative-execution
+/// schedulers make once a task is flagged slow. The token is a quarter of
+/// the detector's weight floor (1/16) because the sick rank also runs its
+/// replicated per-iteration tail (Sternheimer update, P^(1), spline fit and
+/// radial solve) at its own pace: on a 4-rank H6 chain that tail alone, 8x
+/// slow, costs about a healthy rank's whole iteration, so at 1/16 the 2-3%
+/// of the points left on the sick rank kept it the slowest rank; at 1/64 it
+/// keeps about one batch.
+constexpr double kRebalanceShedWeight = 1.0 / 64.0;
 
 /// Floors of the third relief rung.
 constexpr std::size_t kMinBatchPoints = 16;
@@ -252,6 +258,7 @@ core::ParallelDfptResult solve_recovered(CheckpointStore& store,
         auto ws = std::make_shared<core::CpscfWarmStart>();
         ws->iteration = ckpt->iteration;
         ws->p1 = std::move(ckpt->p1);
+        ws->last_delta = ckpt->last_delta;
         if (!damped) ws->diis_history = std::move(ckpt->diis_history);
         popts.dfpt.warm_start = std::move(ws);
         ++stats.restores;

@@ -107,7 +107,7 @@ std::vector<double> BatchIntegrator::density(const Matrix& p_mat) const {
     thread_local std::vector<double> out;
     const GridTile& tile = tiles_[t];
     out.resize(tile.size());
-    tile_density(folded, tile, out.data());
+    basis::block_density(folded, tile, out.data());
     for (std::size_t k = 0; k < tile.size(); ++k) n[tile.point_ids[k]] = out[k];
   });
   return n;

@@ -66,8 +66,8 @@ public:
 
   /// Density samples on the grid from a density matrix (Eq. 3 / Eq. 8 --
   /// the same contraction serves n and the response n^(1)). P is folded
-  /// once per call and every tile runs the folded tile contraction
-  /// (scf::tile_density).
+  /// once per call and every tile runs the one blocked density kernel
+  /// (basis::block_density).
   [[nodiscard]] std::vector<double> density(const linalg::Matrix& p) const;
 
   /// \int r_axis * f(r) dV for grid-sampled f (dipole moments, Eq. 13).

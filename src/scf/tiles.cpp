@@ -2,14 +2,10 @@
 
 #include <algorithm>
 
-#include "common/error.hpp"
-
 namespace aeqp::scf {
 
 std::size_t GridTile::bytes() const {
-  return (point_ids.capacity() + basis_ids.capacity() + offsets.capacity()) *
-             sizeof(std::uint32_t) +
-         local_index.capacity() * sizeof(std::uint16_t) +
+  return (point_ids.capacity() + basis_ids.capacity()) * sizeof(std::uint32_t) +
          phi.capacity() * sizeof(double);
 }
 
@@ -17,13 +13,14 @@ void build_tile(const basis::BasisSet& basis, const grid::MolecularGrid& grid,
                 std::span<const std::uint32_t> points, GridTile& out,
                 std::vector<double>* laplacians) {
   thread_local basis::PointEval ev;
+  thread_local std::vector<std::uint32_t> first;   // point -> its first entry
   thread_local std::vector<std::uint32_t> global;  // entry -> global id
   thread_local std::vector<double> values, laps;   // entry -> chi, nabla^2 chi
   thread_local std::vector<std::int32_t> slot;     // global id -> local, -1 = absent
   const bool with_laplacian = laplacians != nullptr;
   out.point_ids.assign(points.begin(), points.end());
-  out.offsets.assign(1, 0);
   out.basis_ids.clear();
+  first.assign(1, 0);
   global.clear();
   values.clear();
   laps.clear();
@@ -41,24 +38,20 @@ void build_tile(const basis::BasisSet& basis, const grid::MolecularGrid& grid,
       values.push_back(ev.values[i]);
       if (with_laplacian) laps.push_back(ev.laplacians[i]);
     }
-    out.offsets.push_back(static_cast<std::uint32_t>(global.size()));
+    first.push_back(static_cast<std::uint32_t>(global.size()));
   }
   std::sort(out.basis_ids.begin(), out.basis_ids.end());
   for (std::size_t i = 0; i < out.basis_ids.size(); ++i)
     slot[out.basis_ids[i]] = static_cast<std::int32_t>(i);
-  out.ld = (out.basis_ids.size() + 3) & ~std::size_t{3};
-  out.phi.assign(out.size() * out.ld, 0.0);
+  out.reset(points.size());
   if (with_laplacian) laplacians->assign(out.phi.size(), 0.0);
-  out.local_index.resize(global.size());
   for (std::size_t k = 0; k < out.size(); ++k)
-    for (std::uint32_t e = out.offsets[k]; e < out.offsets[k + 1]; ++e) {
-      const auto li = static_cast<std::uint16_t>(slot[global[e]]);
-      out.local_index[e] = li;
-      out.phi[k * out.ld + li] = values[e];
-      if (with_laplacian) (*laplacians)[k * out.ld + li] = laps[e];
+    for (std::uint32_t e = first[k]; e < first[k + 1]; ++e) {
+      const std::size_t at = k * out.ld + static_cast<std::size_t>(slot[global[e]]);
+      out.phi[at] = values[e];
+      if (with_laplacian) (*laplacians)[at] = laps[e];
     }
   for (const std::uint32_t mu : out.basis_ids) slot[mu] = -1;
-  AEQP_CHECK(out.basis_ids.size() < 65536, "build_tile: active-basis union too large");
 }
 
 std::vector<GridTile> build_tiles(const basis::BasisSet& basis,
@@ -69,28 +62,6 @@ std::vector<GridTile> build_tiles(const basis::BasisSet& basis,
     build_tile(basis, grid, batches[t].points, tiles[t]);
   });
   return tiles;
-}
-
-void gather_block(const linalg::Matrix& f, const GridTile& tile, double* blk) {
-  const std::size_t nloc = tile.basis_ids.size();
-  for (std::size_t i = 0; i < nloc; ++i) {
-    const double* frow = f.data() + std::size_t{tile.basis_ids[i]} * f.cols();
-    for (std::size_t j = 0; j < nloc; ++j) blk[i * nloc + j] = frow[tile.basis_ids[j]];
-  }
-}
-
-void contract_tile(const double* blk, const GridTile& tile, double* out) {
-  basis::contract_density_folded(blk, tile.basis_ids.size(), tile.offsets.data(),
-                                 tile.size(), tile.local_index.data(),
-                                 tile.phi.data(), tile.ld, out);
-}
-
-void tile_density(const linalg::Matrix& folded, const GridTile& tile, double* out) {
-  thread_local std::vector<double> blk;
-  const std::size_t nloc = tile.basis_ids.size();
-  blk.resize(nloc * nloc);
-  gather_block(folded, tile, blk.data());
-  contract_tile(blk.data(), tile, out);
 }
 
 namespace {

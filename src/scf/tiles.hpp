@@ -10,11 +10,11 @@
 /// only; no Laplacian is cached (the integrator builds T while it builds
 /// its tiles).
 ///
-///  - Sumup (Eq. 8): gather the tile's block of the folded density matrix,
-///    then contract every point over half its nonzero entry pairs, read
-///    from the dense values through the point's local index list. A
-///    point's value depends only on the fold and its own entries:
-///    identical for every tiling, thread and rank count.
+///  - Sumup (Eq. 8): gather the tile's upper triangle of the folded
+///    density matrix and contract every point through the one blocked
+///    density kernel (basis::block_density), the kernel the projection
+///    rings run too. A point's value depends only on the fold and its own
+///    entries: identical for every tiling, thread and rank count.
 ///  - Matrix accumulation (H, S, V, D; Eqs. 10-12): every tile fills its
 ///    own dense block with one symmetric rank-k update, and the blocks
 ///    flush to the global matrix in tile order: bit-identical for every
@@ -33,30 +33,23 @@
 namespace aeqp::scf {
 
 /// One grid tile: a batch's points and their basis values against the
-/// tile's dense local basis block.
-struct GridTile {
-  std::vector<std::uint32_t> point_ids;    ///< grid point ids
-  std::vector<std::uint32_t> basis_ids;    ///< local -> global basis index (sorted)
-  std::vector<std::uint32_t> offsets;      ///< per-point CSR into local_index
-  std::vector<std::uint16_t> local_index;  ///< entry -> local index of a nonzero chi
-  /// Point-major dense chi: phi[k * ld + i] = chi_{basis_ids[i]}(point k),
-  /// exactly 0 where chi vanishes and in the padding.
-  std::vector<double> phi;
-  std::size_t ld = 0;  ///< row stride of phi: basis_ids.size() rounded up to 4
+/// tile's dense local block -- the sorted union of the basis functions
+/// nonzero anywhere in the tile (basis::DenseBlock's columns).
+struct GridTile : basis::DenseBlock {
+  std::vector<std::uint32_t> point_ids;  ///< grid point ids, one per row of phi
 
   [[nodiscard]] std::size_t size() const { return point_ids.size(); }
   /// Heap bytes held (capacity), for the memory audit.
   [[nodiscard]] std::size_t bytes() const;
 };
 
-/// Build the tile of `points`. One entry filter for every tile: a point
-/// lists exactly its nonzero basis values, in evaluation order. (With
-/// Laplacians BasisSet::evaluate also keeps zero values; those come from a
-/// Y_lm that vanishes at a symmetry point, so their Laplacian vanishes too
-/// and dropping them changes no integral.) The shared filter makes every
-/// tile of a point -- integrator, rank cache, on-the-fly rebuild -- hold
-/// the same values and pair its entries identically in the folded
-/// contraction. When `laplacians` is given it receives nabla^2 chi of the
+/// Build the tile of `points`. One entry filter for every tile: a point's
+/// row holds exactly its nonzero basis values. (With Laplacians
+/// BasisSet::evaluate also keeps zero values; those come from a Y_lm that
+/// vanishes at a symmetry point, so their Laplacian vanishes too and
+/// dropping them changes no integral.) The shared filter makes every tile
+/// of a point -- integrator, rank cache, on-the-fly rebuild -- hold the
+/// same values. When `laplacians` is given it receives nabla^2 chi of the
 /// same entries in phi's layout (zero elsewhere): the kinetic matrix's
 /// scratch, never stored in the tile.
 void build_tile(const basis::BasisSet& basis, const grid::MolecularGrid& grid,
@@ -68,19 +61,6 @@ void build_tile(const basis::BasisSet& basis, const grid::MolecularGrid& grid,
 [[nodiscard]] std::vector<GridTile> build_tiles(const basis::BasisSet& basis,
                                                 const grid::MolecularGrid& grid,
                                                 const std::vector<grid::Batch>& batches);
-
-/// blk[i * nloc + j] = f(basis_ids[i], basis_ids[j]): the tile's dense
-/// block of a global matrix.
-void gather_block(const linalg::Matrix& f, const GridTile& tile, double* blk);
-
-/// The folded tile contraction: out[k] = sum_{a<=b} F_ab chi_a chi_b for
-/// every point k of the tile, against the gathered block `blk` of
-/// F = basis::fold_density(P). Exact for non-symmetric P; rounds exactly
-/// like basis::contract_density_folded over the same entries.
-void contract_tile(const double* blk, const GridTile& tile, double* out);
-
-/// gather_block + contract_tile through a per-thread scratch block.
-void tile_density(const linalg::Matrix& folded, const GridTile& tile, double* out);
 
 /// blk (nloc x nloc, overwritten) = sum_k w[k] chi_k chi_k^T over the
 /// tile's points: a symmetric rank-k update of phi. 4x4 register blocks

@@ -47,25 +47,6 @@ const char* classify(const std::exception& e) {
   return "std::exception";
 }
 
-void accumulate(resilience::RecoveryStats& into,
-                const resilience::RecoveryStats& from) {
-  into.faults_detected += from.faults_detected;
-  into.restores += from.restores;
-  into.retries += from.retries;
-  into.wasted_iterations += from.wasted_iterations;
-  into.shrinks += from.shrinks;
-  into.lost_ranks += from.lost_ranks;
-  into.buddy_restores += from.buddy_restores;
-  into.remap_seconds += from.remap_seconds;
-  into.abft_corrections += from.abft_corrections;
-  into.invariant_violations += from.invariant_violations;
-  into.payload_corruptions += from.payload_corruptions;
-  into.oom_events += from.oom_events;
-  into.relief_actions += from.relief_actions;
-  into.rebalances += from.rebalances;
-  into.degraded_ranks = std::max(into.degraded_ranks, from.degraded_ranks);
-}
-
 }  // namespace
 
 const char* job_state_name(JobState s) {
@@ -462,15 +443,15 @@ void SolveServer::execute(JobRecord& rec) {
         out.result =
             driver.solve_direction_parallel(*ground, popts, rec.spec.direction)
                 .direction;
-        accumulate(out.recovery, driver.last_stats());
+        out.recovery += driver.last_stats();
         out.tier = rung.tier;
         out.state = JobState::Succeeded;
         solved = true;
       } catch (const DeadlineExceeded&) {
-        accumulate(out.recovery, driver.last_stats());
+        out.recovery += driver.last_stats();
         throw;  // the budget is gone; no further rung can help
       } catch (const std::exception& e) {
-        accumulate(out.recovery, driver.last_stats());
+        out.recovery += driver.last_stats();
         last_error = e.what();
         last_kind = classify(e);
         if (i + 1 < rungs.size()) {

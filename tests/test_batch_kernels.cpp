@@ -9,7 +9,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -47,6 +50,15 @@ Workbench make_workbench(const grid::Structure& s, std::size_t batch_points = 96
   return setup;
 }
 
+/// Row k's nonzero entries, (global id, value), in column order.
+std::vector<std::pair<std::uint32_t, double>> row_entries(const basis::DenseBlock& b,
+                                                          std::size_t k) {
+  std::vector<std::pair<std::uint32_t, double>> out;
+  for (std::size_t i = 0; i < b.basis_ids.size(); ++i)
+    if (const double v = b.phi[k * b.ld + i]; v != 0.0) out.emplace_back(b.basis_ids[i], v);
+  return out;
+}
+
 linalg::Matrix random_symmetric(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);
   linalg::Matrix m(n, n);
@@ -59,10 +71,8 @@ TEST(BatchSupports, CoverEveryPointOnce) {
   const Workbench s = make_workbench(core::water());
   std::vector<int> seen(s.grid->size(), 0);
   for (const auto& sup : s.supports) {
-    EXPECT_EQ(sup.offsets.size(), sup.point_ids.size() + 1);
+    EXPECT_EQ(sup.points(), sup.point_ids.size());
     for (auto pid : sup.point_ids) seen[pid]++;
-    // Local indices stay within the block.
-    for (auto li : sup.local_index) EXPECT_LT(li, sup.basis_ids.size());
     // Global basis ids are sorted and unique.
     for (std::size_t i = 1; i < sup.basis_ids.size(); ++i)
       EXPECT_LT(sup.basis_ids[i - 1], sup.basis_ids[i]);
@@ -80,20 +90,15 @@ TEST(BatchSupports, DenseRowsHoldExactlyTheListedValues) {
     EXPECT_LT(tile.ld, nloc + 4);
     ASSERT_EQ(tile.phi.size(), tile.size() * tile.ld);
     for (std::size_t k = 0; k < tile.size(); ++k) {
-      // Row k is the point's basis evaluation: its nonzero values at their
-      // local indices, in evaluation order, and exact zeros elsewhere.
+      // Row k is the point's basis evaluation: its nonzeros, in column
+      // order, are exactly the point's nonzero values in evaluation order,
+      // and the padding stays 0.
       s.basis->evaluate(s.grid->point(tile.point_ids[k]).pos, false, ev);
-      std::vector<double> row(tile.ld, 0.0);
-      std::size_t e = tile.offsets[k];
-      for (std::size_t i = 0; i < ev.indices.size(); ++i) {
-        if (ev.values[i] == 0.0) continue;
-        ASSERT_LT(e, tile.offsets[k + 1]);
-        EXPECT_EQ(tile.basis_ids[tile.local_index[e]], ev.indices[i]);
-        row[tile.local_index[e++]] = ev.values[i];
-      }
-      EXPECT_EQ(e, tile.offsets[k + 1]);
-      for (std::size_t i = 0; i < tile.ld; ++i)
-        ASSERT_EQ(tile.phi[k * tile.ld + i], row[i]) << "point " << k << " slot " << i;
+      std::vector<std::pair<std::uint32_t, double>> want;
+      for (std::size_t i = 0; i < ev.indices.size(); ++i)
+        if (ev.values[i] != 0.0) want.emplace_back(ev.indices[i], ev.values[i]);
+      ASSERT_EQ(row_entries(tile, k), want) << "point " << k;
+      for (std::size_t i = nloc; i < tile.ld; ++i) ASSERT_EQ(tile.phi[k * tile.ld + i], 0.0);
     }
   }
 }
@@ -137,12 +142,13 @@ TEST_P(TileEngine, RankKUpdateMatchesPerPointScatterBitForBit) {
         zero_weight = true;
         continue;
       }
+      // The point's nonzero entries, read along the row in column order.
       const double* phi = tile.phi.data() + k * tile.ld;
-      for (std::uint32_t a = tile.offsets[k]; a < tile.offsets[k + 1]; ++a)
-        for (std::uint32_t b = tile.offsets[k]; b < tile.offsets[k + 1]; ++b) {
-          const std::size_t i = tile.local_index[a], j = tile.local_index[b];
-          ref[i * nloc + j] += (phi[i] * w[k]) * phi[j];
-        }
+      for (std::size_t i = 0; i < nloc; ++i) {
+        if (phi[i] == 0.0) continue;
+        for (std::size_t j = 0; j < nloc; ++j)
+          if (phi[j] != 0.0) ref[i * nloc + j] += (phi[i] * w[k]) * phi[j];
+      }
     }
     scf::accumulate_tile(tile, w.data(), blk);
     ASSERT_EQ(blk.size(), nloc * nloc);
@@ -217,6 +223,24 @@ TEST_P(TileEngine, HKernelCountsTheDenseUpdateFlops) {
   simt::SimtRuntime rt(simt::DeviceModel::gcn_gpu());
   linalg::Matrix h(s.basis->size(), s.basis->size());
   h_kernel(rt, *s.grid, s.supports, v, h);
+  EXPECT_EQ(rt.stats().flops, expected);
+}
+
+// The Sumup kernel counts the flops of the blocked density kernel: every
+// point pays its tile's dense pairs -- min(jb + 4, nloc) rows of 4
+// products per column block jb, and ld products in the final sum.
+TEST_P(TileEngine, SumupKernelCountsTheDensePairFlops) {
+  const Workbench s = bench();
+  std::size_t expected = 0;
+  for (const auto& tile : s.supports) {
+    const std::size_t nloc = tile.basis_ids.size();
+    std::size_t pairs = tile.ld;
+    for (std::size_t jb = 0; jb < tile.ld; jb += 4) pairs += 4 * std::min(jb + 4, nloc);
+    expected += 2 * pairs * tile.size();
+  }
+  simt::SimtRuntime rt(simt::DeviceModel::gcn_gpu());
+  std::vector<double> n(s.grid->size(), 0.0);
+  sumup_kernel(rt, *s.grid, s.supports, random_symmetric(s.basis->size(), 49), n);
   EXPECT_EQ(rt.stats().flops, expected);
 }
 

@@ -175,6 +175,64 @@ TEST(Checkpoint, DetectsCorruptionAndMissingFiles) {
 // ---------------------------------------------------------------------------
 // Fault plans and injection in the simmpi runtime
 
+// A job's outcome combines its attempts' counters with
+// RecoveryStats::operator+=: every field sums, except degraded_ranks, a
+// peak, which takes the larger value.
+TEST(RecoveryCounters, PlusEqualsSumsEveryFieldAndKeepsTheDegradedPeak) {
+  RecoveryStats a;
+  a.faults_detected = 1;
+  a.restores = 2;
+  a.retries = 3;
+  a.wasted_iterations = 4;
+  a.shrinks = 5;
+  a.lost_ranks = 6;
+  a.buddy_restores = 7;
+  a.remap_seconds = 8.5;
+  a.abft_corrections = 9;
+  a.invariant_violations = 10;
+  a.payload_corruptions = 11;
+  a.oom_events = 12;
+  a.relief_actions = 13;
+  a.rebalances = 14;
+  a.degraded_ranks = 15;
+  RecoveryStats b = a;
+  b.faults_detected += 100;
+  b.restores += 200;
+  b.retries += 300;
+  b.wasted_iterations += 400;
+  b.shrinks += 500;
+  b.lost_ranks += 600;
+  b.buddy_restores += 700;
+  b.remap_seconds += 800.0;
+  b.abft_corrections += 900;
+  b.invariant_violations += 1000;
+  b.payload_corruptions += 1100;
+  b.oom_events += 1200;
+  b.relief_actions += 1300;
+  b.rebalances += 1400;
+  b.degraded_ranks = 3;
+
+  RecoveryStats sum = a;
+  sum += b;
+  EXPECT_EQ(sum.faults_detected, 102u);
+  EXPECT_EQ(sum.restores, 204u);
+  EXPECT_EQ(sum.retries, 306u);
+  EXPECT_EQ(sum.wasted_iterations, 408u);
+  EXPECT_EQ(sum.shrinks, 510u);
+  EXPECT_EQ(sum.lost_ranks, 612u);
+  EXPECT_EQ(sum.buddy_restores, 714u);
+  EXPECT_EQ(sum.remap_seconds, 817.0);
+  EXPECT_EQ(sum.abft_corrections, 918u);
+  EXPECT_EQ(sum.invariant_violations, 1020u);
+  EXPECT_EQ(sum.payload_corruptions, 1122u);
+  EXPECT_EQ(sum.oom_events, 1224u);
+  EXPECT_EQ(sum.relief_actions, 1326u);
+  EXPECT_EQ(sum.rebalances, 1428u);
+  EXPECT_EQ(sum.degraded_ranks, 15u);  // max(15, 3)
+  b += a;
+  EXPECT_EQ(b.degraded_ranks, 15u);  // max(3, 15)
+}
+
 TEST(FaultInjection, RandomPlansAreSeedDeterministic) {
   const auto a = parallel::FaultPlan::random(1234, 8, 4, 10, 50);
   const auto b = parallel::FaultPlan::random(1234, 8, 4, 10, 50);

@@ -1,13 +1,14 @@
 // Tests for the Rho-phase batching stack: the raw real_ylm_all overload,
 // SplineBundle::eval_all, ipow, BasisSet::evaluate_batch + contract_density,
-// the folded contraction, cutoff screening, the projection's geometry-once
-// Becke table, HartreeSolver::potential_batch, the fixed block partition
-// of the one Rho consumer, and the tune/ resolvers. Most claims are
-// bit-for-bit: the batched kernels must reproduce the per-point call chain
-// exactly, screening at tau = 0 must change nothing, the Becke table must
-// not move a projection sample, and the SCF and CPSCF must not move with
-// the thread count. The folded contraction is the exception: it regroups
-// the pair sum, so it is held to the reference contraction within
+// the blocked density kernel, cutoff screening, the projection's
+// geometry-once Becke table, HartreeSolver::potential_batch, the fixed
+// block partition of the one Rho consumer, and the tune/ resolvers. Most
+// claims are bit-for-bit: the batched kernels must reproduce the per-point
+// call chain exactly, screening at tau = 0 must change nothing, the Becke
+// table must not move a projection sample, the blocked kernel must give a
+// point the same bits in every block, and the SCF and CPSCF must not move
+// with the thread count. The blocked kernel's sum is the exception: it
+// regroups the pair sum, so it is held to the reference contraction within
 // rounding.
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include <cstdint>
 #include <span>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "basis/basis_set.hpp"
@@ -122,25 +124,40 @@ BasisFixture water_points() {
   return f;
 }
 
+/// Row k's nonzero entries, (global id, value), in column order.
+std::vector<std::pair<std::uint32_t, double>> row_entries(const basis::DenseBlock& b,
+                                                          std::size_t k) {
+  std::vector<std::pair<std::uint32_t, double>> out;
+  for (std::size_t i = 0; i < b.basis_ids.size(); ++i)
+    if (const double v = b.phi[k * b.ld + i]; v != 0.0) out.emplace_back(b.basis_ids[i], v);
+  return out;
+}
+
 TEST(RhoBatch, EvaluateBatchMatchesPerPointEntryForEntry) {
   const BasisFixture f = water_points();
   basis::BatchEval batch;
   f.basis->evaluate_batch(f.pts.data(), f.pts.size(), {}, batch);
   ASSERT_EQ(batch.points(), f.pts.size());
+  // Dense layout: ascending columns, row stride rounded up to 4.
+  EXPECT_TRUE(std::is_sorted(batch.basis_ids.begin(), batch.basis_ids.end()));
+  EXPECT_EQ(batch.ld % 4, 0u);
+  EXPECT_GE(batch.ld, batch.basis_ids.size());
+  EXPECT_LT(batch.ld, batch.basis_ids.size() + 4);
+  ASSERT_EQ(batch.phi.size(), f.pts.size() * batch.ld);
 
+  // Each row's nonzeros, in column order, are the per-point entries.
   basis::PointEval point;
   for (std::size_t k = 0; k < f.pts.size(); ++k) {
     f.basis->evaluate(f.pts[k], false, point);
-    const std::size_t b0 = batch.offsets[k], b1 = batch.offsets[k + 1];
-    ASSERT_EQ(b1 - b0, point.indices.size()) << "point " << k;
-    for (std::size_t e = 0; e < point.indices.size(); ++e) {
-      EXPECT_EQ(batch.indices[b0 + e], point.indices[e]) << "point " << k;
-      EXPECT_EQ(batch.values[b0 + e], point.values[e]) << "point " << k;
-    }
+    std::vector<std::pair<std::uint32_t, double>> want;
+    for (std::size_t e = 0; e < point.indices.size(); ++e)
+      want.emplace_back(point.indices[e], point.values[e]);
+    EXPECT_EQ(row_entries(batch, k), want) << "point " << k;
   }
   // The two far points contribute nothing.
   const std::size_t n = f.pts.size();
-  EXPECT_EQ(batch.offsets[n], batch.offsets[n - 2]);
+  EXPECT_TRUE(row_entries(batch, n - 1).empty());
+  EXPECT_TRUE(row_entries(batch, n - 2).empty());
 }
 
 TEST(RhoBatch, ScreeningAtTauZeroIsBitExact) {
@@ -151,9 +168,10 @@ TEST(RhoBatch, ScreeningAtTauZeroIsBitExact) {
   basis::BatchEval off, on;
   f.basis->evaluate_batch(f.pts.data(), f.pts.size(), {}, off);
   f.basis->evaluate_batch(f.pts.data(), f.pts.size(), radii, on);
-  EXPECT_EQ(on.offsets, off.offsets);
-  EXPECT_EQ(on.indices, off.indices);
-  EXPECT_EQ(on.values, off.values);
+  EXPECT_EQ(on.basis_ids, off.basis_ids);
+  ASSERT_EQ(on.points(), off.points());
+  for (std::size_t k = 0; k < on.points(); ++k)
+    EXPECT_EQ(row_entries(on, k), row_entries(off, k)) << "point " << k;
 }
 
 TEST(RhoBatch, ScreeningRadiiShrinkWithTau) {
@@ -194,14 +212,23 @@ TEST(RhoBatch, ContractDensityMatchesDoubleLoop) {
   }
 }
 
-// Largest |a - b| relative to the largest |b|.
+// Largest |a - b| relative to the largest |b| (absolute when b is all 0).
 double max_rel_diff(const std::vector<double>& a, const std::vector<double>& b) {
   double diff = 0.0, scale = 0.0;
   for (std::size_t k = 0; k < b.size(); ++k) {
     diff = std::max(diff, std::fabs(a[k] - b[k]));
     scale = std::max(scale, std::fabs(b[k]));
   }
-  return diff / scale;
+  return scale > 0.0 ? diff / scale : diff;
+}
+
+/// One projection-style ring: the Lebedev directions of degree 10 (the
+/// projection's rule at l_max = 4) at radius r around atom a.
+std::vector<Vec3> ring(const grid::Structure& s, std::size_t a, double r) {
+  const grid::AngularGrid ang = grid::AngularGrid::for_degree(10);
+  std::vector<Vec3> pts;
+  for (const Vec3& d : ang.directions()) pts.push_back(s.atom(a).pos + r * d);
+  return pts;
 }
 
 TEST(RhoBatch, FoldedContractionMatchesReferenceForNonSymmetricP) {
@@ -214,31 +241,80 @@ TEST(RhoBatch, FoldedContractionMatchesReferenceForNonSymmetricP) {
   linalg::Matrix folded(nb, nb);
   basis::fold_density(p, folded);
 
+  // The blocked kernel against the bitwise reference over the same block.
+  bool odd_columns = false, odd_points = false;
+  const auto check = [&](const basis::BatchEval& ev) {
+    std::vector<double> ref(ev.points()), out(ev.points());
+    basis::contract_density(p, ev, ref.data());
+    basis::block_density(folded, ev, out.data());
+    EXPECT_LT(max_rel_diff(out, ref), 1e-13);
+    odd_columns = odd_columns || ev.basis_ids.size() % 4 != 0;
+    odd_points = odd_points || ev.points() % 4 != 0;
+  };
+
+  // Projection rings (the Rho producer's blocks), inner and outer.
   basis::BatchEval ev;
-  f.basis->evaluate_batch(f.pts.data(), f.pts.size(), {}, ev);
-  std::vector<double> ref(f.pts.size()), out(f.pts.size());
-  basis::contract_density(p, ev, ref.data());
-
-  // BatchEval form (the projection rings).
-  basis::contract_density_folded(folded, ev, out.data());
-  EXPECT_LT(max_rel_diff(out, ref), 1e-13);
-
-  // Raw CSR form on sub-ranges, the way the integrator hands its cache.
-  std::fill(out.begin(), out.end(), 0.0);
-  for (std::size_t b = 0; b < f.pts.size(); b += 37) {
-    const std::size_t e = std::min(f.pts.size(), b + 37);
-    basis::contract_density_folded(folded, ev.offsets.data() + b, e - b,
-                                   ev.indices.data(), ev.values.data(),
-                                   out.data() + b);
+  for (const double r : {0.3, 1.7, 6.0}) {
+    const std::vector<Vec3> pts = ring(f.basis->structure(), 0, r);
+    f.basis->evaluate_batch(pts.data(), pts.size(), {}, ev);
+    check(ev);
   }
-  EXPECT_LT(max_rel_diff(out, ref), 1e-13);
+  // Every grid point in blocks of 37.
+  for (std::size_t b = 0; b < f.pts.size(); b += 37) {
+    f.basis->evaluate_batch(f.pts.data() + b, std::min<std::size_t>(37, f.pts.size() - b),
+                            {}, ev);
+    check(ev);
+  }
+  // A hand-built block: 37 points, every column but the last (nloc % 4 != 0
+  // whatever nb is), column 2 zero at every point and random zeros
+  // elsewhere -- the kernel's padding and skip-free zero handling.
+  basis::BatchEval hand;
+  for (std::uint32_t mu = 0; mu + 1 < nb; ++mu) hand.basis_ids.push_back(mu);
+  if (hand.basis_ids.size() % 4 == 0) hand.basis_ids.pop_back();
+  hand.reset(37);
+  for (std::size_t k = 0; k < hand.points(); ++k)
+    for (std::size_t i = 0; i < hand.basis_ids.size(); ++i)
+      if (i != 2 && rng.uniform(0, 1) < 0.8) hand.phi[k * hand.ld + i] = rng.uniform(-1, 1);
+  check(hand);
+  EXPECT_TRUE(odd_columns) << "no block with nloc % 4 != 0";
+  EXPECT_TRUE(odd_points) << "no block with a point count % 4 != 0";
 
-  // The integrator's own cached CSR (BatchIntegrator::density).
+  // The integrator's tiles (BatchIntegrator::density).
   const scf::BatchIntegrator integ(f.basis, f.grid);
   const std::vector<double> grid_n = integ.density(p);
   ASSERT_EQ(grid_n.size(), f.grid->size());
-  ref.resize(grid_n.size());  // the grid points lead f.pts
+  f.basis->evaluate_batch(f.pts.data(), f.grid->size(), {}, ev);
+  std::vector<double> ref(f.grid->size());
+  basis::contract_density(p, ev, ref.data());
   EXPECT_LT(max_rel_diff(grid_n, ref), 1e-13);
+}
+
+// A point's blocked density depends only on the fold and its own entries:
+// the same bits in one block of the whole grid, in blocks of 37, in blocks
+// of 5, and in the integrator's tiles.
+TEST(RhoBatch, BlockedDensityIsTheSameInEveryBlock) {
+  const BasisFixture f = water_points();
+  const std::size_t nb = f.basis->size(), np = f.grid->size();
+  Rng rng(12);
+  linalg::Matrix p(nb, nb);
+  for (std::size_t i = 0; i < nb; ++i)
+    for (std::size_t j = 0; j < nb; ++j) p(i, j) = rng.uniform(-1, 1);
+  linalg::Matrix folded(nb, nb);
+  basis::fold_density(p, folded);
+
+  basis::BatchEval ev;
+  const auto blocked = [&](std::size_t block) {
+    std::vector<double> out(np);
+    for (std::size_t b = 0; b < np; b += block) {
+      f.basis->evaluate_batch(f.pts.data() + b, std::min(block, np - b), {}, ev);
+      basis::block_density(folded, ev, out.data() + b);
+    }
+    return out;
+  };
+  const std::vector<double> whole = blocked(np);
+  EXPECT_EQ(blocked(37), whole);
+  EXPECT_EQ(blocked(5), whole);
+  EXPECT_EQ(scf::BatchIntegrator(f.basis, f.grid).density(p), whole);
 }
 
 // Smooth model density shared by the projection tests.

@@ -731,6 +731,9 @@ TEST_P(SdcFinalSumup, RecoveryDriverRetriesToTheReferenceAlpha) {
   EXPECT_EQ(injector.pending(), 0u);
   EXPECT_TRUE(rec.converged);
   EXPECT_EQ(driver.last_stats().invariant_violations, 1u);
+  // The retry resumes from the converged iteration's checkpoint and
+  // finishes there: no extra Pulay step.
+  EXPECT_EQ(rec.iterations, ref.iterations);
   EXPECT_EQ(rec.dipole_response.z, ref.dipole_response.z);
 }
 

@@ -440,6 +440,36 @@ TEST(Rebalance, WeightedTargetsMoveLoadOffSlowRanks) {
   EXPECT_EQ(again.moved_batches, out.moved_batches);
 }
 
+TEST(Rebalance, ShedBatchesStayWithinOneBatchOfEachTarget) {
+  // A chain: 64 batches one unit apart along z, four contiguous blocks of
+  // 16. Rank 1's neighbours sit next to everything it sheds and rank 3
+  // far from all of it, so locality alone would pile the shed work onto
+  // ranks 0 and 2.
+  std::vector<grid::Batch> batches(64);
+  for (std::size_t i = 0; i < batches.size(); ++i) {
+    batches[i].points.resize(10);
+    batches[i].centroid = {0.0, 0.0, static_cast<double>(i)};
+    batches[i].atoms = {static_cast<std::uint32_t>(i / 16)};
+  }
+  const auto before = mapping::locality_enhancing_mapping(batches, 4);
+  const std::vector<double> weights{1.0, 1.0 / 64.0, 1.0, 1.0};
+  const auto out = mapping::rebalance_for_slow_ranks(before, batches, weights);
+
+  const double total = 640.0, weight_sum = 3.0 + 1.0 / 64.0;
+  for (std::size_t r = 0; r < 4; ++r) {
+    const double target = total * weights[r] / weight_sum;
+    EXPECT_LE(static_cast<double>(out.assignment.points_of_rank(r, batches)),
+              target + 10.0)
+        << "rank " << r;
+  }
+  // Every healthy rank absorbs shed work, the far one included.
+  for (const std::size_t r : {0u, 2u, 3u})
+    EXPECT_GT(out.assignment.points_of_rank(r, batches),
+              before.points_of_rank(r, batches))
+        << "rank " << r;
+  EXPECT_EQ(out.assignment.points_of_rank(1, batches), 10u);
+}
+
 TEST(Rebalance, EqualWeightsOnBalancedMappingMoveNothing) {
   const auto batches = uniform_batches(24, 10);
   const auto before = mapping::least_loaded_mapping(batches, 4);
