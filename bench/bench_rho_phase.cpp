@@ -22,7 +22,6 @@
 #include "common/timer.hpp"
 #include "core/structures.hpp"
 #include "exec/thread_pool.hpp"
-#include "grid/angular_grid.hpp"
 #include "scf/scf_solver.hpp"
 #include "tune/tune.hpp"
 
@@ -129,14 +128,9 @@ Rates run(bool smoke) {
         n += p(ev.indices[a], ev.indices[b]) * ev.values[a] * ev.values[b];
     return n;
   };
-  // Density evaluations per projection: atoms x radial shells x angular pts
-  // (same angular rule the solver builds internally).
-  const std::size_t n_ang =
-      grid::AngularGrid::for_degree(
-          static_cast<std::size_t>(2 * opt.poisson.l_max + 2))
-          .size();
-  out.density_evals =
-      basis.structure().size() * opt.poisson.radial_points * n_ang;
+  // Density evaluations per projection: the solver's ring points (each
+  // shell's ring follows the angular ramp).
+  out.density_evals = hartree.ring_offsets().back();
   out.project_batched = rate(static_cast<double>(out.density_evals), min_s,
                              [&] { (void)hartree.project(batch_fn); });
   out.project_per_point = rate(static_cast<double>(out.density_evals), min_s,

@@ -11,6 +11,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "parallel/cluster.hpp"
+#include "parallel/straggler.hpp"
 #include "poisson/multipole.hpp"
 #include "resilience/guards.hpp"
 #include "resilience/membudget.hpp"
@@ -24,20 +25,56 @@ namespace aeqp::core::detail {
 using linalg::Matrix;
 
 namespace {
-/// Contiguous shares of `rows` proportional to `weights`: share s is
-/// [begin[s], begin[s + 1]). An 8x-slow rank gets ~1/8 of a healthy share.
-std::vector<std::size_t> split_rows(std::size_t rows, const std::vector<double>& weights) {
+/// Contiguous shares of the projection rows whose ring points are
+/// proportional to `weights`: share s is rows [begin[s], begin[s + 1]), cut
+/// at the row boundary whose cumulative points (`offsets`, the solver's
+/// ring_offsets) lie nearest the share's target. An 8x-slow rank gets ~1/8
+/// of a healthy share's points.
+std::vector<std::size_t> split_rows(const std::vector<std::size_t>& offsets,
+                                    const std::vector<double>& weights) {
   double wsum = 0.0;
   for (const double w : weights) wsum += w;
+  const std::size_t rows = offsets.size() - 1;
+  const auto points = [&](std::size_t row) { return static_cast<double>(offsets[row]); };
   std::vector<std::size_t> begin(weights.size() + 1, rows);
   begin[0] = 0;
   double acc = 0.0;
+  std::size_t row = 0;
   for (std::size_t s = 0; s + 1 < weights.size(); ++s) {
     acc += weights[s];
-    begin[s + 1] = std::max(
-        begin[s], static_cast<std::size_t>(std::llround(static_cast<double>(rows) * acc / wsum)));
+    const double target = points(rows) * acc / wsum;
+    while (row < rows && points(row + 1) <= target) ++row;
+    if (row < rows && points(row + 1) - target < target - points(row)) ++row;
+    begin[s + 1] = row;
   }
   return begin;
+}
+
+/// Upper bound of the tile bytes over batches[owned[...]]: a batch's dense
+/// block can hold at most the functions of the atoms within r_cut of the
+/// batch's bounding ball (no orbital reaches farther), so its tile holds at
+/// most points x ld doubles of phi plus its point and column ids.
+std::size_t tile_bytes_bound(const basis::BasisSet& basis, const grid::MolecularGrid& grid,
+                             const std::vector<grid::Batch>& batches,
+                             const std::vector<std::uint32_t>& owned) {
+  const grid::Structure& structure = basis.structure();
+  std::size_t bytes = 0;
+  for (const std::uint32_t b : owned) {
+    const grid::Batch& batch = batches[b];
+    double radius = 0.0;
+    for (const std::uint32_t p : batch.points)
+      radius = std::max(radius, (grid.point(p).pos - batch.centroid).norm());
+    std::size_t nloc = 0;
+    for (std::size_t a = 0; a < structure.size(); ++a)
+      if ((structure.atom(a).pos - batch.centroid).norm() <= radius + basis.r_cut()) {
+        const auto [first, last] = basis.atom_range(a);
+        nloc += last - first;
+      }
+    const std::size_t ld = (nloc + 3) & ~std::size_t{3};
+    bytes += batch.size() * (ld * sizeof(double) + sizeof(std::uint32_t)) +
+             2 * ld * sizeof(std::uint32_t);
+  }
+  return bytes;
 }
 }  // namespace
 
@@ -87,9 +124,12 @@ RankTiles::RankTiles(const basis::BasisSet& basis, const grid::MolecularGrid& gr
     // Governor probe before the dominant per-rank allocation is committed:
     // an over-budget rank raises the structured OutOfMemoryBudget here,
     // where the recovery ladder can catch it, instead of dying in
-    // std::bad_alloc mid-build. The estimate is a floor, two words per
-    // point; the commit probe audits the measured bytes.
-    resilience::oom_probe("dfpt/point_cache", 2 * points_.size() * sizeof(std::uint32_t));
+    // std::bad_alloc mid-build. The request bounds what the gauge will
+    // hold (the point slots plus the tiles' geometric upper bound), so a
+    // cache that would not fit never gets allocated; the commit probe
+    // audits the measured bytes.
+    resilience::oom_probe("dfpt/point_cache",
+                          bytes + tile_bytes_bound(basis, grid, batches, owned));
     cache_.resize(size());
     exec::parallel_for(0, size(), [&](std::size_t t) {
       scf::build_tile(basis, grid, points_of(t), cache_[t]);
@@ -121,7 +161,7 @@ CpscfRun::CpscfRun(const CpscfGround& inputs, const ParallelDfptOptions& w, int 
       world(w),
       direction(j),
       h1_ext(inputs.ground.integrator->dipole_matrix(j)),
-      rho_row_begin(split_rows(inputs.ground.hartree->projection_row_count(),
+      rho_row_begin(split_rows(inputs.ground.hartree->ring_offsets(),
                                world_speed_weights(w))) {
   const std::size_t nb = in.ground.coefficients.rows();
   if (world.dfpt.warm_start) {
@@ -201,7 +241,10 @@ void run_cpscf_rank(parallel::Communicator& comm, CpscfRun& run,
   bool have_response = false;
 
   // Packed sum-AllReduce of the rows `add_rows` queues, counted for the
-  // run statistics.
+  // run statistics. Every rank has deposited its work since the previous
+  // collective once the flush returns, so the lead rank closes a straggler
+  // ledger window there: two windows per iteration (H and Rho), and a
+  // verdict that needs two over-windows lands within one slow iteration.
   const auto packed_sum = [&](const auto& add_rows) {
     comm::PackedAllReducer packer(comm, world.reduce_mode,
                                   tune::pack_window_bytes(world.pack_bytes),
@@ -211,6 +254,7 @@ void run_cpscf_rank(parallel::Communicator& comm, CpscfRun& run,
     if (lead) {
       run.collectives += packer.collective_count();
       run.rows += packer.rows_packed();
+      if (world.straggler_detector != nullptr) world.straggler_detector->classify();
     }
   };
 

@@ -107,8 +107,9 @@ struct CpscfRun {
   const int direction;
   linalg::Matrix h1_ext;
   /// Rank s projects the (atom, radial shell) rows [rho_row_begin[s],
-  /// rho_row_begin[s + 1]): contiguous shares proportional to the speed
-  /// weights, identical on every rank; {0, rows} on one rank.
+  /// rho_row_begin[s + 1]): contiguous shares whose ring points are
+  /// proportional to the speed weights (cut at the nearest row boundary),
+  /// identical on every rank; {0, rows} on one rank.
   const std::vector<std::size_t> rho_row_begin;
 
   DfptDirectionResult result;

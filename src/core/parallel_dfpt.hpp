@@ -71,8 +71,9 @@ struct ParallelDfptOptions {
   /// collective_timeout_ms stays the ceiling -- the smaller deadline wins.
   bool adaptive_deadlines = false;
   /// Optional straggler detector fed by the runtime with per-rank work
-  /// intervals (must outlive the call); null = no arrival-lag ledger and a
-  /// bit-identical collective schedule to the un-instrumented baseline.
+  /// intervals (must outlive the call); the lead rank closes a window after
+  /// each packed flush. null = no arrival-lag ledger and a bit-identical
+  /// collective schedule to the un-instrumented baseline.
   parallel::StragglerDetector* straggler_detector = nullptr;
   /// Measured per-rank speed weights, ORIGINAL-world indexed (size
   /// `ranks`); non-empty = re-home batches with

@@ -1,5 +1,6 @@
 #include "grid/molecular_grid.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -15,31 +16,29 @@ std::size_t angular_degree_for_shell(std::size_t i, std::size_t n,
   return outer_degree;
 }
 
+ShellRules shell_rules(std::size_t n, std::size_t outer_degree) {
+  ShellRules out;
+  std::vector<std::size_t> degrees;
+  out.rule_of_shell.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t deg = angular_degree_for_shell(i, n, outer_degree);
+    const auto it = std::find(degrees.begin(), degrees.end(), deg);
+    out.rule_of_shell[i] = static_cast<std::size_t>(it - degrees.begin());
+    if (it == degrees.end()) {
+      degrees.push_back(deg);
+      out.rules.push_back(AngularGrid::for_degree(deg));
+    }
+  }
+  return out;
+}
+
 MolecularGrid MolecularGrid::build(const Structure& structure, const GridSpec& spec) {
   AEQP_CHECK(structure.size() > 0, "MolecularGrid: empty structure");
   MolecularGrid grid;
   grid.spec_ = spec;
 
   const RadialGrid radial(spec.radial_points, spec.r_min, spec.r_max);
-
-  // Pre-build the angular rules the ramp can request.
-  std::vector<AngularGrid> rules;
-  std::vector<std::size_t> rule_of_shell(spec.radial_points);
-  {
-    std::vector<std::size_t> degrees;
-    for (std::size_t i = 0; i < spec.radial_points; ++i) {
-      const std::size_t deg =
-          angular_degree_for_shell(i, spec.radial_points, spec.angular_degree);
-      std::size_t idx = degrees.size();
-      for (std::size_t k = 0; k < degrees.size(); ++k)
-        if (degrees[k] == deg) idx = k;
-      if (idx == degrees.size()) {
-        degrees.push_back(deg);
-        rules.push_back(AngularGrid::for_degree(deg));
-      }
-      rule_of_shell[i] = idx;
-    }
-  }
+  const ShellRules ramp = shell_rules(spec.radial_points, spec.angular_degree);
 
   const BeckePartition* partition = nullptr;
   Structure trivial;
@@ -50,7 +49,7 @@ MolecularGrid MolecularGrid::build(const Structure& structure, const GridSpec& s
   for (std::size_t a = 0; a < structure.size(); ++a) {
     const Vec3 center = structure.atom(a).pos;
     for (std::size_t i = 0; i < spec.radial_points; ++i) {
-      const AngularGrid& ang = rules[rule_of_shell[i]];
+      const AngularGrid& ang = ramp.rules[ramp.rule_of_shell[i]];
       const double r = radial.r(i);
       const double wr = radial.volume_weight(i);
       for (std::size_t k = 0; k < ang.size(); ++k) {

@@ -60,4 +60,14 @@ private:
 std::size_t angular_degree_for_shell(std::size_t i, std::size_t n,
                                      std::size_t outer_degree);
 
+/// The ramp's rule table for n shells: the distinct rules it requests, in
+/// order of first use, and each shell's index into them. The integration
+/// grid and the Hartree solver's projection rings build their shells from
+/// it.
+struct ShellRules {
+  std::vector<AngularGrid> rules;
+  std::vector<std::size_t> rule_of_shell;  ///< [shell] -> index into rules
+};
+ShellRules shell_rules(std::size_t n, std::size_t outer_degree);
+
 }  // namespace aeqp::grid

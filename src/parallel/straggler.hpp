@@ -25,8 +25,8 @@
 ///
 ///   - StragglerDetector: a per-rank arrival-lag ledger. The hot path is
 ///     two relaxed accumulates per collective (the memaudit discipline);
-///     classification happens off the hot path, at
-///     iteration boundaries: a rank whose accumulated work-window total
+///     classification happens off the hot path, after each of the CPSCF's
+///     packed flushes: a rank whose accumulated work-window total
 ///     stays beyond median + k*MAD (and beyond min_relative x median) of
 ///     its peers for `degrade_after` consecutive windows is classified
 ///     degraded, with hysteresis back to healthy. The measured speed
@@ -139,8 +139,8 @@ struct StragglerRankSnapshot {
 /// Per-rank arrival-lag ledger + degraded-rank classifier. Ranks are
 /// addressed by ORIGINAL world id (stable across Cluster::shrink
 /// renumberings, like fault plans). record_work is the hot path; classify
-/// runs at iteration boundaries (observer) and on the recovery driver's
-/// timeout catch path.
+/// runs after each packed flush of the CPSCF (the lead rank, H and Rho)
+/// and on the recovery driver's timeout catch path.
 class StragglerDetector {
 public:
   struct Options {
@@ -170,9 +170,9 @@ public:
   /// reset the per-rank work accumulators, compute the cross-rank median
   /// and MAD, advance the hysteresis counters. A window whose median is
   /// under min_window_ms stays open (its work carries into the next call).
-  /// Returns true when any rank's classification changed. Call once per
-  /// CPSCF iteration (rank-0 observer) or after a collective timeout; NOT
-  /// from the hot path.
+  /// Returns true when any rank's classification changed. Called by the
+  /// CPSCF's lead rank after each packed flush (core/cpscf.cpp) and after a
+  /// collective timeout; NOT from the hot path.
   bool classify();
 
   /// Original ids of currently degraded ranks, ascending.

@@ -9,7 +9,7 @@
 #include "common/error.hpp"
 #include "common/ipow.hpp"
 #include "exec/thread_pool.hpp"
-#include "grid/angular_grid.hpp"
+#include "grid/molecular_grid.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "poisson/adams_moulton.hpp"
@@ -47,17 +47,25 @@ HartreeSolver::HartreeSolver(const grid::Structure& structure,
       partition_(structure) {
   AEQP_CHECK(spec.l_max >= 0 && spec.l_max <= 9,
              "HartreeSolver: l_max must be in [0, 9]");
-  // Projection must integrate Y_lm * Y_l'm' exactly through l = l_max.
-  const grid::AngularGrid ang =
-      grid::AngularGrid::for_degree(static_cast<std::size_t>(2 * spec.l_max + 2));
-  ang_dirs_ = ang.directions();
-  ang_weights_ = ang.weights();
-  ang_ylm_.resize(ang_dirs_.size());
-  std::vector<double> ylm;
-  for (std::size_t k = 0; k < ang_dirs_.size(); ++k) {
-    basis::real_ylm_all(spec.l_max, ang_dirs_[k], ylm);
-    ang_ylm_[k] = ylm;
+  // The integration grid's ramp at the exactness the full expansion needs
+  // (Y_lm * Y_l'm' through l = l_max). A rule of degree d integrates the
+  // products through l = d / 2 exactly, so its rings project only those
+  // channels: a higher channel on a small rule would be aliasing, not signal.
+  grid::ShellRules ramp =
+      grid::shell_rules(mesh_.size(), static_cast<std::size_t>(2 * spec.l_max + 2));
+  rule_of_shell_ = std::move(ramp.rule_of_shell);
+  for (grid::AngularGrid& ang : ramp.rules) {
+    const int l_cap = std::min(spec.l_max, static_cast<int>(ang.degree() / 2));
+    const std::size_t nlm = lm_count(l_cap);
+    std::vector<double> ylm(ang.size() * nlm);
+    for (std::size_t k = 0; k < ang.size(); ++k)
+      basis::real_ylm_all(l_cap, ang.direction(k), ylm.data() + k * nlm);
+    rules_.push_back({std::move(ang), nlm, std::move(ylm)});
   }
+  ring_offsets_.assign(1, 0);
+  for (std::size_t a = 0; a < structure_.size(); ++a)
+    for (std::size_t i = 0; i < mesh_.size(); ++i)
+      ring_offsets_.push_back(ring_offsets_.back() + rules_[rule_of_shell_[i]].ang.size());
 }
 
 MultipoleDensity HartreeSolver::project(const DensityFn& density) const {
@@ -98,7 +106,7 @@ MultipoleDensity HartreeSolver::project_rows(const BatchDensityFn& density,
   // it writes, and the angular loop order inside one shell is unchanged, so
   // the projection is bit-identical for every thread count. One task hands
   // its whole angular ring to the density callback at once -- the ring is a
-  // geometry-defined block (atom center, shell radius, fixed angular rule),
+  // geometry-defined block (atom center, shell radius, the shell's rule),
   // so batch-level screening decisions inside the callback are identical on
   // every thread and rank. The callback must be thread-safe (pure
   // evaluation; every caller in the codebase captures only const state).
@@ -109,22 +117,23 @@ MultipoleDensity HartreeSolver::project_rows(const BatchDensityFn& density,
   exec::parallel_for(row_begin, row_end, [&](std::size_t task) {
     const std::size_t a = task / nr;
     const std::size_t i = task % nr;
+    const RingRule& rule = rules_[rule_of_shell_[i]];
     const Vec3 center = structure_.atom(a).pos;
     const double r = mesh_.r(i);
     auto& per_lm = rho.samples[a];
     thread_local std::vector<Vec3> ring;
     thread_local std::vector<double> dens;
-    const std::size_t nk = ang_dirs_.size();
-    const double* becke = ring_weights_.data() + task * nk;
+    const std::size_t nk = rule.ang.size();
+    const double* becke = ring_weights_.data() + ring_offsets_[task];
     ring.resize(nk);
     dens.resize(nk);
-    for (std::size_t k = 0; k < nk; ++k) ring[k] = center + r * ang_dirs_[k];
+    for (std::size_t k = 0; k < nk; ++k) ring[k] = center + r * rule.ang.direction(k);
     density(ring.data(), nk, dens.data());
     for (std::size_t k = 0; k < nk; ++k) {
-      const double val = dens[k] * becke[k] * ang_weights_[k];
+      const double val = dens[k] * becke[k] * rule.ang.weight(k);
       if (val == 0.0) continue;
-      const std::vector<double>& ylm = ang_ylm_[k];
-      for (std::size_t lm = 0; lm < nlm; ++lm) per_lm[lm][i] += val * ylm[lm];
+      const double* ylm = rule.ylm.data() + k * rule.nlm;
+      for (std::size_t lm = 0; lm < rule.nlm; ++lm) per_lm[lm][i] += val * ylm[lm];
     }
   });
   return rho;
@@ -133,16 +142,17 @@ MultipoleDensity HartreeSolver::project_rows(const BatchDensityFn& density,
 void HartreeSolver::build_ring_weights() const {
   AEQP_TRACE_SCOPE("poisson/ring_weights");
   const std::size_t nr = mesh_.size();
-  const std::size_t nk = ang_dirs_.size();
-  ring_weights_.resize(projection_row_count() * nk);
+  ring_weights_.resize(ring_offsets_.back());
   exec::parallel_for(0, projection_row_count(), [&](std::size_t task) {
     const std::size_t a = task / nr;
+    const std::size_t i = task % nr;
+    const grid::AngularGrid& ang = rules_[rule_of_shell_[i]].ang;
     const Vec3 center = structure_.atom(a).pos;
-    const double r = mesh_.r(task % nr);
-    double* w = ring_weights_.data() + task * nk;
+    const double r = mesh_.r(i);
+    double* w = ring_weights_.data() + ring_offsets_[task];
     // The same ring-point expression as project_rows.
-    for (std::size_t k = 0; k < nk; ++k)
-      w[k] = partition_.weight(a, center + r * ang_dirs_[k]);
+    for (std::size_t k = 0; k < ang.size(); ++k)
+      w[k] = partition_.weight(a, center + r * ang.direction(k));
   });
   ring_weights_mem_.add(
       static_cast<std::int64_t>(ring_weights_.capacity() * sizeof(double)));

@@ -9,6 +9,11 @@
 ///   1. project():  partition the density with Becke weights and project
 ///      each atom's share onto Y_lm per radial shell -> rho_multipole,
 ///      splined as rho_multipole_spl (the producer kernel's first output).
+///      Each shell's ring uses the angular rule the integration grid's ramp
+///      gives it (grid::shell_rules at degree 2 l_max + 2): small rules near
+///      the nucleus, the full rule outside. A ring projects only the
+///      channels its rule integrates exactly, l <= min(l_max, degree / 2);
+///      every channel above that cap stays exactly 0 on that shell.
 ///   2. solve():    integrate the radial Poisson equation per (atom, l, m)
 ///      with the Adams-Moulton integrator -> delta_v_hart_part_spl
 ///      (the producer kernel's second output).
@@ -22,6 +27,7 @@
 
 #include "basis/spline.hpp"
 #include "common/vec3.hpp"
+#include "grid/angular_grid.hpp"
 #include "grid/partition.hpp"
 #include "grid/radial_grid.hpp"
 #include "grid/structure.hpp"
@@ -105,6 +111,15 @@ public:
   /// shell) task list -- the unit of distribution for project_rows.
   [[nodiscard]] std::size_t projection_row_count() const;
 
+  /// Ring points before each projection row (projection_row_count() + 1
+  /// entries): row r evaluates ring_offsets()[r + 1] - ring_offsets()[r]
+  /// density points, and one projection evaluates ring_offsets().back().
+  /// Rows near a nucleus hold fewer points than the outer rows, so a share
+  /// of rows is priced by its points, not by its length.
+  [[nodiscard]] const std::vector<std::size_t>& ring_offsets() const {
+    return ring_offsets_;
+  }
+
   /// Step 1, partial: project only rows [row_begin, row_end) of the task
   /// list; every other row's samples stay exactly 0.0 and no splines are
   /// fitted. Each owned row runs the same arithmetic in the same order as
@@ -161,18 +176,25 @@ public:
   [[nodiscard]] double total_charge(const MultipoleDensity& rho) const;
 
 private:
+  /// One angular rule of the ramp and the Y_lm of the channels it
+  /// projects, l <= min(l_max, degree / 2).
+  struct RingRule {
+    grid::AngularGrid ang;
+    std::size_t nlm = 0;      ///< channels projected on this rule
+    std::vector<double> ylm;  ///< [k * nlm + lm]
+  };
+
   grid::Structure structure_;
   PoissonSpec spec_;
   grid::RadialGrid mesh_;
   grid::BeckePartition partition_;
-  // Angular rule used for the multipole projection (exact through 2*l_max).
-  std::vector<Vec3> ang_dirs_;
-  std::vector<double> ang_weights_;
-  std::vector<std::vector<double>> ang_ylm_;  // [k][lm]
+  std::vector<RingRule> rules_;
+  std::vector<std::size_t> rule_of_shell_;  ///< [shell] -> index into rules_
+  std::vector<std::size_t> ring_offsets_;
 
-  /// Becke weight of every projection point, [row * n_ang + k] with row =
-  /// atom * n_shells + shell. Geometry only, so it is built once, on the
-  /// first projection (never in the constructor: solvers that never
+  /// Becke weight of every projection point, [ring_offsets_[row] + k] with
+  /// row = atom * n_shells + shell. Geometry only, so it is built once, on
+  /// the first projection (never in the constructor: solvers that never
   /// project pay nothing), and read by every projection after it.
   void build_ring_weights() const;
   mutable std::once_flag ring_weights_once_;

@@ -294,27 +294,25 @@ core::ParallelDfptResult solve_recovered(CheckpointStore& store,
         ctx.checkpoint_iteration = s.iteration;
       };
       if (s.iteration % ropt.checkpoint_every == 0) save_checkpoint();
-      // Straggler rung trigger: close the work window and reclassify.
+      // Straggler rung trigger: read the verdict of the windows the lead
+      // rank closed at this iteration's packed flushes (core/cpscf.cpp).
       // Only a NEW degraded rank aborts; a set the rung has already
       // rebalanced around (or a subset -- someone recovered) keeps
       // converging under the current weights.
-      if (straggler != nullptr) {
-        straggler->classify();
-        if (straggler->any_degraded()) {
-          const auto degraded = straggler->degraded_ranks();
-          if (!degraded_subset_of(degraded, last_degraded)) {
-            // The verdict iteration is health-validated: checkpoint it
-            // even off the periodic cadence, so the rebalance re-entry
-            // warm-starts at this very iteration -- a rebalance wastes
-            // zero iterations whatever checkpoint_every is.
-            if (ctx.checkpoint_iteration != s.iteration) save_checkpoint();
-            ctx.straggler = true;
-            ctx.reason = "rank(s) " + rank_list(degraded) +
-                         " classified degraded at iteration " +
-                         std::to_string(s.iteration) +
-                         "; rebalancing before any shrink";
-            return core::CpscfAction::Abort;
-          }
+      if (straggler != nullptr && straggler->any_degraded()) {
+        const auto degraded = straggler->degraded_ranks();
+        if (!degraded_subset_of(degraded, last_degraded)) {
+          // The verdict iteration is health-validated: checkpoint it
+          // even off the periodic cadence, so the rebalance re-entry
+          // warm-starts at this very iteration -- a rebalance wastes
+          // zero iterations whatever checkpoint_every is.
+          if (ctx.checkpoint_iteration != s.iteration) save_checkpoint();
+          ctx.straggler = true;
+          ctx.reason = "rank(s) " + rank_list(degraded) +
+                       " classified degraded at iteration " +
+                       std::to_string(s.iteration) +
+                       "; rebalancing before any shrink";
+          return core::CpscfAction::Abort;
         }
       }
       return core::CpscfAction::Continue;

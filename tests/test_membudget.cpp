@@ -572,6 +572,50 @@ TEST_F(MembudgetTest, SerialFrontEndRelievesTheRankTileCache) {
   EXPECT_EQ(rec.p1.max_abs_diff(ref.p1), 0.0);
 }
 
+// The tile-cache probe asks for a geometric upper bound of the rank's
+// tiles, so a cache that cannot fit is refused at "dfpt/point_cache",
+// before a tile is built -- not by a later probe once the memory is in use.
+// The budget lies between two requests: above the usage at the probe plus
+// two 4-byte words per point, below that usage plus the measured tiles.
+TEST_F(MembudgetTest, TileCacheProbeRefusesACacheThatCannotFit) {
+  const auto& ground = ground_h2();
+  core::ParallelDfptOptions popt;
+  popt.dfpt.tolerance = 1e-8;
+  popt.ranks = 1;
+  popt.ranks_per_node = 1;
+
+  // Armed but roomy: the usage and the request at the probe, and the
+  // tiles' measured bytes.
+  struct ProbeLog : OomHook {
+    std::int64_t in_use = -1;
+    std::size_t request = 0;
+    bool should_fail(const char* site, std::size_t request_bytes) override {
+      if (std::string(site) == "dfpt/point_cache") {
+        in_use = mem_in_use();
+        request = request_bytes;
+      }
+      return false;
+    }
+  } log;
+  install_oom_hook(&log);
+  set_mem_budget(std::int64_t{1} << 40);
+  ASSERT_TRUE(core::solve_direction_parallel(ground, popt, 2).direction.converged);
+  install_oom_hook(nullptr);
+  const std::int64_t tiles = obs::mem_gauge("dfpt/point_cache").peak();
+  const auto floor = static_cast<std::int64_t>(2 * sizeof(std::uint32_t) * ground.grid->size());
+  ASSERT_GE(log.in_use, 0);
+  EXPECT_GE(static_cast<std::int64_t>(log.request), tiles);
+  ASSERT_LT(4 * floor, tiles);
+
+  set_mem_budget(log.in_use + (floor + tiles) / 2);
+  try {
+    (void)core::solve_direction_parallel(ground, popt, 2);
+    FAIL() << "an over-budget tile cache was admitted";
+  } catch (const OutOfMemoryBudget& e) {
+    EXPECT_EQ(e.site(), "dfpt/point_cache");
+  }
+}
+
 TEST_F(MembudgetTest, WithoutReliefTheBudgetExhaustsStructurally) {
   const auto& ground = ground_h2();
   core::DfptOptions dopt;

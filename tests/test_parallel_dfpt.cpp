@@ -5,14 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
+#include "core/cpscf.hpp"
 #include "core/dfpt.hpp"
 #include "core/parallel_dfpt.hpp"
 #include "core/structures.hpp"
@@ -132,6 +135,39 @@ TEST(ParallelDfpt, RankedWorldProjectsEachRowOnce) {
   ASSERT_EQ(four.second, one.second);
   EXPECT_GT(one.first, 0u);
   EXPECT_EQ(four.first, one.first);
+}
+
+// A projection row costs its shell's ring points (6 to 66 on the angular
+// ramp), so the Rho rows are cut by points: every share holds its
+// speed-weighted fraction of the projection's points to within half of the
+// widest ring, healthy or with one rank 8x slow.
+TEST(ParallelDfpt, RhoRowSharesCarryWeightedRingPoints) {
+  const auto& ground = ground_h2();
+  const core::detail::CpscfGround in(ground, basis::kScreeningThreshold);
+  const std::vector<std::size_t>& offsets = ground.hartree->ring_offsets();
+  std::size_t widest = 0;
+  for (std::size_t r = 0; r + 1 < offsets.size(); ++r)
+    widest = std::max(widest, offsets[r + 1] - offsets[r]);
+  ASSERT_GT(widest, offsets[1] - offsets[0]);  // the rings do follow the ramp
+  for (const std::vector<double>& weights :
+       {std::vector<double>{1, 1, 1, 1}, std::vector<double>{1, 0.125, 1, 1}}) {
+    ParallelDfptOptions world;
+    world.ranks = 4;
+    world.rank_speed_weights = weights;
+    const core::detail::CpscfRun run(in, world, 2);
+    ASSERT_EQ(run.rho_row_begin.size(), 5u);
+    EXPECT_EQ(run.rho_row_begin.front(), 0u);
+    EXPECT_EQ(run.rho_row_begin.back(), offsets.size() - 1);
+    const double wsum = std::accumulate(weights.begin(), weights.end(), 0.0);
+    double acc = 0.0;
+    for (std::size_t s = 0; s < 4; ++s) {
+      acc += weights[s];
+      const double end = static_cast<double>(offsets.back()) * acc / wsum;
+      EXPECT_LE(std::fabs(static_cast<double>(offsets[run.rho_row_begin[s + 1]]) - end),
+                0.5 * static_cast<double>(widest))
+          << "share " << s;
+    }
+  }
 }
 
 TEST(ParallelDfpt, StatsReportLoadAndCommunication) {

@@ -1,7 +1,7 @@
 // Tests for the Rho-phase batching stack: the raw real_ylm_all overload,
 // SplineBundle::eval_all, ipow, BasisSet::evaluate_batch + contract_density,
 // the blocked density kernel, cutoff screening, the projection's
-// geometry-once Becke table, HartreeSolver::potential_batch, the fixed
+// geometry-once Becke table and per-shell rings, HartreeSolver::potential_batch, the fixed
 // block partition of the one Rho consumer, and the tune/ resolvers. Most
 // claims are bit-for-bit: the batched kernels must reproduce the per-point
 // call chain exactly, screening at tau = 0 must change nothing, the Becke
@@ -325,6 +325,44 @@ double model_density(const grid::Structure& s, const Vec3& p) {
   return n;
 }
 
+/// The projection from public pieces, with the partition evaluated point by
+/// point. `ramp`: each shell's ring on the integration grid's rule for it
+/// (grid::shell_rules at degree 2 l_max + 2), projected through l <=
+/// min(l_max, degree / 2), the solver's specification. Otherwise: the full
+/// rule and every channel on every shell.
+poisson::MultipoleDensity hand_projection(const grid::Structure& s,
+                                          const poisson::HartreeSolver& hartree,
+                                          bool ramp) {
+  const int l_max = hartree.spec().l_max;
+  const std::size_t nr = hartree.mesh().size();
+  const std::size_t outer = static_cast<std::size_t>(2 * l_max + 2);
+  const grid::ShellRules rules = grid::shell_rules(nr, outer);
+  const grid::AngularGrid full = grid::AngularGrid::for_degree(outer);
+  const grid::BeckePartition partition(s);
+  const std::size_t nlm = basis::lm_count(l_max);
+  poisson::MultipoleDensity rho;
+  rho.samples.assign(s.size(), std::vector<std::vector<double>>(
+                                   nlm, std::vector<double>(nr, 0.0)));
+  std::vector<double> ylm;
+  for (std::size_t a = 0; a < s.size(); ++a)
+    for (std::size_t i = 0; i < nr; ++i) {
+      const grid::AngularGrid& ang = ramp ? rules.rules[rules.rule_of_shell[i]] : full;
+      const int l_cap = ramp ? std::min(l_max, static_cast<int>(ang.degree() / 2)) : l_max;
+      const double r = hartree.mesh().r(i);
+      for (std::size_t k = 0; k < ang.size(); ++k) {
+        const Vec3 pt = s.atom(a).pos + r * ang.direction(k);
+        const double val = model_density(s, pt) * partition.weight(a, pt) * ang.weight(k);
+        if (val == 0.0) continue;
+        basis::real_ylm_all(l_cap, ang.direction(k), ylm);
+        for (std::size_t lm = 0; lm < ylm.size(); ++lm) rho.samples[a][lm][i] += val * ylm[lm];
+      }
+    }
+  return rho;
+}
+
+// The solver's Becke table, per-row ring offsets and per-rule Y_lm tables
+// must not move a sample of the specified projection, the zeros above each
+// shell's cap included.
 TEST(RhoBatch, ProjectionMatchesIndependentBeckeLoop) {
   const grid::Structure s = core::water();
   poisson::PoissonSpec spec;
@@ -333,30 +371,74 @@ TEST(RhoBatch, ProjectionMatchesIndependentBeckeLoop) {
   const poisson::HartreeSolver hartree(s, spec);
   const poisson::MultipoleDensity rho = hartree.project(
       poisson::DensityFn([&s](const Vec3& p) { return model_density(s, p); }));
-
-  // The same projection from public pieces, with the partition evaluated
-  // point by point: the solver's Becke table must not move a sample.
-  const grid::BeckePartition partition(s);
-  const grid::AngularGrid ang = grid::AngularGrid::for_degree(
-      static_cast<std::size_t>(2 * spec.l_max + 2));
-  const std::size_t nlm = basis::lm_count(spec.l_max);
-  std::vector<double> ylm, ref(nlm);
+  const poisson::MultipoleDensity ref = hand_projection(s, hartree, /*ramp=*/true);
   for (std::size_t a = 0; a < s.size(); ++a)
-    for (std::size_t i = 0; i < hartree.mesh().size(); ++i) {
-      std::fill(ref.begin(), ref.end(), 0.0);
-      const double r = hartree.mesh().r(i);
-      for (std::size_t k = 0; k < ang.directions().size(); ++k) {
-        const Vec3 pt = s.atom(a).pos + r * ang.directions()[k];
-        const double val = model_density(s, pt) * partition.weight(a, pt) *
-                           ang.weights()[k];
-        if (val == 0.0) continue;
-        basis::real_ylm_all(spec.l_max, ang.directions()[k], ylm);
-        for (std::size_t lm = 0; lm < nlm; ++lm) ref[lm] += val * ylm[lm];
-      }
-      for (std::size_t lm = 0; lm < nlm; ++lm)
-        ASSERT_EQ(rho.samples[a][lm][i], ref[lm])
+    for (std::size_t lm = 0; lm < ref.samples[a].size(); ++lm)
+      for (std::size_t i = 0; i < hartree.mesh().size(); ++i)
+        ASSERT_EQ(rho.samples[a][lm][i], ref.samples[a][lm][i])
             << "atom " << a << " shell " << i << " lm " << lm;
+}
+
+// At the example_aeqp_run settings (80 shells, l_max 4) the ramp gives four
+// bands of rings, 2,608 points per atom instead of 80 x 66, and no shell
+// carries a channel its rule cannot integrate.
+TEST(RhoBatch, RingsFollowTheRampAndChannelsAboveTheCapAreZero) {
+  const grid::Structure s = core::water();
+  poisson::PoissonSpec spec;
+  spec.l_max = 4;
+  spec.radial_points = 80;
+  const poisson::HartreeSolver hartree(s, spec);
+  const std::vector<std::size_t>& offsets = hartree.ring_offsets();
+  ASSERT_EQ(offsets.size(), s.size() * 80 + 1);
+  EXPECT_EQ(offsets.back(), s.size() * 2608);
+  // (first shell of the band, ring points, highest channel)
+  const std::array<std::array<std::size_t, 3>, 4> bands = {
+      {{0, 6, 1}, {20, 14, 2}, {36, 26, 3}, {52, 66, 4}}};
+  const poisson::MultipoleDensity rho = hartree.project(
+      poisson::DensityFn([&s](const Vec3& p) { return model_density(s, p); }));
+  for (std::size_t a = 0; a < s.size(); ++a)
+    for (std::size_t i = 0; i < 80; ++i) {
+      std::size_t band = 0;
+      while (band + 1 < bands.size() && i >= bands[band + 1][0]) ++band;
+      const std::size_t row = a * 80 + i;
+      EXPECT_EQ(offsets[row + 1] - offsets[row], bands[band][1]) << "shell " << i;
+      const std::size_t kept = basis::lm_count(static_cast<int>(bands[band][2]));
+      for (std::size_t lm = kept; lm < rho.samples[a].size(); ++lm)
+        ASSERT_EQ(rho.samples[a][lm][i], 0.0) << "atom " << a << " shell " << i << " lm " << lm;
+      EXPECT_NE(rho.samples[a][0][i], 0.0) << "atom " << a << " shell " << i;
     }
+}
+
+// The cap keeps the ramp physical: the Hartree energy of the water model
+// density through the ramped rings stays within 1e-8 relative of a
+// projection with the full rule and every channel on every shell.
+TEST(RhoBatch, RampedHartreeEnergyMatchesOneRuleProjection) {
+  const grid::Structure s = core::water();
+  poisson::PoissonSpec spec;
+  spec.l_max = 4;
+  spec.radial_points = 80;
+  const poisson::HartreeSolver hartree(s, spec);
+  poisson::MultipoleDensity one_rule = hand_projection(s, hartree, /*ramp=*/false);
+  hartree.finalize_splines(one_rule);
+  const poisson::PartitionedPotential v_ramp = hartree.solve(hartree.project(
+      poisson::DensityFn([&s](const Vec3& p) { return model_density(s, p); })));
+  const poisson::PartitionedPotential v_one = hartree.solve(one_rule);
+
+  const grid::MolecularGrid grid = grid::MolecularGrid::build(s, grid::GridSpec{});
+  std::vector<Vec3> pts(grid.size());
+  for (std::size_t p = 0; p < grid.size(); ++p) pts[p] = grid.point(p).pos;
+  const auto energy = [&](const poisson::PartitionedPotential& v) {
+    std::vector<double> vp(grid.size());
+    hartree.potential_points(v, pts, vp);
+    double e = 0.0;
+    for (std::size_t p = 0; p < grid.size(); ++p)
+      e += 0.5 * grid.point(p).weight * model_density(s, pts[p]) * vp[p];
+    return e;
+  };
+  const double e_ramp = energy(v_ramp), e_one = energy(v_one);
+  EXPECT_GT(e_one, 1.0);
+  EXPECT_LT(std::fabs(e_ramp - e_one), 1e-8 * e_one)
+      << "ramp " << e_ramp << " one rule " << e_one;
 }
 
 TEST(RhoBatch, ConcurrentFirstProjectionsAgree) {
