@@ -94,12 +94,11 @@ void governor_run() {
   obs::mem_track("bench/gauge_c", -(3 << 20));
 
   // --- Admission estimator --------------------------------------------
-  const MemModel model = MemModel::default_model();
   std::int64_t sink = 0;
   const auto e0 = Clock::now();
   constexpr std::size_t kEstimates = 1'000'000;
   for (std::size_t i = 0; i < kEstimates; ++i) {
-    sink += estimate_job_memory(2 + i % 62, 1 + i % 8, model);
+    sink += estimate_job_memory(2 + i % 62, 1 + i % 8);
     benchmark::DoNotOptimize(sink);
   }
   const double estimate_ns =

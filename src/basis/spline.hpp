@@ -32,9 +32,6 @@ public:
   /// Second derivative of the interpolant.
   [[nodiscard]] double second_derivative(double x) const;
 
-  /// Number of spline segments (knots - 1).
-  [[nodiscard]] std::size_t segments() const { return x_.empty() ? 0 : x_.size() - 1; }
-
   /// Bytes of coefficient storage; used by the Fig. 12(a) data-volume model.
   [[nodiscard]] std::size_t bytes() const {
     return (x_.size() + y_.size() + y2_.size()) * sizeof(double);

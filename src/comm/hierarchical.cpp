@@ -6,6 +6,13 @@ namespace aeqp::comm {
 
 void hierarchical_allreduce_sum(parallel::Communicator& comm,
                                 std::span<double> data) {
+  // One rank has no node copy to share and no peer to reduce with: the
+  // flat AllReduce is the whole algorithm (0 + x either way, one
+  // collective instead of six).
+  if (comm.size() == 1) {
+    comm.allreduce_sum(data);
+    return;
+  }
   const std::size_t m = comm.node_size();
   std::span<double> window = comm.node_window(data.size());
 

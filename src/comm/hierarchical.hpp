@@ -16,7 +16,8 @@
 namespace aeqp::comm {
 
 /// In-place hierarchical sum-AllReduce over all ranks of the cluster.
-/// Collective: every rank must call with the same element count.
+/// Collective: every rank must call with the same element count. A one-rank
+/// world reduces flat: the same bits in one collective.
 void hierarchical_allreduce_sum(parallel::Communicator& comm,
                                 std::span<double> data);
 

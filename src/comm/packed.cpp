@@ -5,7 +5,6 @@
 
 #include "comm/hierarchical.hpp"
 #include "common/error.hpp"
-#include "common/timer.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -39,7 +38,8 @@ void PackedAllReducer::add(std::span<double> row) {
       !pending_.empty())
     flush();
   // Governor probe before the staging buffer grows: the relief ladder
-  // shrinks pack_window_bytes precisely so this request gets smaller.
+  // shrinks ParallelDfptOptions::pack_bytes precisely so this request
+  // gets smaller.
   const std::size_t need = (buffer_.size() + row.size()) * sizeof(double);
   if (need > buffer_.capacity() * sizeof(double))
     resilience::oom_probe("comm/packed_buffer",
@@ -55,7 +55,6 @@ void PackedAllReducer::add(std::span<double> row) {
 void PackedAllReducer::flush() {
   if (pending_.empty()) return;
   AEQP_TRACE_SCOPE("comm/packed_flush");
-  const Timer flush_timer;
   if (obs::enabled()) {
     static obs::Counter& bytes = obs::counter("comm/packed_bytes");
     static obs::Counter& collectives = obs::counter("comm/packed_collectives");
@@ -119,7 +118,6 @@ void PackedAllReducer::flush() {
   AEQP_ASSERT(offset == buffer_.size());
   buffer_.clear();
   pending_.clear();
-  flush_seconds_ += flush_timer.seconds();
 }
 
 }  // namespace aeqp::comm

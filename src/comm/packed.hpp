@@ -15,6 +15,7 @@
 
 #include "obs/memaudit.hpp"
 #include "parallel/cluster.hpp"
+#include "tune/tune.hpp"
 
 namespace aeqp::comm {
 
@@ -23,9 +24,6 @@ enum class ReduceMode {
   Flat,          ///< one AllReduce over all ranks
   Hierarchical,  ///< node-local SHM update + leader AllReduce (Sec. 3.2.2)
 };
-
-/// Default packing budget from the paper: 30 MB.
-inline constexpr std::size_t kDefaultPackBytes = 30u * 1024u * 1024u;
 
 /// Accumulates rows destined for sum-AllReduce and flushes them as a single
 /// packed collective. Row memory is scattered back in place on flush.
@@ -41,7 +39,7 @@ public:
   /// corruption end-to-end; pair with Cluster::set_verify_payloads for
   /// bit-exact CRC coverage of each rank's contribution.
   PackedAllReducer(parallel::Communicator& comm, ReduceMode mode,
-                   std::size_t max_bytes = kDefaultPackBytes,
+                   std::size_t max_bytes = tune::kPackWindowBytes,
                    bool verify = false);
 
   /// Callers MUST flush() before destruction: a collective from a
@@ -73,22 +71,11 @@ public:
   /// Rows accepted so far.
   [[nodiscard]] std::size_t rows_packed() const { return rows_total_; }
 
-  /// Bytes currently staged.
-  [[nodiscard]] std::size_t queued_bytes() const {
-    return buffer_.size() * sizeof(double);
-  }
-
   /// Payload bytes this rank's reducer has pushed through flushed
   /// collectives so far (excluding the verify checksum element). With P
   /// ranks, the comm-matrix row of this rank carries exactly
   /// bytes_reduced() * (P - 1) bytes for the underlying collective.
   [[nodiscard]] std::uint64_t bytes_reduced() const { return bytes_reduced_; }
-
-  /// Wall time this rank has spent inside flush() so far -- the comm/wait
-  /// share of the packed H-phase synthesis. On a straggler's PEERS this is
-  /// dominated by barrier wait for the slow rank, which makes it the
-  /// natural span to cross-check the arrival-lag ledger against.
-  [[nodiscard]] double flush_seconds() const { return flush_seconds_; }
 
 private:
   /// Re-sync the "comm/packed_buffer" gauge with the staging buffer's
@@ -105,7 +92,6 @@ private:
   std::size_t flushes_ = 0;
   std::size_t rows_total_ = 0;
   std::uint64_t bytes_reduced_ = 0;
-  double flush_seconds_ = 0.0;
   obs::MemScope buf_mem_{"comm/packed_buffer"};
 };
 

@@ -2,7 +2,18 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <new>
 #include <sstream>
+
+namespace aeqp {
+
+std::string error_kind(const std::exception& e) {
+  if (const auto* error = dynamic_cast<const Error*>(&e)) return error->kind();
+  if (dynamic_cast<const std::bad_alloc*>(&e) != nullptr) return "BadAlloc";
+  return "std::exception";
+}
+
+}  // namespace aeqp
 
 namespace aeqp::detail {
 

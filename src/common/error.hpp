@@ -17,7 +17,15 @@ namespace aeqp {
 class Error : public std::runtime_error {
 public:
   explicit Error(const std::string& what) : std::runtime_error(what) {}
+  /// Taxonomy name of the failure: "Error" here, the class name in every
+  /// structured error below. Flight dumps, job outcomes and the recovery
+  /// driver all name a failure by it.
+  [[nodiscard]] virtual std::string kind() const { return "Error"; }
 };
+
+/// Taxonomy name of any exception: an aeqp::Error's kind(), "BadAlloc" for
+/// a std::bad_alloc, "std::exception" for any other standard exception.
+[[nodiscard]] std::string error_kind(const std::exception& e);
 
 /// A physics or numerical invariant failed its check: the all-electron
 /// formulation guarantees exact conserved quantities (electron count,
@@ -45,6 +53,7 @@ public:
   [[nodiscard]] const std::string& site() const noexcept { return site_; }
   [[nodiscard]] double measured() const noexcept { return measured_; }
   [[nodiscard]] double expected() const noexcept { return expected_; }
+  [[nodiscard]] std::string kind() const override { return "InvariantViolation"; }
 
 private:
   std::string invariant_;
@@ -68,6 +77,7 @@ public:
 
   [[nodiscard]] std::size_t depth() const noexcept { return depth_; }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
+  [[nodiscard]] std::string kind() const override { return "QueueFull"; }
 
 private:
   std::size_t depth_;
@@ -91,7 +101,7 @@ public:
 
   [[nodiscard]] const std::string& reason() const noexcept { return reason_; }
   /// Taxonomy kind: "JobRejected" or "MemoryBudgetExceeded".
-  [[nodiscard]] const std::string& kind() const noexcept { return kind_; }
+  [[nodiscard]] std::string kind() const override { return kind_; }
 
 private:
   std::string reason_;
@@ -121,6 +131,7 @@ public:
 
   [[nodiscard]] std::size_t budget_ms() const noexcept { return budget_ms_; }
   [[nodiscard]] std::size_t elapsed_ms() const noexcept { return elapsed_ms_; }
+  [[nodiscard]] std::string kind() const override { return "DeadlineExceeded"; }
 
 private:
   std::size_t budget_ms_ = 0;
@@ -161,6 +172,7 @@ public:
   [[nodiscard]] std::size_t in_use_bytes() const noexcept {
     return in_use_bytes_;
   }
+  [[nodiscard]] std::string kind() const override { return "OutOfMemoryBudget"; }
 
 private:
   std::string site_;

@@ -17,7 +17,6 @@
 #include "resilience/membudget.hpp"
 #include "resilience/sdc_inject.hpp"
 #include "scf/diis.hpp"
-#include "tune/tune.hpp"
 #include "xc/lda.hpp"
 
 namespace aeqp::core::detail {
@@ -246,8 +245,7 @@ void run_cpscf_rank(parallel::Communicator& comm, CpscfRun& run,
   // ledger window there: two windows per iteration (H and Rho), and a
   // verdict that needs two over-windows lands within one slow iteration.
   const auto packed_sum = [&](const auto& add_rows) {
-    comm::PackedAllReducer packer(comm, world.reduce_mode,
-                                  tune::pack_window_bytes(world.pack_bytes),
+    comm::PackedAllReducer packer(comm, world.reduce_mode, world.pack_bytes,
                                   world.verify_collectives);
     add_rows(packer);
     packer.flush();

@@ -75,13 +75,11 @@ DfptSolver::DfptSolver(const scf::ScfResult& ground, DfptOptions options)
 DfptDirectionResult DfptSolver::solve_direction(int j) const {
   AEQP_TRACE_SCOPE("cpscf/direction");
   AEQP_CHECK(j >= 0 && j < 3, "solve_direction: direction must be 0..2");
-  // The one-rank world: flat synthesis (the sum of one contribution is the
-  // contribution itself) over every integrator tile.
+  // The one-rank world over every integrator tile.
   ParallelDfptOptions world;
   world.dfpt = options_;
   world.ranks = 1;
   world.ranks_per_node = 1;
-  world.reduce_mode = comm::ReduceMode::Flat;
   detail::CpscfRun run(*inputs_, world, j);
   const detail::RankTiles tiles(ground_.integrator->tiles());
   parallel::Cluster(1, 1).run([&](parallel::Communicator& comm) {

@@ -12,7 +12,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "parallel/cluster.hpp"
-#include "tune/tune.hpp"
 
 namespace aeqp::core {
 
@@ -66,7 +65,7 @@ ParallelDfptResult solve_direction_parallel(const scf::ScfResult& ground,
 
   // Shared, read-only setup: batches and their locality mapping.
   const auto batches =
-      grid::make_batches(grid, tune::grid_batch_points(options.batch_points));
+      grid::make_batches(grid, options.batch_points);
   AEQP_CHECK(batches.size() >= options.ranks,
              "solve_direction_parallel: more ranks than batches");
   auto assignment = mapping::locality_enhancing_mapping(batches, options.ranks);

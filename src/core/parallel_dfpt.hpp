@@ -35,6 +35,7 @@
 #include "grid/batch.hpp"
 #include "mapping/task_mapping.hpp"
 #include "obs/metrics.hpp"
+#include "tune/tune.hpp"
 
 namespace aeqp::core {
 
@@ -45,13 +46,12 @@ struct ParallelDfptOptions {
   DfptOptions dfpt;
   std::size_t ranks = 4;            ///< simulated MPI ranks
   std::size_t ranks_per_node = 2;   ///< SHM node width
-  /// Cut-plane batch size; 0 = tune::kGridBatchPoints (128), the tiling
-  /// the integrator (and so the serial solver) uses.
-  std::size_t batch_points = 0;
-  /// Packed-AllReduce staging window in bytes; 0 = tune::kPackWindowBytes
-  /// (30 MiB). Packing regroups rows without reordering the reduction, so
-  /// the window never changes results.
-  std::size_t pack_bytes = 0;
+  /// Cut-plane batch size; the default is the tiling the integrator (and
+  /// so the serial solver) uses.
+  std::size_t batch_points = tune::kGridBatchPoints;
+  /// Packed-AllReduce staging window in bytes. Packing regroups rows
+  /// without reordering the reduction, so the window never changes results.
+  std::size_t pack_bytes = tune::kPackWindowBytes;
   comm::ReduceMode reduce_mode = comm::ReduceMode::Hierarchical;
   /// Keep the per-rank grid-tile cache resident (default). The
   /// memory-budget relief ladder clears this to rebuild each tile's basis

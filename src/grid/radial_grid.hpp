@@ -32,9 +32,6 @@ public:
   /// shells): w_i = r_i^3 * h with trapezoid end corrections.
   [[nodiscard]] double volume_weight(std::size_t i) const { return w_vol_[i]; }
 
-  /// Quadrature weight for \int f(r) dr (plain line integrals).
-  [[nodiscard]] double line_weight(std::size_t i) const { return w_line_[i]; }
-
   /// \int f(r) r^2 dr over the mesh span.
   [[nodiscard]] double integrate_volume(const std::vector<double>& f) const;
 

@@ -44,6 +44,7 @@ public:
   AbftError(const std::string& site, const std::string& what)
       : Error("ABFT: " + what + " at " + site), site_(site) {}
   [[nodiscard]] const std::string& site() const noexcept { return site_; }
+  [[nodiscard]] std::string kind() const override { return "AbftError"; }
 
 private:
   std::string site_;

@@ -74,21 +74,10 @@ public:
   /// destruction. Idempotent.
   void finish();
 
-  /// Path the Chrome trace was (or will be) written to in full mode:
-  /// AEQP_TRACE_FILE or "trace.json".
-  [[nodiscard]] const std::string& trace_path() const { return trace_path_; }
-
-  /// Path the rank x rank communication heatmap is written to in full
-  /// mode when any collective recorded an edge: AEQP_COMM_MATRIX_FILE or
-  /// "comm_matrix.json".
-  [[nodiscard]] const std::string& comm_matrix_path() const {
-    return comm_matrix_path_;
-  }
-
 private:
   std::string label_;
-  std::string trace_path_;
-  std::string comm_matrix_path_;
+  std::string trace_path_;        ///< AEQP_TRACE_FILE or "trace.json"
+  std::string comm_matrix_path_;  ///< AEQP_COMM_MATRIX_FILE or "comm_matrix.json"
   bool finished_ = false;
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <new>
 #include <thread>
 
 #include "common/crc32.hpp"
@@ -18,40 +17,6 @@
 #include "parallel/straggler.hpp"
 
 namespace aeqp::parallel {
-
-namespace {
-
-/// Post-mortem hook for structured errors escaping Cluster::run: classify
-/// the exception and hand the flight recorder its kind so the dump names
-/// what killed the run.
-void flight_dump_for(const std::exception_ptr& error) {
-  if (!obs::flight_enabled()) return;
-  try {
-    std::rethrow_exception(error);
-  } catch (const RankFailure& e) {
-    obs::flight_on_error("RankFailure", e.what());
-  } catch (const CollectiveTimeout& e) {
-    obs::flight_on_error("CollectiveTimeout", e.what());
-  } catch (const PayloadCorruption& e) {
-    obs::flight_on_error("PayloadCorruption", e.what());
-  } catch (const InvariantViolation& e) {
-    obs::flight_on_error("InvariantViolation", e.what());
-  } catch (const DeadlineExceeded& e) {
-    obs::flight_on_error("DeadlineExceeded", e.what());
-  } catch (const OutOfMemoryBudget& e) {
-    obs::flight_on_error("OutOfMemoryBudget", e.what());
-  } catch (const std::bad_alloc& e) {
-    // A REAL allocation failure (not a governor probe): the dump is the
-    // last observable act before the process likely dies anyway.
-    obs::flight_on_error("BadAlloc", e.what());
-  } catch (const std::exception& e) {
-    obs::flight_on_error("Error", e.what());
-  } catch (...) {
-    obs::flight_on_error("Error", "non-standard exception");
-  }
-}
-
-}  // namespace
 
 Cluster::Cluster(std::size_t n_ranks, std::size_t ranks_per_node)
     : Cluster(n_ranks, ranks_per_node, {}) {}
@@ -70,6 +35,11 @@ Cluster::Cluster(std::size_t n_ranks, std::size_t ranks_per_node,
   }
   AEQP_CHECK(origin_.size() == n_ranks_,
              "Cluster: origin map must name every rank exactly once");
+  std::vector<std::size_t> ids = origin_;
+  std::sort(ids.begin(), ids.end());
+  const auto repeated = std::adjacent_find(ids.begin(), ids.end());
+  AEQP_CHECK(repeated == ids.end(), "Cluster: origin map names original rank " +
+                                        std::to_string(*repeated) + " twice");
   global_barrier_ = std::make_unique<FtBarrier>(n_ranks_);
   reduce_slots_.resize(n_ranks_);
   const std::size_t n_nodes = node_count();
@@ -79,44 +49,6 @@ Cluster::Cluster(std::size_t n_ranks, std::size_t ranks_per_node,
     const std::size_t count = std::min(ranks_per_node_, n_ranks_ - first);
     nodes_[nd].barrier = std::make_unique<FtBarrier>(count);
   }
-}
-
-std::unique_ptr<Cluster> Cluster::shrink(
-    const std::vector<std::size_t>& failed_ranks) const {
-  std::vector<bool> dead(n_ranks_, false);
-  for (const std::size_t f : failed_ranks) {
-    AEQP_CHECK(f < n_ranks_, "Cluster::shrink: failed rank " +
-                                 std::to_string(f) + " out of range (world " +
-                                 std::to_string(n_ranks_) + ")");
-    dead[f] = true;
-  }
-  std::vector<std::size_t> survivors;
-  survivors.reserve(n_ranks_);
-  for (std::size_t r = 0; r < n_ranks_; ++r)
-    if (!dead[r]) survivors.push_back(origin_[r]);
-  AEQP_CHECK(!survivors.empty(), "Cluster::shrink: no surviving rank");
-  auto shrunk =
-      std::make_unique<Cluster>(survivors.size(), ranks_per_node_, survivors);
-  shrunk->collective_timeout_ = collective_timeout_;
-  shrunk->injector_ = injector_;
-  shrunk->verify_payloads_ = verify_payloads_;
-  // The straggler ledger carries over -- it is keyed by original ids, so
-  // survivor classifications stay meaningful -- with the dead ranks
-  // retired so no stale "degraded" verdict outlives its rank. The
-  // adaptive-deadline armed state carries with a FRESH estimator: the
-  // latency structure of an N-rank world says nothing about the shrunken
-  // one (fewer participants per barrier changes every arrival spread).
-  if (straggler_ != nullptr) {
-    straggler_->retain(shrunk->origin_);
-    shrunk->straggler_ = straggler_;
-  }
-  if (adaptive_ && deadline_est_ != nullptr) {
-    shrunk->adaptive_ = true;
-    shrunk->deadline_est_ =
-        std::make_shared<DeadlineEstimator>(deadline_est_->options());
-  }
-  obs::trace_instant("cluster/shrink");
-  return shrunk;
 }
 
 void Cluster::set_fault_injector(FaultInjector* injector) {
@@ -310,15 +242,19 @@ void Cluster::run(const std::function<void(Communicator&)>& fn) {
   }
   // Prefer the originating failure; the RankFailures it triggered on the
   // other ranks are secondary.
-  if (root) {
-    flight_dump_for(root);
-    std::rethrow_exception(root);
-  }
-  for (const auto& e : errors)
-    if (e) {
-      flight_dump_for(e);
-      std::rethrow_exception(e);
+  for (std::size_t r = 0; !root && r < errors.size(); ++r) root = errors[r];
+  if (!root) return;
+  // Post-mortem: the flight dump names what killed the run.
+  if (obs::flight_enabled()) {
+    try {
+      std::rethrow_exception(root);
+    } catch (const std::exception& e) {
+      obs::flight_on_error(error_kind(e).c_str(), e.what());
+    } catch (...) {
+      obs::flight_on_error("unknown", "non-standard exception");
     }
+  }
+  std::rethrow_exception(root);
 }
 
 std::size_t Communicator::size() const { return cluster_->n_ranks_; }
@@ -454,91 +390,75 @@ void Communicator::node_barrier() {
   leave_collective(CollectiveClass::NodeBarrier, t0);
 }
 
-void Communicator::allreduce_sum(std::span<double> data) {
-  AEQP_TRACE_SCOPE("comm/allreduce_sum");
-  const auto t0 = enter_collective("allreduce_sum", data);
-  const auto timeout =
-      cluster_->effective_timeout(CollectiveClass::AllreduceSum);
-  // Information flow of the reduction: this rank's contribution reaches
-  // every other rank, whatever tree the transport would use.
-  obs::comm_record_all("allreduce_sum", static_cast<int>(rank_),
-                       static_cast<int>(size()),
-                       data.size() * sizeof(double));
-  stage("allreduce_sum", data);
-  cluster_->global_barrier_->arrive_and_wait(*cluster_, rank_, timeout);
-  combine_staged(data, 1, 0.0, std::plus<>());
-  cluster_->global_barrier_->arrive_and_wait(*cluster_, rank_, timeout);
-  if (rank_ == 0) cluster_->reduce_arrivals_ = 0;
-  cluster_->global_barrier_->arrive_and_wait(*cluster_, rank_, timeout);
-  leave_collective(CollectiveClass::AllreduceSum, t0);
-}
-
-void Communicator::stage(const char* what, std::span<const double> data) {
-  {
-    std::lock_guard<std::mutex> lock(cluster_->reduce_mutex_);
-    if (cluster_->reduce_arrivals_ == 0) {
-      cluster_->reduce_size_ = data.size();
-      cluster_->reduce_first_rank_ = rank_;
-    } else if (cluster_->reduce_size_ != data.size()) {
-      AEQP_THROW(std::string(what) + ": element count mismatch: rank " +
-                 std::to_string(cluster_->reduce_first_rank_) + " passed " +
-                 std::to_string(cluster_->reduce_size_) + " elements, rank " +
-                 std::to_string(rank_) + " passed " + std::to_string(data.size()));
-    }
-    ++cluster_->reduce_arrivals_;
-  }
-  cluster_->reduce_slots_[rank_].assign(data.begin(), data.end());
-}
-
 template <typename Op>
-void Communicator::combine_staged(std::span<double> data, std::size_t stride,
-                                  double init, Op op) const {
-  std::fill(data.begin(), data.end(), init);
-  for (std::size_t r = 0; r < size(); r += stride) {
-    const std::vector<double>& slot = cluster_->reduce_slots_[r];
-    for (std::size_t i = 0; i < data.size(); ++i) data[i] = op(data[i], slot[i]);
+void Communicator::staged_reduce(const char* span, const char* what,
+                                 CollectiveClass c, std::span<double> data,
+                                 std::size_t stride, double init, Op op) {
+  AEQP_TRACE_SCOPE(span);
+  const bool contributes = rank_ % stride == 0;
+  const auto t0 =
+      enter_collective(what, contributes ? data : std::span<double>{});
+  const auto timeout = cluster_->effective_timeout(c);
+  if (contributes) {
+    // Information flow of the reduction: this rank's contribution reaches
+    // every other contributor, whatever tree the transport would use.
+    const std::uint64_t bytes = data.size() * sizeof(double);
+    if (stride == 1) {
+      obs::comm_record_all(what, static_cast<int>(rank_),
+                           static_cast<int>(size()), bytes);
+    } else if (obs::enabled()) {
+      for (std::size_t dst = 0; dst < size(); dst += stride)
+        if (dst != rank_)
+          obs::comm_record(what, static_cast<int>(rank_),
+                           static_cast<int>(dst), bytes);
+    }
+    {
+      std::lock_guard<std::mutex> lock(cluster_->reduce_mutex_);
+      if (cluster_->reduce_arrivals_ == 0) {
+        cluster_->reduce_size_ = data.size();
+        cluster_->reduce_first_rank_ = rank_;
+      } else if (cluster_->reduce_size_ != data.size()) {
+        AEQP_THROW(std::string(what) + ": element count mismatch: rank " +
+                   std::to_string(cluster_->reduce_first_rank_) + " passed " +
+                   std::to_string(cluster_->reduce_size_) + " elements, rank " +
+                   std::to_string(rank_) + " passed " +
+                   std::to_string(data.size()));
+      }
+      ++cluster_->reduce_arrivals_;
+    }
+    cluster_->reduce_slots_[rank_].assign(data.begin(), data.end());
   }
+  Cluster::FtBarrier& barrier = *cluster_->global_barrier_;
+  barrier.arrive_and_wait(*cluster_, rank_, timeout);
+  if (contributes) {
+    std::fill(data.begin(), data.end(), init);
+    for (std::size_t r = 0; r < size(); r += stride) {
+      const std::vector<double>& slot = cluster_->reduce_slots_[r];
+      for (std::size_t i = 0; i < data.size(); ++i) data[i] = op(data[i], slot[i]);
+    }
+  }
+  barrier.arrive_and_wait(*cluster_, rank_, timeout);
+  if (rank_ == 0) cluster_->reduce_arrivals_ = 0;
+  barrier.arrive_and_wait(*cluster_, rank_, timeout);
+  leave_collective(c, t0);
+}
+
+void Communicator::allreduce_sum(std::span<double> data) {
+  staged_reduce("comm/allreduce_sum", "allreduce_sum",
+                CollectiveClass::AllreduceSum, data, 1, 0.0, std::plus<>());
 }
 
 void Communicator::allreduce_max(std::span<double> data) {
-  AEQP_TRACE_SCOPE("comm/allreduce_max");
-  const auto t0 = enter_collective("allreduce_max", data);
-  const auto timeout =
-      cluster_->effective_timeout(CollectiveClass::AllreduceMax);
-  obs::comm_record_all("allreduce_max", static_cast<int>(rank_),
-                       static_cast<int>(size()),
-                       data.size() * sizeof(double));
-  stage("allreduce_max", data);
-  cluster_->global_barrier_->arrive_and_wait(*cluster_, rank_, timeout);
-  combine_staged(data, 1, -std::numeric_limits<double>::infinity(),
-                 [](double a, double b) { return std::max(a, b); });
-  cluster_->global_barrier_->arrive_and_wait(*cluster_, rank_, timeout);
-  if (rank_ == 0) cluster_->reduce_arrivals_ = 0;
-  cluster_->global_barrier_->arrive_and_wait(*cluster_, rank_, timeout);
-  leave_collective(CollectiveClass::AllreduceMax, t0);
+  staged_reduce("comm/allreduce_max", "allreduce_max",
+                CollectiveClass::AllreduceMax, data, 1,
+                -std::numeric_limits<double>::infinity(),
+                [](double a, double b) { return std::max(a, b); });
 }
 
 void Communicator::allreduce_sum_leaders(std::span<double> data) {
-  AEQP_TRACE_SCOPE("comm/allreduce_sum_leaders");
-  const bool leader = node_rank() == 0;
-  const auto t0 = enter_collective("allreduce_sum_leaders",
-                                   leader ? data : std::span<double>{});
-  const auto timeout =
-      cluster_->effective_timeout(CollectiveClass::AllreduceSumLeaders);
-  if (leader && obs::enabled()) {
-    // Leaders exchange among themselves only; follower rows stay zero.
-    for (std::size_t dst = 0; dst < size(); dst += cluster_->ranks_per_node_)
-      if (dst != rank_)
-        obs::comm_record("allreduce_sum_leaders", static_cast<int>(rank_),
-                         static_cast<int>(dst), data.size() * sizeof(double));
-  }
-  if (leader) stage("allreduce_sum_leaders", data);
-  cluster_->global_barrier_->arrive_and_wait(*cluster_, rank_, timeout);
-  if (leader) combine_staged(data, cluster_->ranks_per_node_, 0.0, std::plus<>());
-  cluster_->global_barrier_->arrive_and_wait(*cluster_, rank_, timeout);
-  if (rank_ == 0) cluster_->reduce_arrivals_ = 0;
-  cluster_->global_barrier_->arrive_and_wait(*cluster_, rank_, timeout);
-  leave_collective(CollectiveClass::AllreduceSumLeaders, t0);
+  staged_reduce("comm/allreduce_sum_leaders", "allreduce_sum_leaders",
+                CollectiveClass::AllreduceSumLeaders, data,
+                cluster_->ranks_per_node_, 0.0, std::plus<>());
 }
 
 void Communicator::broadcast(std::span<double> data, std::size_t root) {

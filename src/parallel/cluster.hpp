@@ -16,12 +16,11 @@
 /// be attached to corrupt payloads, stall ranks, or kill them at chosen
 /// collectives, deterministically.
 ///
-/// Elastic recovery (ULFM-style shrink): Cluster::shrink derives a smaller
-/// cluster that excludes permanently failed ranks. Survivors are renumbered
-/// densely, the collective timeout and the fault injector carry over, and
-/// every rank keeps its *original* (pre-shrink chain) id, which fault plans
-/// keep addressing -- so a permanent Kill planned for a dead rank can never
-/// strike a renumbered survivor.
+/// Elastic recovery (ULFM-style shrink): a survivor world is a Cluster built
+/// with an origin map. Its ranks are numbered densely, and rank r keeps the
+/// id origin[r] it had in the original world, which fault plans and the
+/// straggler ledger keep addressing -- so a permanent Kill planned for a
+/// dead rank can never strike a renumbered survivor.
 
 #include <atomic>
 #include <chrono>
@@ -56,6 +55,7 @@ public:
   [[nodiscard]] std::size_t failed_rank() const { return failed_rank_; }
   /// Rank on which this exception was raised.
   [[nodiscard]] std::size_t observer_rank() const { return observer_rank_; }
+  [[nodiscard]] std::string kind() const override { return "RankFailure"; }
 
 private:
   std::size_t failed_rank_;
@@ -69,6 +69,7 @@ public:
   CollectiveTimeout(std::size_t observer_rank, const std::string& what)
       : Error(what), observer_rank_(observer_rank) {}
   [[nodiscard]] std::size_t observer_rank() const { return observer_rank_; }
+  [[nodiscard]] std::string kind() const override { return "CollectiveTimeout"; }
 
 private:
   std::size_t observer_rank_;
@@ -90,10 +91,11 @@ public:
         collective_(std::move(collective)) {}
   /// Rank whose payload failed verification (running-world id).
   [[nodiscard]] std::size_t rank() const { return rank_; }
-  /// The same rank's id in the original (pre-shrink) world.
+  /// The same rank's id in the original world.
   [[nodiscard]] std::size_t original_rank() const { return original_rank_; }
   /// Collective in which the corruption was caught, e.g. "allreduce_sum".
   [[nodiscard]] const std::string& collective() const { return collective_; }
+  [[nodiscard]] std::string kind() const override { return "PayloadCorruption"; }
 
 private:
   std::size_t rank_;
@@ -106,8 +108,8 @@ private:
 class Communicator {
 public:
   [[nodiscard]] std::size_t rank() const { return rank_; }
-  /// Id of this rank in the original world before any shrink (equal to
-  /// rank() on a never-shrunk cluster).
+  /// Id of this rank in the original world (equal to rank() on a full
+  /// world).
   [[nodiscard]] std::size_t original_rank() const;
   /// Original-world id of world rank `r`.
   [[nodiscard]] std::size_t original_rank_of(std::size_t r) const;
@@ -177,14 +179,18 @@ private:
   void leave_collective(CollectiveClass c,
                         std::chrono::steady_clock::time_point t_enter);
 
-  /// Stage this rank's contribution to a reduction in its own slot
-  /// (checking the element count against the first arrival).
-  void stage(const char* what, std::span<const double> data);
-  /// data = op(...op(op(init, slot[0]), slot[stride])...) in rank order;
-  /// call after the barrier that follows every contributor's stage().
+  /// The one staged reduction behind allreduce_sum, allreduce_max and
+  /// allreduce_sum_leaders, traced as `span`. The contributors (ranks 0,
+  /// stride, 2*stride, ...) stage their data in their own slots, checking
+  /// the element count against the first arrival; after a barrier each
+  /// computes data = op(...op(op(init, slot[0]), slot[stride])...) in rank
+  /// order; a second barrier keeps every slot alive until all have read
+  /// it, rank 0 resets the arrival count, and a third barrier keeps the
+  /// next reduction's stage from racing that reset.
   template <typename Op>
-  void combine_staged(std::span<double> data, std::size_t stride, double init,
-                      Op op) const;
+  void staged_reduce(const char* span, const char* what, CollectiveClass c,
+                     std::span<double> data, std::size_t stride, double init,
+                     Op op);
 
   Cluster* cluster_;
   std::size_t rank_;
@@ -206,9 +212,10 @@ class Cluster {
 public:
   Cluster(std::size_t n_ranks, std::size_t ranks_per_node);
 
-  /// World whose rank r carries original-world id `origin[r]` (used by
-  /// shrink() and by elastic solver re-entry at a reduced world size).
-  /// `origin` must be empty (identity) or hold n_ranks unique ids.
+  /// World whose rank r carries original-world id `origin[r]`: the
+  /// survivor world of elastic re-entry at a reduced size. `origin` must be
+  /// empty (identity) or hold n_ranks distinct ids; a repeated id would give
+  /// two ranks one fault-plan address and one straggler-ledger row.
   Cluster(std::size_t n_ranks, std::size_t ranks_per_node,
           std::vector<std::size_t> origin);
 
@@ -216,25 +223,10 @@ public:
   [[nodiscard]] std::size_t ranks_per_node() const { return ranks_per_node_; }
   [[nodiscard]] std::size_t node_count() const;
 
-  /// Original-world id of world rank r (identity on a never-shrunk world).
+  /// Original-world id of world rank r (identity on a full world).
   [[nodiscard]] std::size_t original_rank(std::size_t r) const {
     return origin_[r];
   }
-  [[nodiscard]] const std::vector<std::size_t>& original_ranks() const {
-    return origin_;
-  }
-
-  /// ULFM `shrink` analogue: derive a sub-cluster that excludes
-  /// `failed_ranks` (ids in THIS cluster's numbering). Survivors are
-  /// renumbered densely in rank order; the collective timeout and the
-  /// attached fault injector carry over, and the origin map is composed so
-  /// fault events keep addressing original-world ids. The straggler
-  /// detector carries over with dropped ranks retired (retain), and the
-  /// adaptive-deadline armed state carries with a FRESH estimator: latency
-  /// structure learned on the old world must not time out the new one.
-  /// Throws when no rank survives or a failed id is out of range.
-  [[nodiscard]] std::unique_ptr<Cluster> shrink(
-      const std::vector<std::size_t>& failed_ranks) const;
 
   /// Deadline for any single collective. Survivors raise CollectiveTimeout
   /// when it passes without completion. Default: 120 s (generous enough for
@@ -248,11 +240,11 @@ public:
 
   /// Attach a fault injector consulted at every collective entry. The
   /// injector must outlive the cluster runs it is attached to. On a full
-  /// (never-shrunk) world every planned event's rank must be inside the
-  /// world -- an out-of-range rank is a plan bug and raises aeqp::Error
-  /// here rather than silently never firing. Subworlds (built by shrink()
-  /// or constructed with an explicit origin map) skip the check: plans
-  /// legitimately address dead original ranks.
+  /// world every planned event's rank must be inside the world -- an
+  /// out-of-range rank is a plan bug and raises aeqp::Error
+  /// here rather than silently never firing. Survivor worlds (built with an
+  /// explicit origin map) skip the check: plans legitimately address dead
+  /// original ranks.
   void set_fault_injector(FaultInjector* injector);
 
   /// Verify collective payloads end-to-end: each rank's contribution is
@@ -261,15 +253,14 @@ public:
   /// the collective and the original rank. Off by default (one branch per
   /// collective when off).
   void set_verify_payloads(bool on) { verify_payloads_ = on; }
-  [[nodiscard]] bool verify_payloads() const { return verify_payloads_; }
 
   /// Attach a straggler detector: every collective entry records how much
   /// work (wall time since this rank left its previous collective) the
   /// rank arrived with, keyed by ORIGINAL rank id so classifications
-  /// survive shrink renumberings. The detector must outlive the runs; it
-  /// must cover every original id this world can produce. nullptr
-  /// detaches. Observe-only: the collective schedule and all numerics are
-  /// bit-identical with and without a detector.
+  /// survive the renumbering of a survivor world. The detector must outlive
+  /// the runs; it must cover every original id this world can produce.
+  /// nullptr detaches. Observe-only: the collective schedule and all
+  /// numerics are bit-identical with and without a detector.
   void set_straggler_detector(StragglerDetector* detector);
   [[nodiscard]] StragglerDetector* straggler_detector() const {
     return straggler_;
@@ -345,7 +336,7 @@ private:
   std::size_t n_ranks_;
   std::size_t ranks_per_node_;
   std::vector<std::size_t> origin_;  ///< original-world id per rank
-  bool subworld_ = false;  ///< built by shrink() or with an explicit origin
+  bool subworld_ = false;  ///< built with an explicit origin map
   std::chrono::milliseconds collective_timeout_{120000};
   FaultInjector* injector_ = nullptr;
   bool verify_payloads_ = false;

@@ -13,8 +13,8 @@
 /// events (transient = false) model a dead or broken component: once they
 /// fire the first time, they re-fire at *every* subsequent collective the
 /// victim rank enters, so a retry at the same world size fails again and
-/// only excluding the rank from the world (Cluster::shrink) silences the
-/// fault. Plans are either constructed explicitly or drawn from a seeded
+/// only excluding the rank from the world (a survivor world without it)
+/// silences the fault. Plans are either constructed explicitly or drawn from a seeded
 /// RNG (FaultPlan::random), making every failure scenario reproducible
 /// bit-for-bit at laptop scale.
 
@@ -148,10 +148,9 @@ public:
   /// in-transit payload. May mutate the payload (corruption), sleep
   /// (Stall/Slowdown; `cancelled` is polled so a failed cluster cuts the
   /// sleep short), or throw RankFailure (Kill). `rank` is the rank's id in
-  /// the *running* world, `original_rank` its id in the original
-  /// (pre-shrink) world -- events always address original ids, so plans
-  /// keep meaning the same physical ranks after a Cluster::shrink
-  /// renumbering. `work_ms` is the CPU time spent on the rank's behalf
+  /// the *running* world, `original_rank` its id in the original world --
+  /// events always address original ids, so plans keep meaning the same
+  /// physical ranks in a renumbered survivor world. `work_ms` is the CPU time spent on the rank's behalf
   /// since it left its previous collective (0 when unknown; its own thread
   /// plus the pool workers in its parallel regions) -- burned cycles, not
   /// the wall span, so co-scheduled peers on an oversubscribed host never

@@ -98,11 +98,9 @@ public:
   [[nodiscard]] std::size_t sample_count(CollectiveClass c) const;
   [[nodiscard]] std::size_t total_samples() const;
 
-  /// Drop all history (a shrink renumbers the world; latency structure
-  /// learned on the old world must not leak into the new one).
+  /// Drop all history (a survivor world renumbers the ranks; latency
+  /// structure learned on the old world must not leak into the new one).
   void reset();
-
-  [[nodiscard]] const Options& options() const { return options_; }
 
 private:
   struct ClassRing {
@@ -137,7 +135,7 @@ struct StragglerRankSnapshot {
 };
 
 /// Per-rank arrival-lag ledger + degraded-rank classifier. Ranks are
-/// addressed by ORIGINAL world id (stable across Cluster::shrink
+/// addressed by ORIGINAL world id (stable across survivor-world
 /// renumberings, like fault plans). record_work is the hot path; classify
 /// runs after each packed flush of the CPSCF (the lead rank, H and Rho)
 /// and on the recovery driver's timeout catch path.
@@ -195,7 +193,6 @@ public:
 
   [[nodiscard]] StragglerStats stats() const;
   [[nodiscard]] std::vector<StragglerRankSnapshot> snapshot() const;
-  [[nodiscard]] const Options& options() const { return options_; }
 
 private:
   struct RankState {

@@ -11,8 +11,8 @@
 /// shrunken world resume after losing a node together with its node-local
 /// storage.
 ///
-/// Blobs are addressed by *original* (pre-shrink) rank ids, so the mirror
-/// map stays meaningful across Cluster::shrink renumberings, and every blob
+/// Blobs are addressed by *original* rank ids, so the mirror map stays
+/// meaningful across survivor-world renumberings, and every blob
 /// records which original rank holds it: a restore is only valid when the
 /// holder itself survived, which RecoveryDriver checks before trusting a
 /// replica.

@@ -114,30 +114,37 @@ std::size_t registered_reclaimer_count() {
 // ---------------------------------------------------------------------------
 // Admission-time memory estimation
 
-MemModel MemModel::default_model() {
-  // Coefficients seeded from the measured gauges the fig09a bench fits
-  // into BENCH_memory.json on the Light-tier test structures: the
-  // replicated response matrix and its fold for the Rho producer are
-  // O(N^2) and do NOT shrink with ranks; the per-rank point-eval cache
-  // shards with the grid; spline tables are replicated O(N) in distinct
-  // elements but bounded, modeled linear with a small coefficient; the
-  // packed allreduce staging window is a rank-count-independent constant.
-  MemModel m;
-  m.terms.push_back({"dfpt/p1_replicated", 2048.0, 2.0, /*per_rank=*/false});
-  m.terms.push_back({"dfpt/p1_fold", 2048.0, 2.0, /*per_rank=*/false});
-  m.terms.push_back({"dfpt/point_cache", 96.0 * 1024.0, 1.0, /*per_rank=*/true});
-  m.terms.push_back({"basis/spline_tables", 64.0 * 1024.0, 1.0,
-                     /*per_rank=*/false});
-  m.terms.push_back({"comm/packed_buffer", 4.0 * 1024.0 * 1024.0, 0.0,
-                     /*per_rank=*/false});
-  return m;
-}
+namespace {
 
-std::int64_t estimate_job_memory(std::size_t n_atoms, std::size_t ranks,
-                                 const MemModel& model) {
+/// One term of the per-rank peak-memory model, named by the memaudit gauge
+/// it models.
+struct MemTerm {
+  double coeff_bytes;  ///< bytes at n_atoms == 1
+  double exponent;     ///< fitted scaling exponent (BENCH_memory.json)
+  bool per_rank;       ///< true: sharded, divide by ranks
+};
+
+// Coefficients seeded from the measured gauges the fig09a bench fits into
+// BENCH_memory.json on the Light-tier test structures: the replicated
+// response matrix and its fold for the Rho producer are O(N^2) and do NOT
+// shrink with ranks; the per-rank point-eval cache shards with the grid;
+// spline tables are replicated O(N) in distinct elements but bounded,
+// modeled linear with a small coefficient; the packed allreduce staging
+// window is a rank-count-independent constant.
+constexpr MemTerm kMemTerms[] = {
+    {2048.0, 2.0, false},                  // dfpt/p1_replicated
+    {2048.0, 2.0, false},                  // dfpt/p1_fold
+    {96.0 * 1024.0, 1.0, true},            // dfpt/point_cache
+    {64.0 * 1024.0, 1.0, false},           // basis/spline_tables
+    {4.0 * 1024.0 * 1024.0, 0.0, false},   // comm/packed_buffer
+};
+
+}  // namespace
+
+std::int64_t estimate_job_memory(std::size_t n_atoms, std::size_t ranks) {
   AEQP_CHECK(ranks >= 1, "estimate_job_memory: ranks must be >= 1");
   double total = 0.0;
-  for (const auto& t : model.terms) {
+  for (const auto& t : kMemTerms) {
     double bytes = t.coeff_bytes * std::pow(static_cast<double>(n_atoms),
                                             t.exponent);
     if (t.per_rank) bytes /= static_cast<double>(ranks);

@@ -352,29 +352,13 @@ std::int64_t relieve_pressure();
 // ---------------------------------------------------------------------------
 // Admission-time memory estimation (service layer)
 
-/// One term of the per-rank peak-memory model: coeff_bytes * n_atoms ^
-/// exponent, divided by the rank count when the structure is sharded
-/// (per_rank). Replicated structures (p1) deliberately do NOT divide --
+/// Predicted per-rank peak bytes for a job of `n_atoms` on `ranks` ranks:
+/// a sum of fitted terms coeff_bytes * n_atoms ^ exponent, one per memaudit
+/// gauge, seeded from the scaling exponents the fig09a bench publishes.
+/// Sharded terms divide by the rank count; replicated ones (p1) do not --
 /// which is exactly why the service's ReducedRanks rung must re-check the
-/// estimate: halving ranks doubles every per_rank term.
-struct MemModelTerm {
-  std::string gauge;          ///< memaudit gauge this term models
-  double coeff_bytes = 0.0;   ///< bytes at n_atoms == 1
-  double exponent = 1.0;      ///< fitted scaling exponent (BENCH_memory.json)
-  bool per_rank = false;      ///< true: sharded, divide by ranks
-};
-
-/// The fitted per-rank peak model used at admission. Seeded from the
-/// measured scaling exponents the fig09a bench publishes; override per
-/// deployment via ServerOptions::mem_model.
-struct MemModel {
-  std::vector<MemModelTerm> terms;
-  [[nodiscard]] static MemModel default_model();
-};
-
-/// Predicted per-rank peak bytes for a job of `n_atoms` on `ranks` ranks.
+/// estimate: halving ranks doubles every sharded term.
 [[nodiscard]] std::int64_t estimate_job_memory(std::size_t n_atoms,
-                                               std::size_t ranks,
-                                               const MemModel& model);
+                                               std::size_t ranks);
 
 }  // namespace aeqp::resilience

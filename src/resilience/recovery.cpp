@@ -19,7 +19,6 @@
 #include "resilience/health.hpp"
 #include "resilience/membudget.hpp"
 #include "scf/diis.hpp"
-#include "tune/tune.hpp"
 
 namespace aeqp::resilience {
 
@@ -81,6 +80,14 @@ std::string rank_list(const std::vector<std::size_t>& ranks) {
   return who;
 }
 
+/// A failure that ends the job: dump the flight recorder under the error's
+/// kind, with `context` as the dump's message, and throw the error.
+template <typename E>
+[[noreturn]] void throw_terminal(const E& error, const std::string& context) {
+  obs::flight_on_error(error.kind().c_str(), context);
+  throw error;
+}
+
 /// Structured cancellation error naming where the budget ran out.
 [[noreturn]] void throw_cancelled(const char* what, int direction, int attempt,
                                   int iteration) {
@@ -126,13 +133,11 @@ std::size_t relieve(core::ParallelDfptOptions& world, int rung) {
   }
   if (rung >= 2 && relieve_pressure() > 0) ++actions;
   if (rung >= 3) {
-    const std::size_t batch = tune::grid_batch_points(world.batch_points);
-    const std::size_t pack = tune::pack_window_bytes(world.pack_bytes);
-    const std::size_t shrunk_batch =
-        std::min(batch, std::max(batch / 2, kMinBatchPoints));
+    const std::size_t shrunk_batch = std::min(
+        world.batch_points, std::max(world.batch_points / 2, kMinBatchPoints));
     const std::size_t shrunk_pack =
-        std::min(pack, std::max(pack / 4, kMinPackBytes));
-    if (shrunk_batch < batch || shrunk_pack < pack) {
+        std::min(world.pack_bytes, std::max(world.pack_bytes / 4, kMinPackBytes));
+    if (shrunk_batch < world.batch_points || shrunk_pack < world.pack_bytes) {
       world.batch_points = shrunk_batch;
       world.pack_bytes = shrunk_pack;
       ++actions;
@@ -460,8 +465,9 @@ core::ParallelDfptResult solve_recovered(CheckpointStore& store,
             << " permanently failed and was the last survivor; recovery "
                "abandoned for direction "
             << direction << ", last failure: " << ctx.reason;
-        obs::flight_on_error("RankFailure", msg.str());
-        throw parallel::RankFailure(repeat_rank, ctx.observer_rank, msg.str());
+        throw_terminal(
+            parallel::RankFailure(repeat_rank, ctx.observer_rank, msg.str()),
+            msg.str());
       }
       const std::size_t replicas_lost = buddy.drop_holder(repeat_rank);
       if (repeat_rank == active.front()) {
@@ -496,26 +502,23 @@ core::ParallelDfptResult solve_recovered(CheckpointStore& store,
           << " faults detected, " << stats.shrinks << " shrinks, "
           << stats.restores << " checkpoint restores, last failure: "
           << ctx.reason;
-      // Retry exhaustion is terminal for the job: dump the flight recorder
-      // before the structured error escapes to the caller. A dead rank
-      // re-fails every retry at the same world size; without elastic
-      // shrink the budget runs out against it, surfaced as a RankFailure
-      // naming the culprit (it derives from Error, so untyped handlers
-      // still work).
-      obs::flight_on_error(
-          ctx.rank_failure ? "RankFailure"
-                           : (ctx.oom ? "OutOfMemoryBudget" : "Error"),
-          msg.str());
+      // Retry exhaustion is terminal for the job. A dead rank re-fails
+      // every retry at the same world size; without elastic shrink the
+      // budget runs out against it, surfaced as a RankFailure naming the
+      // culprit (it derives from Error, so untyped handlers still work).
       if (ctx.rank_failure)
-        throw parallel::RankFailure(
-            ctx.failed_rank == kNone ? 0 : ctx.failed_rank, ctx.observer_rank,
-            msg.str());
+        throw_terminal(parallel::RankFailure(
+                           ctx.failed_rank == kNone ? 0 : ctx.failed_rank,
+                           ctx.observer_rank, msg.str()),
+                       msg.str());
       if (ctx.oom)
-        throw OutOfMemoryBudget(
-            "recovery/" + key, 0,
-            static_cast<std::size_t>(mem_budget_bytes()),
-            static_cast<std::size_t>(std::max<std::int64_t>(mem_in_use(), 0)));
-      AEQP_THROW(msg.str());
+        throw_terminal(
+            OutOfMemoryBudget(
+                "recovery/" + key, 0,
+                static_cast<std::size_t>(mem_budget_bytes()),
+                static_cast<std::size_t>(std::max<std::int64_t>(mem_in_use(), 0))),
+            msg.str());
+      throw_terminal(Error(msg.str()), msg.str());
     }
   }
 }
@@ -533,12 +536,11 @@ RecoveryDriver::RecoveryDriver(CheckpointStore& store, RecoveryOptions options)
 
 core::DfptDirectionResult RecoveryDriver::solve_direction(
     const scf::ScfResult& ground, core::DfptOptions options, int direction) {
-  // DfptSolver's one-rank world: flat synthesis over a single rank.
+  // DfptSolver's one-rank world.
   core::ParallelDfptOptions world;
   world.dfpt = std::move(options);
   world.ranks = 1;
   world.ranks_per_node = 1;
-  world.reduce_mode = comm::ReduceMode::Flat;
   return solve_recovered(store_, options_, stats_, ground, std::move(world),
                          direction, "RecoveryDriver[serial]")
       .direction;

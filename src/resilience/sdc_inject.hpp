@@ -53,10 +53,6 @@ inline void install_corruption_hook(CorruptionHook* hook) {
   detail::g_corruption_hook.store(hook, std::memory_order_release);
 }
 
-[[nodiscard]] inline CorruptionHook* corruption_hook() {
-  return detail::g_corruption_hook.load(std::memory_order_acquire);
-}
-
 /// Probe a compute site: give the installed hook (if any) a chance to
 /// corrupt `data` in place. One relaxed-ish atomic load when no hook is
 /// installed -- matching the AEQP_TRACE zero-cost contract.

@@ -19,7 +19,7 @@ BatchIntegrator::BatchIntegrator(std::shared_ptr<const basis::BasisSet> basis,
   // Cut-plane batches are spatially compact, so their active-basis unions
   // (the dense local blocks) stay small.
   const std::vector<grid::Batch> batches =
-      grid::make_batches(*grid_, tune::grid_batch_points(0));
+      grid::make_batches(*grid_, tune::kGridBatchPoints);
   // The one basis-evaluation pass: each tile is built with its Laplacians
   // in a per-thread scratch, which feeds T's tile block at once and is
   // never stored.

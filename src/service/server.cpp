@@ -10,13 +10,16 @@
 #include "linalg/abft.hpp"
 #include "obs/flight.hpp"
 #include "obs/trace.hpp"
-#include "parallel/cluster.hpp"
 
 namespace aeqp::service {
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// Accuracy cost of the ReducedAccuracy rung: the CPSCF tolerance is
+/// multiplied by this (capped at 1e-3 absolute).
+constexpr double kReducedAccuracyFactor = 100.0;
 
 double seconds_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
@@ -26,25 +29,6 @@ std::size_t ms_between(Clock::time_point a, Clock::time_point b) {
   const auto ms =
       std::chrono::duration_cast<std::chrono::milliseconds>(b - a).count();
   return ms > 0 ? static_cast<std::size_t>(ms) : 0;
-}
-
-/// Taxonomy name of an in-flight exception, for JobOutcome::error_kind.
-/// Most-derived classes first -- every one of these inherits aeqp::Error.
-const char* classify(const std::exception& e) {
-  if (dynamic_cast<const DeadlineExceeded*>(&e)) return "DeadlineExceeded";
-  if (dynamic_cast<const QueueFull*>(&e)) return "QueueFull";
-  if (const auto* jr = dynamic_cast<const JobRejected*>(&e))
-    return jr->kind().c_str();
-  if (dynamic_cast<const OutOfMemoryBudget*>(&e)) return "OutOfMemoryBudget";
-  if (dynamic_cast<const parallel::RankFailure*>(&e)) return "RankFailure";
-  if (dynamic_cast<const parallel::CollectiveTimeout*>(&e))
-    return "CollectiveTimeout";
-  if (dynamic_cast<const parallel::PayloadCorruption*>(&e))
-    return "PayloadCorruption";
-  if (dynamic_cast<const linalg::AbftError*>(&e)) return "AbftError";
-  if (dynamic_cast<const InvariantViolation*>(&e)) return "InvariantViolation";
-  if (dynamic_cast<const Error*>(&e)) return "Error";
-  return "std::exception";
 }
 
 }  // namespace
@@ -92,8 +76,6 @@ SolveServer::SolveServer(ServerOptions options)
   AEQP_CHECK(options_.queue_capacity >= 1,
              "SolveServer: queue capacity must be positive");
   AEQP_CHECK(options_.max_atoms >= 1, "SolveServer: max_atoms must be positive");
-  AEQP_CHECK(options_.reduced_accuracy_factor >= 1.0,
-             "SolveServer: reduced_accuracy_factor must be >= 1");
   workers_.reserve(options_.workers);
   for (std::size_t i = 0; i < options_.workers; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -142,8 +124,8 @@ std::uint64_t SolveServer::submit(JobSpec spec) {
   std::string reason_kind = "JobRejected";
   if (reason.empty() && resilience::mem_budget_enabled()) {
     const std::size_t ranks = std::max<std::size_t>(spec.ranks, 1);
-    const std::size_t estimate = resilience::estimate_job_memory(
-        spec.structure.size(), ranks, options_.mem_model);
+    const std::size_t estimate =
+        resilience::estimate_job_memory(spec.structure.size(), ranks);
     const std::size_t budget = resilience::mem_budget_bytes();
     if (estimate > budget) {
       reason = "estimated per-rank memory " + std::to_string(estimate) +
@@ -373,8 +355,7 @@ void SolveServer::execute(JobRecord& rec) {
         const std::size_t half = rec.spec.ranks / 2;
         const bool fits =
             !resilience::mem_budget_enabled() ||
-            resilience::estimate_job_memory(rec.spec.structure.size(), half,
-                                            options_.mem_model) <=
+            resilience::estimate_job_memory(rec.spec.structure.size(), half) <=
                 resilience::mem_budget_bytes();
         if (fits) {
           rungs.push_back({ServiceTier::ReducedRanks, half, base});
@@ -384,7 +365,7 @@ void SolveServer::execute(JobRecord& rec) {
       }
       core::DfptOptions loose = base;
       loose.tolerance =
-          std::min(base.tolerance * options_.reduced_accuracy_factor, 1e-3);
+          std::min(base.tolerance * kReducedAccuracyFactor, 1e-3);
       rungs.push_back({ServiceTier::ReducedAccuracy, 1, loose});
     }
 
@@ -428,8 +409,6 @@ void SolveServer::execute(JobRecord& rec) {
         popts.ranks = rung_ranks;
         popts.ranks_per_node =
             std::clamp<std::size_t>(rec.spec.ranks_per_node, 1, rung_ranks);
-        // One rank is the serial solver's world: flat synthesis.
-        if (rung_ranks == 1) popts.reduce_mode = comm::ReduceMode::Flat;
         // The reduced-accuracy tier exists to leave the faulty cluster.
         if (rung.tier != ServiceTier::ReducedAccuracy)
           popts.fault_injector = rec.spec.fault_injector;
@@ -453,7 +432,7 @@ void SolveServer::execute(JobRecord& rec) {
       } catch (const std::exception& e) {
         out.recovery += driver.last_stats();
         last_error = e.what();
-        last_kind = classify(e);
+        last_kind = error_kind(e);
         if (i + 1 < rungs.size()) {
           ++out.degradations;
           obs::trace_instant("service/degrade");
@@ -471,15 +450,15 @@ void SolveServer::execute(JobRecord& rec) {
   } catch (const DeadlineExceeded& e) {
     out.state = JobState::DeadlineExpired;
     out.error = e.what();
-    out.error_kind = "DeadlineExceeded";
+    out.error_kind = e.kind();
     obs::trace_instant("service/deadline");
-    obs::flight_on_error("DeadlineExceeded", out.error);
+    obs::flight_on_error(out.error_kind.c_str(), out.error);
   } catch (const std::exception& e) {
     // Job-boundary isolation: any escape becomes THIS job's structured
     // failure; the worker, the queue, and sibling jobs are unaffected.
     out.state = JobState::Failed;
     out.error = e.what();
-    out.error_kind = classify(e);
+    out.error_kind = error_kind(e);
     obs::flight_on_error(out.error_kind.c_str(), out.error);
   }
 

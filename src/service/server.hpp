@@ -75,18 +75,6 @@ struct ServerOptions {
   /// server owns checkpoint_key and cancel.
   resilience::RecoveryOptions recovery;
   WarmCacheOptions cache;
-  /// Accuracy cost of the ReducedAccuracy rung: the CPSCF tolerance is
-  /// multiplied by this (capped at 1e-3 absolute).
-  double reduced_accuracy_factor = 100.0;
-  /// Admission-time memory estimation model (membudget.hpp). When a
-  /// per-rank memory budget is armed (AEQP_MEM_BUDGET), a job whose
-  /// estimated footprint exceeds the budget is rejected at submit() with a
-  /// structured JobRejected of kind "MemoryBudgetExceeded" -- failing fast
-  /// beats admitting a job that will OOM mid-solve. The same model keeps
-  /// the degradation ladder memory-aware: the ReducedRanks rung RAISES the
-  /// per-rank footprint (fewer ranks hold the same replicated state), so it
-  /// is skipped when the halved-ranks estimate no longer fits.
-  resilience::MemModel mem_model = resilience::MemModel::default_model();
 };
 
 /// Monotonic server-wide counters plus live gauges; snapshot via
@@ -128,7 +116,10 @@ public:
   /// bounded queue is at capacity (backpressure -- retry later) and
   /// JobRejected when the spec itself is unservable (oversized structure,
   /// non-finite coordinates, bad direction -- retrying unchanged is
-  /// pointless). Never blocks on the queue.
+  /// pointless). With a per-rank memory budget armed (AEQP_MEM_BUDGET), a
+  /// job whose resilience::estimate_job_memory exceeds it is rejected with
+  /// kind "MemoryBudgetExceeded"; the same estimate skips a ReducedRanks
+  /// rung that no longer fits. Never blocks on the queue.
   std::uint64_t submit(JobSpec spec);
 
   /// Block until job `id` reaches a terminal state; returns its outcome and

@@ -25,15 +25,10 @@ inline constexpr std::size_t kGridBatchPoints = 128;
 /// Packed-allreduce staging window in bytes.
 inline constexpr std::size_t kPackWindowBytes = 30u * 1024u * 1024u;
 
-/// Resolve a solver knob: a nonzero request wins, 0 means the constant.
+/// Resolve a Rho block request: a nonzero request wins, 0 means the
+/// constant.
 [[nodiscard]] constexpr std::size_t rho_block_size(std::size_t requested) {
   return requested != 0 ? requested : kRhoBlockSize;
-}
-[[nodiscard]] constexpr std::size_t grid_batch_points(std::size_t requested) {
-  return requested != 0 ? requested : kGridBatchPoints;
-}
-[[nodiscard]] constexpr std::size_t pack_window_bytes(std::size_t requested) {
-  return requested != 0 ? requested : kPackWindowBytes;
 }
 
 }  // namespace aeqp::tune

@@ -150,24 +150,4 @@ TEST(DistributedDensity, PartitionedDensityIntegratesToElectronCount) {
   });
 }
 
-TEST(AllreduceMax, FindsGlobalMaximum) {
-  parallel::Cluster cluster(6, 3);
-  cluster.run([&](parallel::Communicator& c) {
-    std::vector<double> v = {static_cast<double>(c.rank()),
-                             -static_cast<double>(c.rank())};
-    c.allreduce_max(v);
-    EXPECT_DOUBLE_EQ(v[0], 5.0);
-    EXPECT_DOUBLE_EQ(v[1], 0.0);
-  });
-}
-
-TEST(AllreduceMax, WorksWithNegativeValuesOnly) {
-  parallel::Cluster cluster(3, 3);
-  cluster.run([&](parallel::Communicator& c) {
-    std::vector<double> v = {-10.0 - static_cast<double>(c.rank())};
-    c.allreduce_max(v);
-    EXPECT_DOUBLE_EQ(v[0], -10.0);
-  });
-}
-
 }  // namespace

@@ -1,4 +1,4 @@
-// Elastic rank-failure recovery tests: communicator shrink with origin
+// Elastic rank-failure recovery tests: survivor worlds with origin
 // tracking, permanent (re-firing) fault semantics, locality-aware survivor
 // re-mapping, buddy-replicated checkpoints, and the RecoveryDriver's
 // shrink-and-continue escalation. The acceptance bar: a distributed CPSCF
@@ -56,29 +56,23 @@ linalg::Matrix test_matrix(std::size_t rows, std::size_t cols, double scale) {
 }
 
 // ---------------------------------------------------------------------------
-// Cluster shrink (ULFM analogue)
+// Survivor worlds (ULFM shrink analogue): a Cluster built with an origin map
 
-TEST(ClusterShrink, RenumbersSurvivorsAndTracksOrigins) {
-  parallel::Cluster cluster(4, 2);
-  EXPECT_EQ(cluster.original_rank(3), 3u);
+TEST(SurvivorWorld, RenumbersSurvivorsAndTracksOrigins) {
+  parallel::Cluster full(4, 2);
+  EXPECT_EQ(full.original_rank(3), 3u);
 
-  const auto shrunk = cluster.shrink({1});
-  ASSERT_EQ(shrunk->size(), 3u);
-  EXPECT_EQ(shrunk->original_rank(0), 0u);
-  EXPECT_EQ(shrunk->original_rank(1), 2u);
-  EXPECT_EQ(shrunk->original_rank(2), 3u);
+  // Original ranks 0 and 1 are lost: the survivors run as ranks 0 and 1
+  // and keep their original ids.
+  parallel::Cluster survivors(2, 2, {2, 3});
+  ASSERT_EQ(survivors.size(), 2u);
+  EXPECT_EQ(survivors.original_rank(0), 2u);
+  EXPECT_EQ(survivors.original_rank(1), 3u);
 
-  // Shrinks compose: failed ids are in the CURRENT numbering, origins map
-  // all the way back to the initial world.
-  const auto twice = shrunk->shrink({0});
-  ASSERT_EQ(twice->size(), 2u);
-  EXPECT_EQ(twice->original_rank(0), 2u);
-  EXPECT_EQ(twice->original_rank(1), 3u);
-
-  // Collectives still work on the shrunken world, and every rank sees its
+  // Collectives still work on the survivor world, and every rank sees its
   // original id through the communicator.
   std::vector<double> got(2, -1.0);
-  twice->run([&](parallel::Communicator& comm) {
+  survivors.run([&](parallel::Communicator& comm) {
     std::vector<double> data{1.0};
     comm.allreduce_sum(data);
     got[comm.rank()] = data[0];
@@ -88,63 +82,50 @@ TEST(ClusterShrink, RenumbersSurvivorsAndTracksOrigins) {
   EXPECT_EQ(got[0], 2.0);
   EXPECT_EQ(got[1], 2.0);
 
-  EXPECT_THROW((void)cluster.shrink({4}), Error);          // out of range
-  EXPECT_THROW((void)cluster.shrink({0, 1, 2, 3}), Error); // nobody left
+  // The origin map names every rank of the world exactly once: two ranks
+  // with one original id would share one fault-plan address and one
+  // straggler-ledger row.
+  const std::vector<std::size_t> short_map{0, 2};
+  EXPECT_THROW(parallel::Cluster(3, 2, short_map), Error);
+  const std::vector<std::size_t> repeated{0, 2, 2};
+  try {
+    const parallel::Cluster world(3, 2, repeated);
+    FAIL() << "a repeated original id was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("original rank 2 twice"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
-TEST(ClusterShrink, CarriesStragglerStateAndAdaptiveArmToSurvivors) {
+TEST(SurvivorWorld, FeedsTheStragglerLedgerUnderOriginalIds) {
   parallel::StragglerDetector::Options dopt;
   dopt.min_window_ms = 1.0;
   parallel::StragglerDetector detector(4, dopt);
-  parallel::Cluster cluster(4, 2);
-  cluster.set_straggler_detector(&detector);
-  cluster.set_adaptive_deadlines(true, /*floor_ms=*/100.0);
+  // Original rank 1 is lost: the recovery driver retires it from the
+  // ledger, and the next attempt attaches the same detector to the
+  // survivor world.
+  const std::vector<std::size_t> survivors{0, 2, 3};
+  detector.retain(survivors);
+  parallel::Cluster world(3, 2, survivors);
+  world.set_straggler_detector(&detector);
 
-  // Give the old world some learned latency structure and a degraded rank.
-  cluster.run([](parallel::Communicator& comm) {
-    for (int i = 0; i < 8; ++i) comm.barrier();
-  });
-  ASSERT_NE(cluster.deadline_estimator(), nullptr);
-  EXPECT_GT(cluster.deadline_estimator()->total_samples(), 0u);
-  for (int w = 0; w < 2; ++w) {
-    for (std::size_t r = 0; r < 4; ++r)
-      detector.record_work(r, r == 1 ? 50.0 : 10.0);
-    detector.classify();
-  }
-  ASSERT_EQ(detector.degraded_ranks(), (std::vector<std::size_t>{1}));
-
-  const auto shrunk = cluster.shrink({1});
-
-  // The detector carries over -- same ledger, original-id addressing -- but
-  // the dead rank is retired and its stale verdict cleared.
-  EXPECT_EQ(shrunk->straggler_detector(), &detector);
-  EXPECT_FALSE(detector.any_degraded());
-  EXPECT_FALSE(detector.snapshot()[1].active);
-  EXPECT_TRUE(detector.snapshot()[2].active);
-
-  // The adaptive-deadline ARM carries, but with a FRESH estimator: latency
-  // structure learned on the 4-rank world must not time out the 3-rank one.
-  EXPECT_TRUE(shrunk->adaptive_deadlines());
-  ASSERT_NE(shrunk->deadline_estimator(), nullptr);
-  EXPECT_NE(shrunk->deadline_estimator(), cluster.deadline_estimator());
-  EXPECT_EQ(shrunk->deadline_estimator()->total_samples(), 0u);
-  EXPECT_DOUBLE_EQ(shrunk->deadline_estimator()->options().floor_ms, 100.0);
-
-  // Survivors keep feeding the carried ledger under their ORIGINAL ids;
-  // the dead rank's row stays quiet.
+  // Survivors feed the ledger under their ORIGINAL ids; the dead rank's
+  // row stays quiet.
   const auto survivor_before = detector.snapshot()[3].samples;
   const auto dead_before = detector.snapshot()[1].samples;
-  shrunk->run([](parallel::Communicator& comm) {
+  world.run([](parallel::Communicator& comm) {
     for (int i = 0; i < 4; ++i) comm.barrier();
   });
   EXPECT_GT(detector.snapshot()[3].samples, survivor_before);
   EXPECT_EQ(detector.snapshot()[1].samples, dead_before);
+  EXPECT_FALSE(detector.snapshot()[1].active);
 }
 
-TEST(ClusterShrink, FaultPlanKeepsAddressingOriginalRanks) {
-  // The plan kills ORIGINAL rank 2. After shrinking away rank 1, original
-  // rank 2 runs as current rank 1 -- the fault must follow the physical
-  // rank, not the slot number.
+TEST(SurvivorWorld, FaultPlanKeepsAddressingOriginalRanks) {
+  // The plan kills ORIGINAL rank 2. In the survivor world of original
+  // ranks {0, 2, 3} it runs as rank 1 -- the fault must follow the
+  // physical rank, not the slot number.
   parallel::FaultPlan plan;
   parallel::FaultEvent ev;
   ev.kind = parallel::FaultKind::Kill;
@@ -153,11 +134,10 @@ TEST(ClusterShrink, FaultPlanKeepsAddressingOriginalRanks) {
   plan.add(ev);
   parallel::FaultInjector injector(std::move(plan));
 
-  parallel::Cluster cluster(4, 2);
-  cluster.set_fault_injector(&injector);
-  const auto shrunk = cluster.shrink({1});
+  parallel::Cluster world(3, 2, {0, 2, 3});
+  world.set_fault_injector(&injector);
   const auto outcomes =
-      shrunk->run_collect([](parallel::Communicator& comm) { comm.barrier(); });
+      world.run_collect([](parallel::Communicator& comm) { comm.barrier(); });
   ASSERT_EQ(outcomes.size(), 3u);
   int failures = 0;
   for (const auto& e : outcomes) {
@@ -178,11 +158,10 @@ TEST(ClusterShrink, FaultPlanKeepsAddressingOriginalRanks) {
   parallel::FaultPlan plan2;
   plan2.add(ev);
   parallel::FaultInjector injector2(std::move(plan2));
-  parallel::Cluster cluster2(4, 2);
-  cluster2.set_fault_injector(&injector2);
-  const auto survivors = cluster2.shrink({2});
+  parallel::Cluster survivors(3, 2, {0, 1, 3});
+  survivors.set_fault_injector(&injector2);
   std::vector<double> got(3, 0.0);
-  survivors->run([&](parallel::Communicator& comm) {
+  survivors.run([&](parallel::Communicator& comm) {
     std::vector<double> data{1.0};
     comm.allreduce_sum(data);
     got[comm.rank()] = data[0];
@@ -348,10 +327,9 @@ TEST(Buddy, ReplicateRoundTripTracksHolders) {
 }
 
 TEST(Buddy, ShrunkWorldReplicatesAmongSurvivors) {
-  parallel::Cluster cluster(3, 3);
-  const auto shrunk = cluster.shrink({1});  // survivors: original 0 and 2
+  parallel::Cluster shrunk(2, 3, {0, 2});  // original rank 1 is lost
   BuddyReplicator buddy(3);
-  shrunk->run([&](parallel::Communicator& comm) {
+  shrunk.run([&](parallel::Communicator& comm) {
     CpscfCheckpoint ckpt;
     ckpt.iteration = 5;
     ckpt.p1 = test_matrix(4, 4, 1.0 + comm.original_rank());

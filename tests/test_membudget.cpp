@@ -406,9 +406,8 @@ TEST_F(MembudgetTest, WarmCachePutSkipsUnderMemoryPressure) {
 // Admission-time memory estimation
 
 TEST_F(MembudgetTest, EstimateGrowsWithAtomsAndShrinksWithRanks) {
-  const MemModel model = MemModel::default_model();
-  const auto est = [&](std::size_t atoms, std::size_t ranks) {
-    return estimate_job_memory(atoms, ranks, model);
+  const auto est = [](std::size_t atoms, std::size_t ranks) {
+    return estimate_job_memory(atoms, ranks);
   };
   EXPECT_GT(est(8, 1), est(2, 1));
   EXPECT_GT(est(64, 1), est(8, 1));
@@ -441,7 +440,7 @@ TEST_F(MembudgetTest, ServiceRejectsJobsEstimatedOverBudget) {
   spec.dfpt.tolerance = 1e-6;
   spec.deadline = std::chrono::milliseconds(60000);
 
-  // The default model estimates a couple of MiB even for H2 (the packed
+  // The model estimates a couple of MiB even for H2 (the packed
   // staging window dominates); a 1 MiB budget cannot admit it.
   set_mem_budget(std::int64_t{1} << 20);
   try {

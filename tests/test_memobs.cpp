@@ -20,6 +20,7 @@
 
 #include "comm/packed.hpp"
 #include "common/thread_ident.hpp"
+#include "linalg/abft.hpp"
 #include "obs/comm_matrix.hpp"
 #include "obs/flight.hpp"
 #include "obs/memaudit.hpp"
@@ -129,6 +130,25 @@ TEST_F(MemObsTest, FlightDumpsPostMortemOnInjectedRankFailure) {
   obs::set_flight(true);
   obs::reset_flight();
   const std::uint64_t dumps_before = obs::flight_dump_count();
+  const auto dump = [&] {
+    std::ifstream in(kDumpFile);
+    std::stringstream body;
+    body << in.rdbuf();
+    return body.str();
+  };
+
+  // A structured error keeps its own name: an AbftError escaping a rank
+  // function is dumped as AbftError, the name its job outcome carries.
+  parallel::Cluster abft_world(2, 2);
+  EXPECT_THROW(abft_world.run([](parallel::Communicator& c) {
+                 if (c.rank() == 1)
+                   throw linalg::AbftError("test/matmul", "uncorrectable");
+                 std::vector<double> x(8, 1.0);
+                 c.allreduce_sum(x);
+               }),
+               linalg::AbftError);
+  EXPECT_EQ(obs::flight_dump_count(), dumps_before + 1);
+  EXPECT_NE(dump().find("\"kind\": \"AbftError\""), std::string::npos);
 
   parallel::FaultPlan plan;
   parallel::FaultEvent kill;
@@ -147,12 +167,9 @@ TEST_F(MemObsTest, FlightDumpsPostMortemOnInjectedRankFailure) {
                }),
                parallel::RankFailure);
 
-  EXPECT_EQ(obs::flight_dump_count(), dumps_before + 1);
+  EXPECT_EQ(obs::flight_dump_count(), dumps_before + 2);
   ASSERT_TRUE(std::filesystem::exists(kDumpFile));
-  std::ifstream in(kDumpFile);
-  std::stringstream body;
-  body << in.rdbuf();
-  const std::string json = body.str();
+  const std::string json = dump();
   EXPECT_NE(json.find("\"kind\": \"RankFailure\""), std::string::npos);
   EXPECT_NE(json.find("\"events\""), std::string::npos);
   EXPECT_NE(json.find("\"metrics\""), std::string::npos);

@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <thread>
 
 #include "comm/hierarchical.hpp"
@@ -90,6 +92,26 @@ TEST(Cluster, LeaderAllreduceOnlySumsLeaders) {
     if (c.node_rank() == 0) {
       EXPECT_DOUBLE_EQ(v[0], 2001.0);  // nodes 0 and 1
     }
+  });
+}
+
+TEST(AllreduceMax, FindsGlobalMaximum) {
+  Cluster cluster(6, 3);
+  cluster.run([&](Communicator& c) {
+    std::vector<double> v = {static_cast<double>(c.rank()),
+                             -static_cast<double>(c.rank())};
+    c.allreduce_max(v);
+    EXPECT_DOUBLE_EQ(v[0], 5.0);
+    EXPECT_DOUBLE_EQ(v[1], 0.0);
+  });
+}
+
+TEST(AllreduceMax, WorksWithNegativeValuesOnly) {
+  Cluster cluster(3, 3);
+  cluster.run([&](Communicator& c) {
+    std::vector<double> v = {-10.0 - static_cast<double>(c.rank())};
+    c.allreduce_max(v);
+    EXPECT_DOUBLE_EQ(v[0], -10.0);
   });
 }
 
@@ -187,6 +209,35 @@ TEST(Packed, HierarchicalModeMatchesFlat) {
 
     for (std::size_t r = 0; r < a.size(); ++r)
       for (std::size_t i = 0; i < 5; ++i) EXPECT_NEAR(a[r][i], b[r][i], 1e-12);
+  });
+
+  // A one-rank world reduces flat at the default Hierarchical mode: one
+  // collective per flush, and the same bits as the flat mode.
+  Cluster one(1, 1);
+  one.run([&](Communicator& c) {
+    Rng rng(77);
+    std::vector<std::vector<double>> a(20, std::vector<double>(5)), b;
+    for (auto& row : a)
+      for (auto& v : row) v = rng.uniform(-2, 2);
+    a[0][0] = -0.0;
+    b = a;
+
+    std::size_t before = c.collective_index();
+    PackedAllReducer flat(c, ReduceMode::Flat);
+    for (auto& row : a) flat.add(row);
+    flat.flush();
+    EXPECT_EQ(c.collective_index() - before, 1u);
+
+    before = c.collective_index();
+    PackedAllReducer hier(c, ReduceMode::Hierarchical);
+    for (auto& row : b) hier.add(row);
+    hier.flush();
+    EXPECT_EQ(c.collective_index() - before, 1u);
+
+    for (std::size_t r = 0; r < a.size(); ++r)
+      for (std::size_t i = 0; i < 5; ++i)
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(a[r][i]),
+                  std::bit_cast<std::uint64_t>(b[r][i]));
   });
 }
 

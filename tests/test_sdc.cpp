@@ -35,6 +35,7 @@
 #include "resilience/sdc_inject.hpp"
 #include "scf/diis.hpp"
 #include "scf/scf_solver.hpp"
+#include "tune/tune.hpp"
 
 namespace {
 
@@ -457,7 +458,7 @@ TEST(VerifiedCollectives, PackedReducerChecksumDetectsCorruption) {
   const auto outcomes = cluster.run_collect([](parallel::Communicator& comm) {
     std::vector<double> row(4, static_cast<double>(comm.rank() + 1));
     comm::PackedAllReducer reducer(comm, comm::ReduceMode::Flat,
-                                   comm::kDefaultPackBytes, /*verify=*/true);
+                                   tune::kPackWindowBytes, /*verify=*/true);
     reducer.add(row);
     reducer.flush();
   });
@@ -483,7 +484,7 @@ TEST(VerifiedCollectives, PackedReducerVerifyModeIsExactWhenClean) {
   cluster.run([&](parallel::Communicator& comm) {
     std::vector<double> row{1.0, 2.0, 3.0, 4.0, 5.0};
     comm::PackedAllReducer reducer(comm, comm::ReduceMode::Flat,
-                                   comm::kDefaultPackBytes, /*verify=*/true);
+                                   tune::kPackWindowBytes, /*verify=*/true);
     reducer.add(row);
     reducer.flush();
     rows[comm.rank()] = row;
